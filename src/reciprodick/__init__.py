@@ -47,16 +47,10 @@ from .families import (
     FamilySpec,
     build,
     check_dickson_f_identity,
-    f_char2,
     f_expanded_even,
     f_expanded_odd,
     f_family,
     f_kind,
-    f_with_swapped_ends,
-    g_family,
-    gstar_family,
-    h_family,
-    hstar_family,
     reversed_dickson,
 )
 from .ringpoly import GF, Poly, Ring, Z, gcd, pow_mod, reduce_mod_p
@@ -68,10 +62,8 @@ __all__ = [
     "GF", "Poly", "Ring", "Z", "gcd", "pow_mod", "reduce_mod_p",
     "PadicDigits", "binomial", "binomial_mod_p_lucas", "digits_base_p",
     "divisibility_by_digit_dominance", "is_power_of", "is_prime", "weight_base_p",
-    "FAMILIES", "FamilySpec", "build", "check_dickson_f_identity", "f_char2",
-    "f_expanded_even", "f_expanded_odd", "f_family", "f_kind",
-    "f_with_swapped_ends", "g_family", "gstar_family", "h_family",
-    "hstar_family", "reversed_dickson",
+    "FAMILIES", "FamilySpec", "build", "check_dickson_f_identity",
+    "f_expanded_even", "f_expanded_odd", "f_family", "f_kind", "reversed_dickson",
     "DEFAULT_K_WINDOW", "DEFAULT_ODD_PRIMES", "THEOREM_IDS", "Verdict",
     "check_corollary", "is_irreducible", "lemma_l1", "mismatches",
     "normalize_theorem_id", "oracle_self_reciprocal", "predicate", "scan",

@@ -12,16 +12,20 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 
-# Deterministic Miller-Rabin witness set, exact for all n < 3.3e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witness set: the primes up to 41 decide every
+# n below _MR_BOUND (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test (Miller-Rabin with a fixed witness set)."""
     if n < 2:
         return False
+    if n >= _MR_BOUND:
+        raise CapacityError(f"is_prime is deterministic only below {_MR_BOUND}")
     for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
@@ -59,6 +63,8 @@ def binomial(n: int, m: int) -> int:
 
 def is_power_of(n: int, p: int) -> bool:
     """True iff n = p**l for some integer l >= 1."""
+    if p < 2:
+        raise DomainError(f"is_power_of requires a base p >= 2, got {p}")
     if n < p:
         return False
     while n % p == 0:

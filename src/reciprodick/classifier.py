@@ -1,7 +1,7 @@
 """Classification rules, the self-reciprocality oracle, and range scanners.
 
-Each rule id names an executable predicate that evaluates the side
-conditions of one exact classification:
+Each rule is one row of RULE_TABLE, which states its hypotheses, its
+default scan range and its prediction; in summary:
 
   T2_1  over Z, even n > 1, family f:        palindromic iff k in {0, 2}
   T2_3  over Z, even n > 1, families g, h:   palindromic iff k = 0
@@ -30,21 +30,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 from .binomics import is_power_of, is_prime
 from .errors import CapacityError, DomainError, HypothesisError
 from .families import FamilySpec, build
-from .ringpoly import GF, Poly, Z, gcd, pow_mod
-
-THEOREM_IDS = (
-    "T2_1", "T2_3", "T2_4", "T2_7",
-    "T3_1", "T3_4", "T4_1",
-    "C3_2", "C3_3", "C3_5", "C4_2",
-    "L1",
-)
-
-_CLASSIFICATIONS = ("T2_1", "T2_3", "T2_4", "T2_7", "T3_1", "T3_4", "T4_1")
-_COROLLARIES = ("C3_2", "C3_3", "C3_5", "C4_2")
+from .ringpoly import GF, Poly, Ring, Z, gcd, pow_mod
 
 DEFAULT_ODD_PRIMES = (3, 5, 7, 11, 13)
 DEFAULT_K_WINDOW = tuple(range(-5, 7))
@@ -53,13 +44,101 @@ DEFAULT_K_WINDOW = tuple(range(-5, 7))
 _TRIAL_AUTO_LIMIT = 200_000
 _TRIAL_HARD_LIMIT = 2_000_000
 
+F2 = GF(2)
+
+
+# ---------------------------------------------------- vocabulary of the rules
+
+
+@dataclass(frozen=True)
+class Condition:
+    """A named hypothesis: ``text`` is its wording in messages, ``holds`` its test.
+
+    ``holds`` takes the ring for a ring condition, n for a condition on n,
+    and (n, p) for a side condition.
+    """
+
+    text: str
+    holds: Callable[..., bool]
+
+
+OVER_Z = Condition("Z", lambda r: r == Z)
+OVER_F2 = Condition("F2", lambda r: r == F2)
+OVER_ODD_P = Condition("GF(p) with p odd", lambda r: r.is_field and r.p != 2)
+OVER_FIELD = Condition("GF(p)", lambda r: r.is_field)
+P_NOT_DIVIDING_N = Condition("p not dividing n", lambda n, p: n % p != 0)
+P_NOT_DIVIDING_N_PLUS_1 = Condition("p not dividing n + 1", lambda n, p: (n + 1) % p != 0)
+
+
+def canonical_id(name: str, ids, noun: str, aliases: dict) -> str:
+    """Map spellings like 't2.1' or 'l-1' onto the canonical id among ``ids``."""
+    t = name.strip().upper().replace(".", "_").replace("-", "_")
+    t = aliases.get(t, t)
+    if t not in ids:
+        raise DomainError(f"unknown {noun} {name!r}")
+    return t
+
+
+# ------------------------------------------------------------- the rule table
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One row of the rule table: a rule's hypotheses, scan range and prediction.
+
+    A classification predicts self-reciprocality and scan compares it with
+    the oracle; a corollary, and the lemma L1, claim on every spec of their
+    domain that the polynomial is not both self-reciprocal and irreducible.
+    """
+
+    kind: str  # "classification", "corollary" or "lemma"
+    families: tuple[str, ...]
+    ring: Condition
+    n: Condition
+    scan_n: tuple[int, int]  # default scan range of n; its low end is also a floor
+    predict: Callable[[int, int, int | None], bool] | None = None  # of (n, k, p)
+    fixed_k: int | None = None
+    sides: tuple[Condition, ...] = ()
+
+
+_EVEN_N = Condition("even n > 1", lambda n: n > 1 and n % 2 == 0)
+_ODD_N = Condition("odd n > 1", lambda n: n > 1 and n % 2 == 1)
+_N_2_MOD_4 = Condition("n > 2 with n = 2 mod 4", lambda n: n > 2 and n % 4 == 2)
+
+RULE_TABLE = {
+    "T2_1": Rule("classification", ("f",), OVER_Z, _EVEN_N, (2, 200), lambda n, k, p: k in (0, 2)),
+    "T2_3": Rule("classification", ("g", "h"), OVER_Z, _EVEN_N, (2, 200), lambda n, k, p: k == 0),
+    "T2_4": Rule("classification", ("f",), OVER_Z, _ODD_N, (3, 199),
+                 lambda n, k, p: k == 1 or (n == 3 and k == 3)),
+    "T2_7": Rule("classification", ("gstar", "hstar"), OVER_Z, _ODD_N, (3, 199), lambda n, k, p: k == 1),
+    "T3_1": Rule("classification", ("f",), OVER_ODD_P, _EVEN_N, (2, 200),
+                 lambda n, k, p: k == 0 or (k == 2 and n % p != 0)),
+    "T3_4": Rule("classification", ("f",), OVER_ODD_P,
+                 Condition("odd n >= 1", lambda n: n >= 1 and n % 2 == 1), (1, 199),
+                 lambda n, k, p: (
+                     n == 1
+                     or (k == 0 and is_power_of(n, p))
+                     or (n == 3 and k == 3 and p > 3)
+                     or (k == 1 and (n + 1) % p != 0)
+                 )),
+    "T4_1": Rule("classification", ("fchar2",), OVER_F2, Condition("n > 1", lambda n: n > 1), (2, 200),
+                 lambda n, k, p: n % 2 == 0, fixed_k=1),
+    # corollary defaults keep the constructed degree at most 10
+    "C3_2": Rule("corollary", ("f",), OVER_ODD_P, _N_2_MOD_4, (6, 18), fixed_k=0),
+    "C3_3": Rule("corollary", ("f",), OVER_ODD_P, Condition("n = 0 mod 4", lambda n: n % 4 == 0 and n > 0),
+                 (4, 20), fixed_k=2, sides=(P_NOT_DIVIDING_N,)),
+    "C3_5": Rule("corollary", ("f",), OVER_ODD_P, Condition("n = 3 mod 4", lambda n: n % 4 == 3),
+                 (3, 19), fixed_k=1, sides=(P_NOT_DIVIDING_N_PLUS_1,)),
+    "C4_2": Rule("corollary", ("fchar2",), OVER_F2, _N_2_MOD_4, (6, 18), fixed_k=1),
+    "L1": Rule("lemma", ("f", "fchar2"), OVER_FIELD, Condition("any n", lambda n: True), (1, 20)),
+}
+
+THEOREM_IDS = tuple(RULE_TABLE)
+
 
 def normalize_theorem_id(name: str) -> str:
     """Map spellings like 't2.1' or 'l-1' onto the canonical rule id."""
-    t = name.strip().upper().replace(".", "_").replace("-", "_")
-    if t not in THEOREM_IDS:
-        raise DomainError(f"unknown theorem id {name!r}")
-    return t
+    return canonical_id(name, RULE_TABLE, "theorem id", {})
 
 
 @dataclass(frozen=True)
@@ -77,9 +156,7 @@ class Verdict:
         return self.predicted == self.observed
 
     def to_json_dict(self) -> dict:
-        d = {"theorem": self.theorem, "family": self.spec.family, "n": self.spec.n, "k": self.spec.k}
-        if self.spec.ring.is_field:
-            d["p"] = self.spec.ring.p
+        d = {"theorem": self.theorem, **self.spec.to_flat_dict()}
         d["predicted"] = self.predicted
         d["observed"] = self.observed
         d["match"] = self.match
@@ -96,57 +173,33 @@ def oracle_self_reciprocal(spec: FamilySpec) -> bool:
 # ------------------------------------------------------------------ predicates
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise HypothesisError(message)
+def _check_hypotheses(theorem: str, kind: str, spec: FamilySpec, wrong_kind: str) -> Rule:
+    """The rule's row, once it is of ``kind`` (else "<id> is not <wrong_kind>") and holds on spec."""
+    t = normalize_theorem_id(theorem)
+    rule = RULE_TABLE[t]
+    if rule.kind != kind:
+        raise DomainError(f"{t} is not {wrong_kind}")
+    fams = rule.families
+    if spec.family not in fams:
+        named = f"{'families' if len(fams) > 1 else 'family'} {' and '.join(fams)}"
+        raise HypothesisError(f"{t} applies to {named}")
+    if not rule.ring.holds(spec.ring):
+        raise HypothesisError(f"{t} applies over {rule.ring.text}")
+    if rule.fixed_k is not None and spec.k != rule.fixed_k:
+        raise HypothesisError(f"{t} requires k = {rule.fixed_k}")
+    if not rule.n.holds(spec.n):
+        raise HypothesisError(f"{t} requires {rule.n.text}")
+    for side in rule.sides:
+        if not side.holds(spec.n, spec.ring.p):
+            raise HypothesisError(f"{t} requires {side.text}")
+    return rule
 
 
 def predicate(theorem: str, spec: FamilySpec) -> bool:
     """Evaluate a classification rule's side conditions on an in-range spec."""
-    t = normalize_theorem_id(theorem)
-    n, k, ring = spec.n, spec.k, spec.ring
-    if t == "T2_1":
-        _require(spec.family == "f", "T2_1 applies to family f")
-        _require(ring == Z, "T2_1 applies over Z")
-        _require(n > 1 and n % 2 == 0, "T2_1 requires even n > 1")
-        return k in (0, 2)
-    if t == "T2_3":
-        _require(spec.family in ("g", "h"), "T2_3 applies to families g and h")
-        _require(ring == Z, "T2_3 applies over Z")
-        _require(n > 1 and n % 2 == 0, "T2_3 requires even n > 1")
-        return k == 0
-    if t == "T2_4":
-        _require(spec.family == "f", "T2_4 applies to family f")
-        _require(ring == Z, "T2_4 applies over Z")
-        _require(n > 1 and n % 2 == 1, "T2_4 requires odd n > 1")
-        return k == 1 or (n == 3 and k == 3)
-    if t == "T2_7":
-        _require(spec.family in ("gstar", "hstar"), "T2_7 applies to families gstar and hstar")
-        _require(ring == Z, "T2_7 applies over Z")
-        _require(n > 1 and n % 2 == 1, "T2_7 requires odd n > 1")
-        return k == 1
-    if t == "T3_1":
-        _require(spec.family == "f", "T3_1 applies to family f")
-        _require(ring.is_field and ring.p != 2, "T3_1 applies over GF(p) with p odd")
-        _require(n > 1 and n % 2 == 0, "T3_1 requires even n > 1")
-        return k == 0 or (k == 2 and n % ring.p != 0)
-    if t == "T3_4":
-        _require(spec.family == "f", "T3_4 applies to family f")
-        _require(ring.is_field and ring.p != 2, "T3_4 applies over GF(p) with p odd")
-        _require(n >= 1 and n % 2 == 1, "T3_4 requires odd n >= 1")
-        p = ring.p
-        return (
-            n == 1
-            or (k == 0 and is_power_of(n, p))
-            or (n == 3 and k == 3 and p > 3)
-            or (k == 1 and (n + 1) % p != 0)
-        )
-    if t == "T4_1":
-        _require(spec.family == "fchar2", "T4_1 applies to family fchar2")
-        _require(ring == GF(2), "T4_1 applies over F2")
-        _require(n > 1, "T4_1 requires n > 1")
-        return n % 2 == 0
-    raise DomainError(f"{t} is not a classification rule; use check_corollary or lemma_l1")
+    rule = _check_hypotheses(theorem, "classification", spec,
+                             "a classification rule; use check_corollary or lemma_l1")
+    return rule.predict(spec.n, spec.k, spec.ring.p)
 
 
 # -------------------------------------------------------------- irreducibility
@@ -193,7 +246,7 @@ def is_irreducible(a: Poly, method: str = "auto") -> bool:
             raise CapacityError("trial division out of desk scale; use method='gcd'")
         for d in range(1, deg // 2 + 1):
             for tail in itertools.product(range(p), repeat=d):
-                if (a % Poly(a.ring, tail + (1,))).is_zero():
+                if not a % Poly(a.ring, tail + (1,)):
                     return False
         return True
     if method == "gcd":
@@ -209,14 +262,17 @@ def is_irreducible(a: Poly, method: str = "auto") -> bool:
     raise DomainError(f"unknown irreducibility method {method!r}")
 
 
-def lemma_l1(a: Poly) -> bool:
-    """Even-degree law: no self-reciprocal irreducible has odd degree >= 3."""
+def _not_srim(a: Poly) -> bool:
+    """True unless a has degree >= 2 and is both self-reciprocal and irreducible."""
     deg = a.degree
-    if deg is None or deg < 2 or deg % 2 == 0:
-        return True
-    if not a.is_self_reciprocal():
+    if deg is None or deg < 2 or not a.is_self_reciprocal():
         return True
     return not is_irreducible(a)
+
+
+def lemma_l1(a: Poly) -> bool:
+    """Even-degree law: no self-reciprocal irreducible has odd degree >= 3."""
+    return (a.degree is not None and a.degree % 2 == 0) or _not_srim(a)
 
 
 def check_corollary(corollary: str, spec: FamilySpec) -> bool:
@@ -226,172 +282,71 @@ def check_corollary(corollary: str, spec: FamilySpec) -> bool:
     polynomial has odd degree, so the conjunction (with degree >= 2) must
     never hold.
     """
-    t = normalize_theorem_id(corollary)
-    n, k, ring = spec.n, spec.k, spec.ring
-    if t == "C3_2":
-        _require(spec.family == "f", "C3_2 applies to family f")
-        _require(ring.is_field and ring.p != 2, "C3_2 applies over GF(p) with p odd")
-        _require(k == 0, "C3_2 requires k = 0")
-        _require(n > 2 and n % 4 == 2, "C3_2 requires n > 2 with n = 2 mod 4")
-    elif t == "C3_3":
-        _require(spec.family == "f", "C3_3 applies to family f")
-        _require(ring.is_field and ring.p != 2, "C3_3 applies over GF(p) with p odd")
-        _require(k == 2, "C3_3 requires k = 2")
-        _require(n % 4 == 0 and n > 0, "C3_3 requires n = 0 mod 4")
-        _require(n % ring.p != 0, "C3_3 requires p not dividing n")
-    elif t == "C3_5":
-        _require(spec.family == "f", "C3_5 applies to family f")
-        _require(ring.is_field and ring.p != 2, "C3_5 applies over GF(p) with p odd")
-        _require(k == 1, "C3_5 requires k = 1")
-        _require(n % 4 == 3, "C3_5 requires n = 3 mod 4")
-        _require((n + 1) % ring.p != 0, "C3_5 requires p not dividing n + 1")
-    elif t == "C4_2":
-        _require(spec.family == "fchar2", "C4_2 applies to family fchar2")
-        _require(ring == GF(2), "C4_2 applies over F2")
-        _require(n > 2 and n % 4 == 2, "C4_2 requires n > 2 with n = 2 mod 4")
-    else:
-        raise DomainError(f"{t} is not a corollary id")
-    a = build(spec)
-    deg = a.degree
-    if deg is None or deg < 2:
-        return True
-    if not a.is_self_reciprocal():
-        return True
-    return not is_irreducible(a)
+    _check_hypotheses(corollary, "corollary", spec, "a corollary id")
+    return _not_srim(build(spec))
 
 
 # ------------------------------------------------------------------- scanning
 
-
-@dataclass(frozen=True)
-class _Rule:
-    families: tuple[str, ...]
-    ring: str  # "Z", "Fp" or "F2"
-    parity: int | None
-    n_min: int
-    n_max: int
-
-
-_RULES = {
-    "T2_1": _Rule(("f",), "Z", 0, 2, 200),
-    "T2_3": _Rule(("g", "h"), "Z", 0, 2, 200),
-    "T2_4": _Rule(("f",), "Z", 1, 3, 199),
-    "T2_7": _Rule(("gstar", "hstar"), "Z", 1, 3, 199),
-    "T3_1": _Rule(("f",), "Fp", 0, 2, 200),
-    "T3_4": _Rule(("f",), "Fp", 1, 1, 199),
-    "T4_1": _Rule(("fchar2",), "F2", None, 2, 200),
-    # corollary defaults keep the constructed degree at most 10
-    "C3_2": _Rule(("f",), "Fp", 0, 6, 18),
-    "C3_3": _Rule(("f",), "Fp", 0, 4, 20),
-    "C3_5": _Rule(("f",), "Fp", 1, 3, 19),
-    "C4_2": _Rule(("fchar2",), "F2", 0, 6, 18),
-    "L1": _Rule(("f", "fchar2"), "Fp", None, 1, 20),
+# per kind of rule: how scan observes it, and the note a disagreement carries
+_OBSERVERS = {
+    "classification": (lambda t, spec: oracle_self_reciprocal(spec), "predicate and oracle disagree"),
+    "corollary": (lambda t, spec: check_corollary(t, spec), "corollary violated"),
+    "lemma": (lambda t, spec: lemma_l1(build(spec)), "odd-degree srim found"),
 }
 
 
-def _check_odd_primes(p_list) -> list[int]:
-    ps = sorted(set(p_list))
+def _rings(kind: Condition, p_list) -> list[Ring]:
+    if kind is OVER_F2:
+        return [F2]
+    ps = sorted(set(p_list or (DEFAULT_ODD_PRIMES if kind is OVER_ODD_P else (2,) + DEFAULT_ODD_PRIMES)))
     for p in ps:
         if not is_prime(p):
             raise DomainError(f"{p} is not prime")
-        if p == 2:
+        if not kind.holds(GF(p)):
             raise DomainError("this rule is stated for odd primes")
-    return ps
-
-
-def _compare(theorem: str, spec: FamilySpec) -> Verdict:
-    pred = predicate(theorem, spec)
-    obs = oracle_self_reciprocal(spec)
-    note = "" if pred == obs else "predicate and oracle disagree"
-    return Verdict(theorem, spec, pred, obs, note)
+    return [GF(p) for p in ps]
 
 
 def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Verdict]:
     """Evaluate one rule over finite ranges, one Verdict per in-range spec.
 
     Iteration order is (n, then k, then p, then family), so output is
-    deterministic.  Mismatches are reported as data, not raised.
+    deterministic.  Over Z, k runs over ``k_values`` as given (default
+    DEFAULT_K_WINDOW); over GF(p), over the distinct ``k_values`` in
+    [0, p-1] in increasing order (default all of them).  Rules with a fixed
+    k, and L1, ignore ``k_values``.  Mismatches are reported as data, not
+    raised.
     """
     t = normalize_theorem_id(theorem)
-    rule = _RULES[t]
-    n_lo = rule.n_min if n_min is None else max(n_min, rule.n_min)
-    n_hi = rule.n_max if n_max is None else n_max
-    ns = [n for n in range(n_lo, n_hi + 1) if rule.parity is None or n % 2 == rule.parity]
-
-    if t in _CLASSIFICATIONS:
-        if rule.ring == "Z":
-            ks = list(DEFAULT_K_WINDOW) if k_values is None else list(k_values)
-            return [
-                _compare(t, FamilySpec(fam, n, k))
-                for n in ns
-                for k in ks
-                for fam in rule.families
-            ]
-        if rule.ring == "F2":
-            return [_compare(t, FamilySpec("fchar2", n, 1, GF(2))) for n in ns]
-        ps = _check_odd_primes(p_list or DEFAULT_ODD_PRIMES)
-        out = []
-        for n in ns:
-            for k in range(0, max(ps)):
-                if k_values is not None and k not in k_values:
-                    continue
-                for p in ps:
-                    if k <= p - 1:
-                        out.append(_compare(t, FamilySpec("f", n, k, GF(p))))
-        return out
-
-    if t in _COROLLARIES:
-        return _scan_corollary(t, ns, p_list)
-    return _scan_lemma_l1(ns, p_list)
-
-
-def _scan_corollary(t: str, ns, p_list) -> list[Verdict]:
-    fixed_k = {"C3_2": 0, "C3_3": 2, "C3_5": 1, "C4_2": 1}[t]
-    residue = {"C3_2": 2, "C3_3": 0, "C3_5": 3, "C4_2": 2}[t]
+    rule = RULE_TABLE[t]
+    lo, hi = rule.scan_n
+    lo = lo if n_min is None else max(n_min, lo)
+    ns = [n for n in range(lo, (hi if n_max is None else n_max) + 1) if rule.n.holds(n)]
+    if rule.ring is OVER_Z:
+        ks = DEFAULT_K_WINDOW if k_values is None else list(k_values)
+        specs = [FamilySpec(fam, n, k) for n in ns for k in ks for fam in rule.families]
+    else:
+        rings = _rings(rule.ring, p_list)
+        top = rings[-1].p
+        if rule.fixed_k is not None:
+            ks = [rule.fixed_k]
+        elif k_values is None or rule.kind == "lemma":
+            ks = range(top)
+        else:
+            ks = sorted(k for k in set(k_values) if 0 <= k < top)
+        # the member over GF(2) is fchar2, which fixes k = 1; over odd p it is f
+        specs = [
+            FamilySpec("f" if r.p > 2 else "fchar2", n, k, r)
+            for n in ns for k in ks for r in rings
+            if k < r.p and (r.p > 2 or k == 1) and all(side.holds(n, r.p) for side in rule.sides)
+        ]
+    observe, note = _OBSERVERS[rule.kind]
     out = []
-    if t == "C4_2":
-        for n in ns:
-            if n % 4 != residue:
-                continue
-            spec = FamilySpec("fchar2", n, 1, GF(2))
-            obs = check_corollary(t, spec)
-            out.append(Verdict(t, spec, True, obs, "" if obs else "corollary violated"))
-        return out
-    ps = _check_odd_primes(p_list or DEFAULT_ODD_PRIMES)
-    for n in ns:
-        if n % 4 != residue:
-            continue
-        for p in ps:
-            if t == "C3_3" and n % p == 0:
-                continue
-            if t == "C3_5" and (n + 1) % p == 0:
-                continue
-            spec = FamilySpec("f", n, fixed_k, GF(p))
-            obs = check_corollary(t, spec)
-            out.append(Verdict(t, spec, True, obs, "" if obs else "corollary violated"))
-    return out
-
-
-def _scan_lemma_l1(ns, p_list) -> list[Verdict]:
-    ps = sorted(set(p_list or ((2,) + DEFAULT_ODD_PRIMES)))
-    for p in ps:
-        if not is_prime(p):
-            raise DomainError(f"{p} is not prime")
-    out = []
-    for n in ns:
-        for k in range(0, max(ps)):
-            for p in ps:
-                if p == 2:
-                    if k == 1 and n >= 1:
-                        spec = FamilySpec("fchar2", n, 1, GF(2))
-                    else:
-                        continue
-                elif k <= p - 1:
-                    spec = FamilySpec("f", n, k, GF(p))
-                else:
-                    continue
-                obs = lemma_l1(build(spec))
-                out.append(Verdict("L1", spec, True, obs, "" if obs else "odd-degree srim found"))
+    for spec in specs:
+        pred = predicate(t, spec) if rule.kind == "classification" else True
+        obs = observe(t, spec)
+        out.append(Verdict(t, spec, pred, obs, "" if pred == obs else note))
     return out
 
 

@@ -25,19 +25,18 @@ import io
 import json
 import sys
 
-from .classifier import THEOREM_IDS, mismatches, normalize_theorem_id, scan
+from .classifier import OVER_ODD_P, OVER_Z, THEOREM_IDS, mismatches, normalize_theorem_id, scan
 from .coterm_codes import (
     ENUMERATION_CAP,
-    coterm_construct,
-    monic_divisors,
-    normalize_coterm_rule,
-    required_k,
-    self_reciprocal_divisors,
     build_cyclic_code,
+    coterm_construct,
+    coterm_rule,
+    monic_divisors,
+    self_reciprocal_divisors,
     verify_reversibility_by_enumeration,
 )
 from .errors import CapacityError, DomainError
-from .families import FAMILIES, FamilySpec, build
+from .families import FAMILIES, FAMILY_TABLE, FamilySpec, build
 from .ringpoly import GF, Ring, Z
 
 EXIT_OK = 0
@@ -59,9 +58,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="reciprodick", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_selector(p, with_family=True):
-        if with_family:
-            p.add_argument("--family", choices=FAMILIES, required=True)
+    def add_selector(p):
+        p.add_argument("--family", choices=FAMILIES, required=True)
         g = p.add_mutually_exclusive_group()
         g.add_argument("--n", type=int)
         g.add_argument("--n-max", type=int)
@@ -96,6 +94,8 @@ def _build_parser() -> _Parser:
         p_v.add_argument("--p-list")
         if name == "verify":
             p_v.add_argument("--all-verdicts", action="store_true")
+        else:
+            p_v.set_defaults(all_verdicts=True)
         add_output(p_v)
 
     p_cot = sub.add_parser("coterm", help="build a named coterm polynomial")
@@ -121,10 +121,6 @@ def _build_parser() -> _Parser:
 # ----------------------------------------------------------------- emission
 
 
-def _dumps(d: dict) -> str:
-    return json.dumps(d, separators=(",", ":"))
-
-
 def _csv_cell(v):
     if v is True:
         return "true"
@@ -132,39 +128,40 @@ def _csv_cell(v):
         return "false"
     if v is None:
         return ""
+    if isinstance(v, list):
+        return " ".join(v)
     return v
 
 
-def _emit(lines: list[str], args) -> None:
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if args.out:
+def _emit(args, fields: list[str], records: list[dict]) -> None:
+    """One JSON line per record, or CSV with the given columns (lists as spaced cells)."""
+    if args.format == "json":
+        text = "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records)
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(fields)
+        writer.writerows([_csv_cell(r.get(f)) for f in fields] for r in records)
+        text = buf.getvalue()
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _csv_lines(fields: list[str], rows: list[dict]) -> list[str]:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields)
-    for row in rows:
-        writer.writerow([_csv_cell(row.get(f)) for f in fields])
-    return buf.getvalue().splitlines()
+    except OSError as exc:
+        raise DomainError(f"cannot write {args.out}: {exc.strerror}") from None
 
 
 # ----------------------------------------------------------------- selectors
 
-_FAMILY_N_MIN = {"g": 2, "h": 2, "gstar": 3, "hstar": 3, "fchar2": 1}
-_FAMILY_PARITY = {"g": 0, "h": 0, "gstar": 1, "hstar": 1}
-
 
 def _resolve_ring(args) -> Ring:
-    family = getattr(args, "family", None)
-    if family == "fchar2":
-        if args.ring == "fp" and args.p not in (None, 2):
-            raise DomainError("family 'fchar2' lives over F2")
-        return GF(2)
+    fixed = FAMILY_TABLE[args.family].ring
+    if fixed is not None:
+        if args.ring == "fp" and args.p not in (None, fixed.p):
+            raise DomainError(f"family {args.family!r} lives over {fixed}")
+        return fixed
     if args.ring == "fp":
         if args.p is None:
             raise DomainError("--ring fp requires --p")
@@ -177,34 +174,26 @@ def _resolve_ring(args) -> Ring:
 def _resolve_specs(args) -> list[FamilySpec]:
     ring = _resolve_ring(args)
     family = args.family
+    row = FAMILY_TABLE[family]
     if args.n is not None:
         ns = [args.n]
     elif args.n_max is not None:
-        lo = args.n_min if args.n_min is not None else _FAMILY_N_MIN.get(family, 0)
-        parity = _FAMILY_PARITY.get(family)
-        ns = [n for n in range(lo, args.n_max + 1) if parity is None or n % 2 == parity]
+        lo = args.n_min if args.n_min is not None else row.n_min
+        ns = [n for n in range(lo, args.n_max + 1) if row.parity is None or n % 2 == row.parity]
     else:
         raise DomainError("one of --n or --n-max is required")
-    if args.k is not None:
-        ks = [args.k]
-    elif args.k_min is not None or args.k_max is not None:
-        if args.k_min is None or args.k_max is None:
-            raise DomainError("--k-min and --k-max go together")
-        ks = list(range(args.k_min, args.k_max + 1))
-    elif family == "fchar2":
-        ks = [1]
-    else:
-        ks = [0]
+    ks = [args.k] if args.k is not None else _k_range(args)
+    if ks is None:
+        ks = [row.fixed_k[0] if row.fixed_k else 0]
     return [FamilySpec(family, n, k, ring, args.a) for n in ns for k in ks]
 
 
-def _spec_fields(spec: FamilySpec) -> dict:
-    d = {"family": spec.family, "n": spec.n, "k": spec.k}
-    if spec.ring.is_field:
-        d["p"] = spec.ring.p
-    if spec.family == "dickson":
-        d["a"] = spec.a
-    return d
+def _k_range(args) -> list[int] | None:
+    if args.k_min is None and args.k_max is None:
+        return None
+    if args.k_min is None or args.k_max is None:
+        raise DomainError("--k-min and --k-max go together")
+    return list(range(args.k_min, args.k_max + 1))
 
 
 # ------------------------------------------------------------------ commands
@@ -212,124 +201,79 @@ def _spec_fields(spec: FamilySpec) -> dict:
 
 def _cmd_gen(args) -> int:
     specs = _resolve_specs(args)
-    if args.format == "csv":
-        rows = []
-        for spec in specs:
-            poly = build(spec)
-            row = _spec_fields(spec)
-            row["degree"] = poly.degree
-            row["coeffs"] = " ".join(str(c) for c in poly.coeffs)
-            rows.append(row)
-        _emit(_csv_lines(["family", "n", "k", "p", "a", "degree", "coeffs"], rows), args)
+    if args.format == "json" and len(specs) == 1:
+        _emit(args, [], [build(specs[0]).to_json_dict()])
         return EXIT_OK
-    if len(specs) == 1:
-        _emit([_dumps(build(specs[0]).to_json_dict())], args)
-        return EXIT_OK
-    lines = []
+    records = []
     for spec in specs:
-        record = _spec_fields(spec)
-        record["poly"] = build(spec).to_json_dict()
-        lines.append(_dumps(record))
-    _emit(lines, args)
+        poly = build(spec)
+        record = spec.to_flat_dict()
+        if args.format == "csv":
+            record["degree"] = poly.degree
+            record["coeffs"] = [str(c) for c in poly.coeffs]
+        else:
+            record["poly"] = poly.to_json_dict()
+        records.append(record)
+    _emit(args, ["family", "n", "k", "p", "a", "degree", "coeffs"], records)
     return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
-    rows = []
+    records = []
     for spec in _resolve_specs(args):
         poly = build(spec)
-        row = _spec_fields(spec)
-        row["degree"] = poly.degree
-        row["self_reciprocal"] = poly.is_self_reciprocal()
-        row["coeffs"] = [str(c) for c in poly.coeffs]
-        rows.append(row)
-    if args.format == "csv":
-        for row in rows:
-            row["coeffs"] = " ".join(row["coeffs"])
-        _emit(_csv_lines(["family", "n", "k", "p", "degree", "self_reciprocal", "coeffs"], rows), args)
-    else:
-        _emit([_dumps(r) for r in rows], args)
+        record = spec.to_flat_dict()
+        record["degree"] = poly.degree
+        record["self_reciprocal"] = poly.is_self_reciprocal()
+        record["coeffs"] = [str(c) for c in poly.coeffs]
+        records.append(record)
+    _emit(args, ["family", "n", "k", "p", "degree", "self_reciprocal", "coeffs"], records)
     return EXIT_OK
 
 
 def _scan_args(args) -> dict:
-    k_values = None
-    if args.k_min is not None or args.k_max is not None:
-        if args.k_min is None or args.k_max is None:
-            raise DomainError("--k-min and --k-max go together")
-        k_values = list(range(args.k_min, args.k_max + 1))
+    k_values = _k_range(args)
     p_list = None
     if args.p is not None and args.p_list is not None:
         raise DomainError("--p and --p-list are mutually exclusive")
     if args.p is not None:
         p_list = [args.p]
     elif args.p_list is not None:
-        p_list = [int(tok) for tok in args.p_list.split(",") if tok.strip()]
+        try:
+            p_list = [int(tok) for tok in args.p_list.split(",") if tok.strip()]
+        except ValueError:
+            raise DomainError(f"--p-list takes comma-separated integers, got {args.p_list!r}") from None
     return {"n_min": args.n_min, "n_max": args.n_max, "k_values": k_values, "p_list": p_list}
 
 
-def _theorem_list(name: str) -> list[str]:
-    if name.strip().lower() == "all":
-        return list(THEOREM_IDS)
-    return [normalize_theorem_id(name)]
-
-
 def _cmd_verify(args) -> int:
+    # `table` is `verify --all-verdicts` without the per-theorem summary lines
     kwargs = _scan_args(args)
-    lines = []
-    csv_rows = []
+    records = []
     total_bad = 0
-    for t in _theorem_list(args.theorem):
+    every = args.theorem.strip().lower() == "all"
+    for t in THEOREM_IDS if every else [normalize_theorem_id(args.theorem)]:
         verdicts = scan(t, **kwargs)
         bad = mismatches(verdicts)
         total_bad += len(bad)
-        shown = verdicts if args.all_verdicts else bad
-        if args.format == "csv":
-            csv_rows.extend(v.to_json_dict() for v in shown)
-        else:
-            lines.extend(_dumps(v.to_json_dict()) for v in shown)
-            lines.append(_dumps({"theorem": t, "scanned": len(verdicts), "mismatches": len(bad)}))
-    if args.format == "csv":
-        _emit(_csv_lines(
-            ["theorem", "family", "n", "k", "p", "predicted", "observed", "match", "note"],
-            csv_rows), args)
-    else:
-        _emit(lines, args)
-    return EXIT_MISMATCH if total_bad else EXIT_OK
-
-
-def _cmd_table(args) -> int:
-    kwargs = _scan_args(args)
-    rows = []
-    total_bad = 0
-    for t in _theorem_list(args.theorem):
-        verdicts = scan(t, **kwargs)
-        total_bad += len(mismatches(verdicts))
-        rows.extend(v.to_json_dict() for v in verdicts)
-    if args.format == "csv":
-        _emit(_csv_lines(
-            ["theorem", "family", "n", "k", "p", "predicted", "observed", "match", "note"],
-            rows), args)
-    else:
-        _emit([_dumps(r) for r in rows], args)
+        records.extend(v.to_json_dict() for v in (verdicts if args.all_verdicts else bad))
+        if args.command == "verify" and args.format == "json":
+            records.append({"theorem": t, "scanned": len(verdicts), "mismatches": len(bad)})
+    _emit(args, ["theorem", "family", "n", "k", "p", "predicted", "observed", "match", "note"], records)
     return EXIT_MISMATCH if total_bad else EXIT_OK
 
 
 def _cmd_coterm(args) -> int:
-    rule = normalize_coterm_rule(args.theorem)
-    if rule in ("T5_1", "T5_2", "T5_3", "T5_4", "T5_5"):
-        if args.p is not None or args.ring == "fp":
-            raise DomainError(f"{rule} is stated over Z")
-        ring = Z
-    elif rule == "CHAR2":
-        if args.p not in (None, 2):
-            raise DomainError("CHAR2 is stated over F2")
-        ring = GF(2)
-    else:
+    rule, row = coterm_rule(args.theorem)
+    if row.ring is OVER_ODD_P:
         if args.p is None:
             raise DomainError(f"{rule} requires --p")
         ring = GF(args.p)
-    k = args.k if args.k is not None else required_k(rule)
+    else:
+        ring = Z if row.ring is OVER_Z else GF(2)
+        if args.p not in (None, ring.p) or (args.ring == "fp" and not ring.is_field):
+            raise DomainError(f"{rule} is stated over {row.ring.text}")
+    k = args.k if args.k is not None else row.k
     result = coterm_construct(rule, args.n, k, ring)
     record = {"theorem": rule, "n": args.n, "k": k}
     if ring.is_field:
@@ -337,11 +281,7 @@ def _cmd_coterm(args) -> int:
     record["m"] = result.context.m
     record["degenerate"] = result.degenerate
     record["coeffs"] = [str(c) for c in result.poly.coeffs]
-    if args.format == "csv":
-        record["coeffs"] = " ".join(str(c) for c in result.poly.coeffs)
-        _emit(_csv_lines(["theorem", "n", "k", "p", "m", "degenerate", "coeffs"], [record]), args)
-    else:
-        _emit([_dumps(record)], args)
+    _emit(args, ["theorem", "n", "k", "p", "m", "degenerate", "coeffs"], [record])
     return EXIT_OK
 
 
@@ -358,12 +298,7 @@ def _cmd_code(args) -> int:
             record["note"] = "enumeration disagrees with the generator criterion"
             disagreements += 1
         records.append(record)
-    if args.format == "csv":
-        rows = [dict(r, generator=" ".join(r["generator"])) for r in records]
-        _emit(_csv_lines(
-            ["p", "m", "generator", "dimension", "reversible", "enumeration_checked"], rows), args)
-    else:
-        _emit([_dumps(r) for r in records], args)
+    _emit(args, ["p", "m", "generator", "dimension", "reversible", "enumeration_checked"], records)
     return EXIT_MISMATCH if disagreements else EXIT_OK
 
 
@@ -371,7 +306,7 @@ _COMMANDS = {
     "gen": _cmd_gen,
     "classify": _cmd_classify,
     "verify": _cmd_verify,
-    "table": _cmd_table,
+    "table": _cmd_verify,
     "coterm": _cmd_coterm,
     "code": _cmd_code,
 }

@@ -3,8 +3,8 @@
 A coterm polynomial in R[x]/(x^m - 1) is a_0 + a_1 x + ... + a_{m-1} x^{m-1}
 with a_i = a_{m-i} for 1 <= i <= floor(m/2); the constant term is free.
 Removing the leading term of a self-reciprocal polynomial of degree m yields
-a coterm polynomial for that modulus, and each named construction below
-subtracts the known leading term of one classified family member.
+a coterm polynomial for that modulus, and each named construction (one row
+of COTERM_TABLE) subtracts the known leading term of one classified member.
 
 The code half factors x^m - 1 over GF(p), enumerates monic divisors, builds
 the cyclic codes they generate, and decides reversibility.  A cyclic code is
@@ -18,14 +18,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .binomics import is_power_of, is_prime, weight_base_p
+from .classifier import (
+    OVER_F2,
+    OVER_ODD_P,
+    OVER_Z,
+    P_NOT_DIVIDING_N,
+    P_NOT_DIVIDING_N_PLUS_1,
+    Condition,
+    canonical_id,
+)
 from .errors import CapacityError, DomainError, HypothesisError
-from .families import f_char2, f_family, g_family, gstar_family
-from .ringpoly import GF, Poly, Ring, Z, gcd
+from .families import FAMILY_TABLE, FamilySpec, build
+from .ringpoly import GF, Poly, Ring, gcd
 
 ENUMERATION_CAP = 10**6
 DIVISOR_CAP = 4096
@@ -78,28 +87,53 @@ class CotermConstruction(NamedTuple):
     degenerate: bool
 
 
-COTERM_RULES = ("T5_1", "T5_2", "T5_3", "T5_4", "T5_5", "T5_7", "T5_8", "T5_9", "CHAR2")
+@dataclass(frozen=True)
+class CotermRule:
+    """One row of the coterm table: a named construction and its hypotheses.
+
+    The construction builds the ``base`` family member at the rule's k and
+    subtracts the stated leading term ``lead(n)`` = (coefficient, exponent);
+    the exponent is the coterm modulus m.  When ``degenerate`` = (test, c)
+    and test(n, p) holds, the result is known to collapse to the constant c.
+    """
+
+    base: str
+    ring: Condition
+    k: int
+    n: Condition
+    lead: Callable[[int], tuple[int, int]]
+    sides: tuple[Condition, ...] = ()
+    degenerate: tuple[Callable[[int, int], bool], int] | None = None
 
 
-def normalize_coterm_rule(name: str) -> str:
-    t = name.strip().upper().replace(".", "_").replace("-", "_")
-    if t in ("CHAR2", "R5_CHAR2", "T5_CHAR2"):
-        t = "CHAR2"
-    if t not in COTERM_RULES:
-        raise DomainError(f"unknown coterm rule {name!r}")
-    return t
+_EVEN_N_GE_4 = Condition("even n >= 4", lambda n: n >= 4 and n % 2 == 0)
+_EVEN_N_GE_6 = Condition("even n >= 6", lambda n: n >= 6 and n % 2 == 0)
+_ODD_N_GT_3 = Condition("odd n > 3", lambda n: n > 3 and n % 2 == 1)
+
+COTERM_TABLE = {
+    "T5_1": CotermRule("f", OVER_Z, 0, _EVEN_N_GE_4, lambda n: (2, n // 2)),
+    "T5_2": CotermRule("f", OVER_Z, 2, _EVEN_N_GE_6, lambda n: (2 * n, n // 2 - 1)),
+    "T5_3": CotermRule("g", OVER_Z, 0, _EVEN_N_GE_4, lambda n: (2, n // 2)),
+    "T5_4": CotermRule("f", OVER_Z, 1, _ODD_N_GT_3, lambda n: (n + 1, (n - 1) // 2)),
+    "T5_5": CotermRule("gstar", OVER_Z, 1, _ODD_N_GT_3, lambda n: (n + 1, (n - 1) // 2)),
+    "T5_7": CotermRule("f", OVER_ODD_P, 0, _EVEN_N_GE_4, lambda n: (2, n // 2),
+                       degenerate=(lambda n, p: weight_base_p(n, p) == 2, 2)),
+    "T5_8": CotermRule("f", OVER_ODD_P, 2, _EVEN_N_GE_6, lambda n: (2 * n, n // 2 - 1),
+                       (P_NOT_DIVIDING_N,), degenerate=(lambda n, p: is_power_of(n - 1, p), 2)),
+    "T5_9": CotermRule("f", OVER_ODD_P, 1, _ODD_N_GT_3, lambda n: (n + 1, (n - 1) // 2),
+                       (P_NOT_DIVIDING_N_PLUS_1,), degenerate=(lambda n, p: is_power_of(n, p), 1)),
+    "CHAR2": CotermRule("fchar2", OVER_F2, 1, _EVEN_N_GE_4, lambda n: (1, n // 2),
+                        degenerate=(lambda n, p: is_power_of(n, 2), 1)),
+}
+
+COTERM_RULES = tuple(COTERM_TABLE)
+_ALIASES = {"R5_CHAR2": "CHAR2", "T5_CHAR2": "CHAR2"}
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise HypothesisError(message)
-
-
-def _degenerate_constant(poly: Poly, ring: Ring, value: int) -> Poly:
-    expected = Poly.constant(ring, value)
-    if poly != expected:
-        raise RuntimeError(f"degenerate coterm case must collapse to the constant {value}, got {poly}")
-    return poly
+def coterm_rule(name: str) -> tuple[str, CotermRule]:
+    """The canonical id of a coterm rule (spellings like 't5.1') and its table row."""
+    t = canonical_id(name, COTERM_TABLE, "coterm rule", _ALIASES)
+    return t, COTERM_TABLE[t]
 
 
 def coterm_construct(rule: str, n: int, k: int, ring: Ring) -> CotermConstruction:
@@ -110,83 +144,30 @@ def coterm_construct(rule: str, n: int, k: int, ring: Ring) -> CotermConstructio
     constant: 2 for T5_7 with digit weight w_p(n) = 2, 2 for T5_8 with
     n = p^l + 1, 1 for T5_9 with n = p^l, and 1 for CHAR2 with n = 2^l.
     """
-    t = normalize_coterm_rule(rule)
-    if t in ("T5_1", "T5_2", "T5_3", "T5_4", "T5_5"):
-        _require(ring == Z, f"{t} is stated over Z")
-    elif t == "CHAR2":
-        _require(ring == GF(2), "CHAR2 is stated over F2")
-    else:
-        _require(ring.is_field and ring.p != 2, f"{t} is stated over GF(p) with p odd")
-
-    if t == "T5_1":
-        _require(n >= 4 and n % 2 == 0, "T5_1 requires even n >= 4")
-        _require(k == 0, "T5_1 requires k = 0")
-        poly = f_family(n, k, ring) - Poly.monomial(ring, 2, n // 2)
-        return CotermConstruction(poly, CotermContext(n // 2, ring), False)
-    if t == "T5_2":
-        _require(n >= 6 and n % 2 == 0, "T5_2 requires even n >= 6")
-        _require(k == 2, "T5_2 requires k = 2")
-        poly = f_family(n, k, ring) - Poly.monomial(ring, 2 * n, n // 2 - 1)
-        return CotermConstruction(poly, CotermContext(n // 2 - 1, ring), False)
-    if t == "T5_3":
-        _require(n >= 4 and n % 2 == 0, "T5_3 requires even n >= 4")
-        _require(k == 0, "T5_3 requires k = 0")
-        poly = g_family(n, k, ring) - Poly.monomial(ring, 2, n // 2)
-        return CotermConstruction(poly, CotermContext(n // 2, ring), False)
-    if t == "T5_4":
-        _require(n > 3 and n % 2 == 1, "T5_4 requires odd n > 3")
-        _require(k == 1, "T5_4 requires k = 1")
-        poly = f_family(n, k, ring) - Poly.monomial(ring, n + 1, (n - 1) // 2)
-        return CotermConstruction(poly, CotermContext((n - 1) // 2, ring), False)
-    if t == "T5_5":
-        _require(n > 3 and n % 2 == 1, "T5_5 requires odd n > 3")
-        _require(k == 1, "T5_5 requires k = 1")
-        poly = gstar_family(n, k, ring) - Poly.monomial(ring, n + 1, (n - 1) // 2)
-        return CotermConstruction(poly, CotermContext((n - 1) // 2, ring), False)
-
-    p = ring.p
-    if t == "T5_7":
-        _require(n >= 4 and n % 2 == 0, "T5_7 requires even n >= 4")
-        _require(k == 0, "T5_7 requires k = 0")
-        poly = f_family(n, k, ring) - Poly.monomial(ring, 2, n // 2)
-        ctx = CotermContext(n // 2, ring)
-        if weight_base_p(n, p) == 2:
-            return CotermConstruction(_degenerate_constant(poly, ring, 2), ctx, True)
-        return CotermConstruction(poly, ctx, False)
-    if t == "T5_8":
-        _require(n >= 6 and n % 2 == 0, "T5_8 requires even n >= 6")
-        _require(k == 2, "T5_8 requires k = 2")
-        _require(n % p != 0, "T5_8 requires p not dividing n")
-        poly = f_family(n, k, ring) - Poly.monomial(ring, 2 * n, n // 2 - 1)
-        ctx = CotermContext(n // 2 - 1, ring)
-        if is_power_of(n - 1, p):
-            return CotermConstruction(_degenerate_constant(poly, ring, 2), ctx, True)
-        return CotermConstruction(poly, ctx, False)
-    if t == "T5_9":
-        _require(n > 3 and n % 2 == 1, "T5_9 requires odd n > 3")
-        _require(k == 1, "T5_9 requires k = 1")
-        _require((n + 1) % p != 0, "T5_9 requires p not dividing n + 1")
-        poly = f_family(n, k, ring) - Poly.monomial(ring, n + 1, (n - 1) // 2)
-        ctx = CotermContext((n - 1) // 2, ring)
-        if is_power_of(n, p):
-            return CotermConstruction(_degenerate_constant(poly, ring, 1), ctx, True)
-        return CotermConstruction(poly, ctx, False)
-
-    # CHAR2
-    _require(n >= 4 and n % 2 == 0, "CHAR2 requires even n >= 4")
-    _require(k == 1, "CHAR2 fixes k = 1")
-    poly = f_char2(n) - Poly.monomial(ring, 1, n // 2)
-    ctx = CotermContext(n // 2, ring)
-    if is_power_of(n, 2):
-        return CotermConstruction(_degenerate_constant(poly, ring, 1), ctx, True)
-    return CotermConstruction(poly, ctx, False)
+    t, row = coterm_rule(rule)
+    if not row.ring.holds(ring):
+        raise HypothesisError(f"{t} is stated over {row.ring.text}")
+    if not row.n.holds(n):
+        raise HypothesisError(f"{t} requires {row.n.text}")
+    if k != row.k:
+        # a rule on a family that fixes k (fchar2) words it as the family does
+        fixed = FAMILY_TABLE[row.base].fixed_k
+        raise HypothesisError(f"{t} {fixed[1] if fixed else f'requires k = {row.k}'}")
+    for side in row.sides:
+        if not side.holds(n, ring.p):
+            raise HypothesisError(f"{t} requires {side.text}")
+    c, m = row.lead(n)
+    poly = build(FamilySpec(row.base, n, k, ring)) - Poly.monomial(ring, c, m)
+    test, value = row.degenerate or (None, None)
+    degenerate = test is not None and test(n, ring.p)
+    if degenerate and poly != Poly.constant(ring, value):
+        raise RuntimeError(f"degenerate coterm case must collapse to the constant {value}, got {poly}")
+    return CotermConstruction(poly, CotermContext(m, ring), degenerate)
 
 
 def required_k(rule: str) -> int:
     """The kind parameter each coterm rule is stated for."""
-    t = normalize_coterm_rule(rule)
-    return {"T5_1": 0, "T5_2": 2, "T5_3": 0, "T5_4": 1, "T5_5": 1,
-            "T5_7": 0, "T5_8": 2, "T5_9": 1, "CHAR2": 1}[t]
+    return coterm_rule(rule)[1].k
 
 
 # ------------------------------------------------------- factoring x^m - 1
@@ -354,7 +335,7 @@ def build_cyclic_code(p: int, m: int, generator: Poly) -> CyclicCode:
     if not generator.is_monic():
         raise DomainError("generator must be monic")
     modulus = Poly(GF(p), (-1,) + (0,) * (m - 1) + (1,))
-    if not (modulus % generator).is_zero():
+    if modulus % generator:
         raise DomainError(f"generator does not divide x^{m} - 1")
     return CyclicCode(p, m, generator, m - generator.degree, generates_reversible_code(generator))
 
@@ -368,6 +349,8 @@ def verify_reversibility_by_enumeration(code: CyclicCode) -> bool:
     p, m, dim = code.p, code.m, code.dimension
     if p**dim > ENUMERATION_CAP:
         raise CapacityError(f"{p}^{dim} codewords exceed the enumeration cap {ENUMERATION_CAP}")
+    if p * (p - 1) > np.iinfo(np.int16).max:
+        raise CapacityError(f"enumeration over GF({p}) overflows its int16 words; it supports p <= 181")
     if dim == 0:
         return True  # only the zero word, which reverses to itself
     gen = np.zeros(m, dtype=np.int16)

@@ -14,7 +14,8 @@ Wire names (shared by the CLI, the JSON forms, and the classifiers):
   hstar     (hstar).
   kind1     sum_j C(n, 2j) * x^j          (first-kind specialization)
   kind2/3   sum_j C(n, 2j+1) * x^j        (second- and third-kind; identical)
-  fchar2    the GF(2) member: sum_j C(n-1, 2j+1) * (x^j - x^(j+1)) at k = 1.
+  fchar2    f at k = 1 over GF(2), where the even-binomial part vanishes:
+            sum_j C(n-1, 2j+1) * (x^j - x^(j+1)).
 
 Every family is constructed exactly over Z and then reduced coefficientwise
 when the target ring is a prime field, so characteristic-p degree drops are
@@ -25,21 +26,30 @@ parameter k is restricted to [0, p-1].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .binomics import binomial
 from .errors import DomainError
 from .ringpoly import GF, Poly, Ring, Z
 
-FAMILIES = ("dickson", "f", "g", "h", "gstar", "hstar", "kind1", "kind2", "kind3", "fchar2")
-
-_EVEN_ONLY = ("g", "h")
-_ODD_ONLY = ("gstar", "hstar")
-_KINDS = ("kind1", "kind2", "kind3")
-
 
 def _check_k_range(ring: Ring, k: int) -> None:
     if ring.is_field and not 0 <= k <= ring.p - 1:
         raise DomainError(f"over {ring} the kind parameter k must lie in [0, {ring.p - 1}], got {k}")
+
+
+@dataclass(frozen=True)
+class Family:
+    """One row of the family table: the n, k and ring a family admits, and its builder.
+
+    A family without ``fixed_k`` takes any k over Z and k in [0, p-1] over GF(p).
+    """
+
+    build: Callable[["FamilySpec"], Poly]
+    parity: int | None = None  # required n % 2, for a family stated for n > 1 only
+    n_min: int = 0  # least admitted n; the CLI starts its sweeps there
+    fixed_k: tuple[int, str] | None = None  # the only k, and how errors state it
+    ring: Ring | None = None  # the only ring, for a family that has one
 
 
 @dataclass(frozen=True)
@@ -57,20 +67,16 @@ class FamilySpec:
             raise DomainError(f"unknown family {self.family!r}")
         if self.n < 0:
             raise DomainError("family index n must be >= 0")
-        if self.family in _EVEN_ONLY and (self.n <= 1 or self.n % 2):
-            raise DomainError(f"family {self.family!r} requires even n > 1")
-        if self.family in _ODD_ONLY and (self.n <= 1 or self.n % 2 == 0):
-            raise DomainError(f"family {self.family!r} requires odd n > 1")
-        if self.family in _KINDS and self.k != 0:
-            raise DomainError(f"family {self.family!r} takes no kind parameter k")
-        if self.family == "fchar2":
-            if self.ring != GF(2):
-                raise DomainError("family 'fchar2' lives over F2")
-            if self.k != 1:
-                raise DomainError("family 'fchar2' fixes k = 1")
-            if self.n < 1:
-                raise DomainError("family 'fchar2' requires n >= 1")
-        elif self.family not in _KINDS:
+        row = FAMILY_TABLE[self.family]
+        name = f"family {self.family!r}"
+        if row.ring is not None and self.ring != row.ring:
+            raise DomainError(f"{name} lives over {row.ring}")
+        if row.fixed_k is not None and self.k != row.fixed_k[0]:
+            raise DomainError(f"{name} {row.fixed_k[1]}")
+        if self.n < row.n_min or (row.parity is not None and self.n % 2 != row.parity):
+            n_text = f"n >= {row.n_min}" if row.parity is None else f"{('even', 'odd')[row.parity]} n > 1"
+            raise DomainError(f"{name} requires {n_text}")
+        if row.fixed_k is None:
             _check_k_range(self.ring, self.k)
 
     def to_json_dict(self) -> dict:
@@ -79,15 +85,23 @@ class FamilySpec:
             d["a"] = self.a
         return d
 
+    def to_flat_dict(self) -> dict:
+        """The spec as flat record fields: family, n, k, then p over GF(p) and a for dickson."""
+        d = {"family": self.family, "n": self.n, "k": self.k}
+        if self.ring.is_field:
+            d["p"] = self.ring.p
+        if self.family == "dickson":
+            d["a"] = self.a
+        return d
+
     @staticmethod
     def from_json_dict(d: dict) -> "FamilySpec":
-        return FamilySpec(
-            family=d["family"],
-            n=int(d["n"]),
-            k=int(d.get("k", 0)),
-            ring=Ring.from_json_dict(d.get("ring", {"ring": "Z"})),
-            a=int(d.get("a", 1)),
-        )
+        try:
+            family, ring = d["family"], d.get("ring", {"ring": "Z"})
+            n, k, a = int(d["n"]), int(d.get("k", 0)), int(d.get("a", 1))
+        except (AttributeError, KeyError, TypeError, ValueError):
+            raise DomainError(f"malformed family spec {d!r}") from None
+        return FamilySpec(family, n, k, Ring.from_json_dict(ring), a)
 
 
 # --------------------------------------------------------------- summation forms
@@ -113,13 +127,25 @@ def f_family(n: int, k: int, ring: Ring = Z) -> Poly:
     return Poly(ring, _f_int_coeffs(n, k))
 
 
-def _interior(n: int, k: int, j: int) -> int:
-    return k * binomial(n - 1, 2 * j + 1) - k * binomial(n - 1, 2 * j - 1) + 2 * binomial(n, 2 * j)
+def _low_end(n: int, k: int) -> int:
+    return k * (n - 1) + 2
 
 
-def _closed_form(n: int, k: int, ring: Ring, lo: int, hi: int, half: int) -> Poly:
-    coeffs = [lo] + [_interior(n, k, j) for j in range(1, half)] + [hi]
-    return Poly(ring, coeffs)
+def _high_end(n: int, k: int) -> int:
+    return 2 - k if n % 2 == 0 else 2 * n - k * (n - 1)
+
+
+def _end_variant(n: int, k: int, ring: Ring, lo, hi) -> Poly:
+    """The closed coefficient form of f_{n,k}, n > 1, with its two ends chosen by a rule.
+
+    ``lo`` and ``hi`` map (n, k) to the x^0 and the x^(n//2) coefficient;
+    the interior coefficients are those of f.
+    """
+    interior = [
+        k * binomial(n - 1, 2 * j + 1) - k * binomial(n - 1, 2 * j - 1) + 2 * binomial(n, 2 * j)
+        for j in range(1, n // 2)
+    ]
+    return Poly(ring, [lo(n, k)] + interior + [hi(n, k)])
 
 
 def f_expanded_even(n: int, k: int, ring: Ring = Z) -> Poly:
@@ -127,7 +153,7 @@ def f_expanded_even(n: int, k: int, ring: Ring = Z) -> Poly:
     if n <= 1 or n % 2:
         raise DomainError("f_expanded_even requires even n > 1")
     _check_k_range(ring, k)
-    return _closed_form(n, k, ring, k * (n - 1) + 2, 2 - k, n // 2)
+    return _end_variant(n, k, ring, _low_end, _high_end)
 
 
 def f_expanded_odd(n: int, k: int, ring: Ring = Z) -> Poly:
@@ -135,52 +161,7 @@ def f_expanded_odd(n: int, k: int, ring: Ring = Z) -> Poly:
     if n <= 1 or n % 2 == 0:
         raise DomainError("f_expanded_odd requires odd n > 1")
     _check_k_range(ring, k)
-    return _closed_form(n, k, ring, k * (n - 1) + 2, -k * (n - 1) + 2 * n, (n - 1) // 2)
-
-
-def f_with_swapped_ends(n: int, k: int, ring: Ring = Z) -> Poly:
-    """The closed form with its two end coefficients exchanged (diagnostic)."""
-    if n <= 1:
-        raise DomainError("f_with_swapped_ends requires n > 1")
-    _check_k_range(ring, k)
-    if n % 2 == 0:
-        return _closed_form(n, k, ring, 2 - k, k * (n - 1) + 2, n // 2)
-    return _closed_form(n, k, ring, -k * (n - 1) + 2 * n, k * (n - 1) + 2, (n - 1) // 2)
-
-
-def g_family(n: int, k: int, ring: Ring = Z) -> Poly:
-    """Even-n closed form with both end coefficients set to 2-k."""
-    if n <= 1 or n % 2:
-        raise DomainError("g_family requires even n > 1")
-    _check_k_range(ring, k)
-    return _closed_form(n, k, ring, 2 - k, 2 - k, n // 2)
-
-
-def h_family(n: int, k: int, ring: Ring = Z) -> Poly:
-    """Even-n closed form with both end coefficients set to k(n-1)+2."""
-    if n <= 1 or n % 2:
-        raise DomainError("h_family requires even n > 1")
-    _check_k_range(ring, k)
-    e = k * (n - 1) + 2
-    return _closed_form(n, k, ring, e, e, n // 2)
-
-
-def gstar_family(n: int, k: int, ring: Ring = Z) -> Poly:
-    """Odd-n closed form with both end coefficients set to -k(n-1)+2n."""
-    if n <= 1 or n % 2 == 0:
-        raise DomainError("gstar_family requires odd n > 1")
-    _check_k_range(ring, k)
-    e = -k * (n - 1) + 2 * n
-    return _closed_form(n, k, ring, e, e, (n - 1) // 2)
-
-
-def hstar_family(n: int, k: int, ring: Ring = Z) -> Poly:
-    """Odd-n closed form with both end coefficients set to k(n-1)+2."""
-    if n <= 1 or n % 2 == 0:
-        raise DomainError("hstar_family requires odd n > 1")
-    _check_k_range(ring, k)
-    e = k * (n - 1) + 2
-    return _closed_form(n, k, ring, e, e, (n - 1) // 2)
+    return _end_variant(n, k, ring, _low_end, _high_end)
 
 
 def f_kind(n: int, kind: int) -> Poly:
@@ -194,18 +175,6 @@ def f_kind(n: int, kind: int) -> Poly:
     else:
         raise DomainError(f"kind must be 1, 2 or 3, got {kind}")
     return Poly(Z, coeffs)
-
-
-def f_char2(n: int) -> Poly:
-    """The GF(2) family member at k = 1 (the even-binomial part vanishes)."""
-    if n < 1:
-        raise DomainError("f_char2 requires n >= 1")
-    out = [0] * (n // 2 + 2)
-    for j in range(n // 2 + 1):
-        b = binomial(n - 1, 2 * j + 1)
-        out[j] += b
-        out[j + 1] -= b
-    return Poly(GF(2), out)
 
 
 # ------------------------------------------------------------ reversed Dickson
@@ -246,26 +215,33 @@ def check_dickson_f_identity(n: int, k: int) -> bool:
     return lhs == rhs
 
 
-# ----------------------------------------------------------------- dispatcher
+# ----------------------------------------------------------------- the table
 
-_BUILDERS = {
-    "f": lambda s: f_family(s.n, s.k, s.ring),
-    "g": lambda s: g_family(s.n, s.k, s.ring),
-    "h": lambda s: h_family(s.n, s.k, s.ring),
-    "gstar": lambda s: gstar_family(s.n, s.k, s.ring),
-    "hstar": lambda s: hstar_family(s.n, s.k, s.ring),
-    "dickson": lambda s: reversed_dickson(s.n, s.k, s.a, s.ring),
-    "fchar2": lambda s: f_char2(s.n),
-    "kind1": lambda s: _kind_in_ring(s, 1),
-    "kind2": lambda s: _kind_in_ring(s, 2),
-    "kind3": lambda s: _kind_in_ring(s, 3),
+
+def _ends(lo, hi):
+    # g and gstar take f's x^(n//2) end at both ends, h and hstar its x^0 end
+    return lambda s: _end_variant(s.n, s.k, s.ring, lo, hi)
+
+
+_KIND2 = Family(lambda s: Poly(s.ring, f_kind(s.n, 2).coeffs), fixed_k=(0, "takes no kind parameter k"))
+
+FAMILY_TABLE = {
+    "dickson": Family(lambda s: reversed_dickson(s.n, s.k, s.a, s.ring)),
+    "f": Family(lambda s: f_family(s.n, s.k, s.ring)),
+    "g": Family(_ends(_high_end, _high_end), parity=0, n_min=2),
+    "h": Family(_ends(_low_end, _low_end), parity=0, n_min=2),
+    "gstar": Family(_ends(_high_end, _high_end), parity=1, n_min=3),
+    "hstar": Family(_ends(_low_end, _low_end), parity=1, n_min=3),
+    "kind1": Family(lambda s: Poly(s.ring, f_kind(s.n, 1).coeffs),
+                    fixed_k=(0, "takes no kind parameter k")),
+    "kind2": _KIND2,
+    "kind3": _KIND2,  # the third kind coincides with the second
+    "fchar2": Family(lambda s: f_family(s.n, 1, s.ring), n_min=1, fixed_k=(1, "fixes k = 1"), ring=GF(2)),
 }
 
-
-def _kind_in_ring(spec: FamilySpec, kind: int) -> Poly:
-    return Poly(spec.ring, f_kind(spec.n, kind).coeffs)
+FAMILIES = tuple(FAMILY_TABLE)
 
 
 def build(spec: FamilySpec) -> Poly:
     """Construct the polynomial a FamilySpec describes."""
-    return _BUILDERS[spec.family](spec)
+    return FAMILY_TABLE[spec.family].build(spec)

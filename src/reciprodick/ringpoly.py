@@ -55,11 +55,15 @@ class Ring:
 
     @staticmethod
     def from_json_dict(d: dict) -> "Ring":
-        kind = d.get("ring")
+        kind = d.get("ring") if isinstance(d, dict) else None
         if kind == "Z":
             return Z
         if kind == "Fp":
-            return Ring("Fp", int(d["p"]))
+            try:
+                p = int(d["p"])
+            except (KeyError, TypeError, ValueError):
+                raise DomainError(f"ring descriptor {d!r} needs an integer p") from None
+            return Ring("Fp", p)
         raise DomainError(f"unknown ring descriptor {d!r}")
 
 
@@ -115,9 +119,6 @@ class Poly:
     def degree(self) -> int | None:
         """Degree of the trimmed polynomial; None for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else None
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __bool__(self):
         return bool(self.coeffs)

@@ -7,17 +7,18 @@ add -s to see the timing detail on passing runs.
 import time
 
 from reciprodick import (
+    FamilySpec,
     GF,
     Poly,
     Z,
     binomial,
     binomial_mod_p_lucas,
+    build,
     build_cyclic_code,
     check_corollary,
     check_dickson_f_identity,
     coterm_construct,
     divisibility_by_digit_dominance,
-    f_char2,
     f_expanded_even,
     f_expanded_odd,
     f_family,
@@ -254,5 +255,5 @@ def test_criterion_13_anchor_values():
         assert f_family(0, k) == Poly.constant(Z, 2 - k)
         assert f_family(1, k) == Poly.constant(Z, 2)
     assert f_family(3, 3) == Poly.constant(Z, 8)
-    assert f_char2(2) == Poly(GF(2), (1, 1))
+    assert build(FamilySpec("fchar2", 2, 1, GF(2))) == Poly(GF(2), (1, 1))
     _report(13, "(constant and degree-one anchors reproduced exactly)")

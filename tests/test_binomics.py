@@ -1,6 +1,7 @@
 import pytest
 
 from reciprodick import (
+    CapacityError,
     DomainError,
     PadicDigits,
     binomial,
@@ -56,10 +57,21 @@ class TestPrimes:
         assert is_prime(2**61 - 1)
         assert not is_prime(2**61 + 1)
 
+    def test_is_prime_strong_pseudoprime_to_bases_up_to_37(self):
+        # 399165290221 * 798330580441 passes every witness up to 37; 41 rejects it
+        assert not is_prime(318665857834031151167461)
+        with pytest.raises(CapacityError):
+            is_prime(3317044064679887385961981)
+
     def test_is_power_of(self):
         assert is_power_of(9, 3) and is_power_of(3, 3) and is_power_of(128, 2)
         assert not is_power_of(1, 3)
         assert not is_power_of(12, 3)
+
+    def test_is_power_of_rejects_base_below_2(self):
+        for p in (1, 0, -2):
+            with pytest.raises(DomainError):
+                is_power_of(8, p)
 
 
 class TestDigits:

@@ -129,6 +129,12 @@ class TestScan:
         assert pairs == {(k, p) for p in (3, 5) for k in range(p)}
         assert mismatches(verdicts) == []
 
+    def test_fp_scan_enumerates_only_requested_k(self):
+        # k runs over the requested values, not over all of [0, p-1]
+        verdicts = scan("T3_1", n_min=2, n_max=4, k_values=[0, 2], p_list=[2**61 - 1])
+        assert [(v.spec.n, v.spec.k) for v in verdicts] == [(2, 0), (2, 2), (4, 0), (4, 2)]
+        assert mismatches(verdicts) == []
+
     def test_fp_scan_rejects_even_p(self):
         with pytest.raises(DomainError):
             scan("T3_1", n_max=10, p_list=(2,))

@@ -73,6 +73,11 @@ class TestGen:
         rc, _, err = run(capsys, "gen", "--family", "f", "--n", "4", "--p", "5")
         assert rc == 1  # --p without --ring fp
 
+    def test_unwritable_out_exits_1(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "poly.json"
+        rc, out, err = run(capsys, "gen", "--family", "f", "--n", "4", "--out", str(target))
+        assert rc == 1 and out == "" and err.startswith("error: ") and str(target) in err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "poly.json"
         rc, out, _ = run(capsys, "gen", "--family", "f", "--n", "4", "--k", "0", "--out", str(target))
@@ -143,6 +148,10 @@ class TestVerify:
         assert lines[0] == "theorem,family,n,k,p,predicted,observed,match,note"
         assert len(lines) == 22
         assert lines[1].startswith("T2_3,g,4,-5,,false,true,false,")
+
+    def test_bad_p_list_exits_1(self, capsys):
+        rc, out, err = run(capsys, "verify", "--theorem", "t3.1", "--n-max", "6", "--p-list", "3,x")
+        assert rc == 1 and out == "" and err.startswith("error: ") and "3,x" in err
 
     def test_unknown_theorem(self, capsys):
         rc, _, err = run(capsys, "verify", "--theorem", "t8.1", "--n-max", "4")

@@ -204,14 +204,14 @@ class TestFactorXmMinus1:
                 hit = None
                 for tail in itertools.product(range(p), repeat=d):
                     cand = Poly(ring, tail + (1,))
-                    if (rem % cand).is_zero():
+                    if not rem % cand:
                         hit = cand
                         break
                 if hit is None:
                     d += 1
                     continue
                 mult = 0
-                while (rem % hit).is_zero():
+                while not rem % hit:
                     rem = rem // hit
                     mult += 1
                 out.append((hit, mult))
@@ -272,7 +272,7 @@ class TestDivisors:
         for p, m in ((2, 9), (3, 8), (5, 6)):
             modulus = xm_minus_1(p, m)
             for d in monic_divisors(p, m):
-                assert (modulus % d).is_zero()
+                assert not modulus % d
 
     def test_divisor_cap(self):
         with pytest.raises(CapacityError):
@@ -327,12 +327,19 @@ class TestCyclicCodes:
         with pytest.raises(CapacityError):
             verify_reversibility_by_enumeration(code)
 
+    def test_enumeration_word_range(self):
+        # codewords are int16 arrays: p * (p - 1) must fit, which holds up to p = 181
+        code = build_cyclic_code(181, 2, P(GF(181), -1, 1))
+        assert code.reversible and verify_reversibility_by_enumeration(code) is True
+        with pytest.raises(CapacityError):
+            verify_reversibility_by_enumeration(build_cyclic_code(191, 2, P(GF(191), -1, 1)))
+
     def test_hamming_reversal_witness(self):
         # 1101000 reverses to 0001011 = x^3*(1 + x^2 + x^3); the other cubic
         # factor is coprime to the generator, so the reversal is no codeword
         g = P(GF(2), 1, 1, 0, 1)
         other = P(GF(2), 1, 0, 1, 1)
-        assert (other % g).degree is not None and not (other % g).is_zero()
+        assert (other % g).degree is not None and other % g
 
     def test_massey_iff_small(self):
         # enumeration agrees with the generator criterion on every divisor

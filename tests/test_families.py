@@ -11,16 +11,10 @@ from reciprodick import (
     Z,
     build,
     check_dickson_f_identity,
-    f_char2,
     f_expanded_even,
     f_expanded_odd,
     f_family,
     f_kind,
-    f_with_swapped_ends,
-    g_family,
-    gstar_family,
-    h_family,
-    hstar_family,
     reduce_mod_p,
     reversed_dickson,
 )
@@ -30,6 +24,10 @@ K_WINDOW = range(-5, 7)
 
 def P(ring, *coeffs):
     return Poly(ring, coeffs)
+
+
+def member(family, n, k=0, ring=Z):
+    return build(FamilySpec(family, n, k, ring))
 
 
 class TestFFamily:
@@ -111,43 +109,47 @@ class TestExpandedForms:
 
 class TestEndVariants:
     def test_g_h_examples(self):
-        assert g_family(4, 0) == P(Z, 2, 12, 2)
-        assert h_family(4, 1) == P(Z, 5, 10, 5)
-        assert g_family(6, 2) == P(Z, 0, 40, 12)  # ends vanish, degree drops
+        assert member("g", 4, 0) == P(Z, 2, 12, 2)
+        assert member("h", 4, 1) == P(Z, 5, 10, 5)
+        assert member("g", 6, 2) == P(Z, 0, 40, 12)  # ends vanish, degree drops
 
     def test_gstar_hstar_examples(self):
         for k in K_WINDOW:
-            assert hstar_family(5, k) == P(Z, 4 * k + 2, 20, 4 * k + 2)
-        assert gstar_family(5, 1) == P(Z, 6, 20, 6)
-        assert gstar_family(7, 0) == P(Z, 14, 42, 70, 14)
+            assert member("hstar", 5, k) == P(Z, 4 * k + 2, 20, 4 * k + 2)
+        assert member("gstar", 5, 1) == P(Z, 6, 20, 6)
+        assert member("gstar", 7, 0) == P(Z, 14, 42, 70, 14)
 
     def test_share_interior_with_f(self):
         for n in (6, 8, 14):
             for k in (-2, 0, 1, 3):
                 f = f_family(n, k)
-                g = g_family(n, k)
-                h = h_family(n, k)
+                g = member("g", n, k)
+                h = member("h", n, k)
                 for j in range(1, n // 2):
                     assert g[j] == f[j] == h[j]
         for n in (7, 9, 15):
             for k in (-2, 0, 1, 3):
                 f = f_family(n, k)
-                gs = gstar_family(n, k)
-                hs = hstar_family(n, k)
+                gs = member("gstar", n, k)
+                hs = member("hstar", n, k)
                 for j in range(1, (n - 1) // 2):
                     assert gs[j] == f[j] == hs[j]
 
     def test_parity_enforced(self):
         with pytest.raises(DomainError):
-            g_family(5, 0)
+            member("g", 5, 0)
         with pytest.raises(DomainError):
-            hstar_family(4, 0)
+            member("hstar", 4, 0)
 
     def test_swapped_ends_not_palindromic(self):
         # with both end coefficients exchanged, k = 1 never yields a palindrome
+        def swapped(n):
+            c = f_family(n, 1).coeffs
+            return Poly(Z, (c[-1],) + c[1:-1] + (c[0],))
+
         for n in range(6, 62, 2):
-            assert not f_with_swapped_ends(n, 1).is_self_reciprocal()
-        assert f_with_swapped_ends(6, 1) == P(Z, 1, 35, 21, 7)
+            assert not swapped(n).is_self_reciprocal()
+        assert swapped(6) == P(Z, 1, 35, 21, 7)
 
 
 class TestKinds:
@@ -170,22 +172,28 @@ class TestKinds:
 
 class TestFChar2:
     def test_examples(self):
-        assert f_char2(2) == P(GF(2), 1, 1)
-        assert f_char2(4) == P(GF(2), 1, 0, 1)
-        assert f_char2(3) == Poly.zero(GF(2))
+        assert member("fchar2", 2, 1, GF(2)) == P(GF(2), 1, 1)
+        assert member("fchar2", 4, 1, GF(2)) == P(GF(2), 1, 0, 1)
+        assert member("fchar2", 3, 1, GF(2)) == Poly.zero(GF(2))
 
     def test_equals_f_reduced_mod_2(self):
         for n in range(1, 121):
-            assert f_char2(n) == reduce_mod_p(f_family(n, 1), 2)
+            # the defining sum C(n-1, 2j+1) * (x^j - x^(j+1)), accumulated blind
+            acc = [0] * (n // 2 + 2)
+            for j in range(n // 2 + 1):
+                b = comb(n - 1, 2 * j + 1) if 2 * j + 1 <= n - 1 else 0
+                acc[j] += b
+                acc[j + 1] -= b
+            assert member("fchar2", n, 1, GF(2)) == Poly(GF(2), acc) == reduce_mod_p(f_family(n, 1), 2)
 
     def test_even_closed_form(self):
         for n in range(2, 121, 2):
             expected = Poly(GF(2), [comb(n + 1, 2 * j + 1) for j in range(n // 2 + 1)])
-            assert f_char2(n) == expected
+            assert member("fchar2", n, 1, GF(2)) == expected
 
     def test_requires_positive_n(self):
         with pytest.raises(DomainError):
-            f_char2(0)
+            member("fchar2", 0, 1, GF(2))
 
 
 class TestReversedDickson:
@@ -274,3 +282,9 @@ class TestFamilySpec:
             assert FamilySpec.from_json_dict(spec.to_json_dict()) == spec
         d = FamilySpec("f", 5, 1).to_json_dict()
         assert d == {"family": "f", "n": 5, "k": 1, "ring": {"ring": "Z"}}
+
+    def test_json_rejects_malformed(self):
+        for d in ({}, {"family": "f"}, {"family": "f", "n": "x"}, {"family": "f", "n": 4, "k": None},
+                  {"family": "f", "n": 4, "ring": {"ring": "Fp"}}, [1, 2]):
+            with pytest.raises(DomainError):
+                FamilySpec.from_json_dict(d)
