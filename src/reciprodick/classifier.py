@@ -315,8 +315,7 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
     deterministic.  Over Z, k runs over ``k_values`` as given (default
     DEFAULT_K_WINDOW); over GF(p), over the distinct ``k_values`` in
     [0, p-1] in increasing order (default all of them).  Rules with a fixed
-    k, and L1, ignore ``k_values``.  Mismatches are reported as data, not
-    raised.
+    k ignore ``k_values``.  Mismatches are reported as data, not raised.
     """
     t = normalize_theorem_id(theorem)
     rule = RULE_TABLE[t]
@@ -331,7 +330,7 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
         top = rings[-1].p
         if rule.fixed_k is not None:
             ks = [rule.fixed_k]
-        elif k_values is None or rule.kind == "lemma":
+        elif k_values is None:
             ks = range(top)
         else:
             ks = sorted(k for k in set(k_values) if 0 <= k < top)

@@ -4,14 +4,16 @@ A coterm polynomial in R[x]/(x^m - 1) is a_0 + a_1 x + ... + a_{m-1} x^{m-1}
 with a_i = a_{m-i} for 1 <= i <= floor(m/2); the constant term is free.
 Removing the leading term of a self-reciprocal polynomial of degree m yields
 a coterm polynomial for that modulus, and each named construction (one row
-of COTERM_TABLE) subtracts the known leading term of one classified member.
+of COTERM_TABLE) is a member the classification proves self-reciprocal with
+its leading term removed.
 
-The code half factors x^m - 1 over GF(p), enumerates monic divisors, builds
-the cyclic codes they generate, and decides reversibility.  A cyclic code is
-reversible exactly when its monic generator g equals its monic reciprocal
-g(0)^-1 * x^deg(g) * g(1/x); for generators with constant term 1 (always the
-case over GF(2)) this coincides with g being palindromic.  Brute-force
-codeword enumeration is kept as an independent cross-check.
+The code half factors x^m - 1 over GF(p) from its p-cyclotomic cosets,
+enumerates monic divisors, builds the cyclic codes they generate, and
+decides reversibility.  A cyclic code is reversible exactly when its monic
+generator g equals its monic reciprocal g(0)^-1 * x^deg(g) * g(1/x); for
+generators with constant term 1 (always the case over GF(2)) this coincides
+with g being palindromic.  Brute-force codeword enumeration is kept as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -91,17 +93,17 @@ class CotermConstruction(NamedTuple):
 class CotermRule:
     """One row of the coterm table: a named construction and its hypotheses.
 
-    The construction builds the ``base`` family member at the rule's k and
-    subtracts the stated leading term ``lead(n)`` = (coefficient, exponent);
-    the exponent is the coterm modulus m.  When ``degenerate`` = (test, c)
-    and test(n, p) holds, the result is known to collapse to the constant c.
+    The construction builds the ``base`` family member at the rule's k, which
+    the classification proves self-reciprocal under these hypotheses, and
+    removes its leading term; the member's degree is the coterm modulus m.
+    When ``degenerate`` = (test, c) and test(n, p) holds, the result is known
+    to collapse to the constant c.
     """
 
     base: str
     ring: Condition
     k: int
     n: Condition
-    lead: Callable[[int], tuple[int, int]]
     sides: tuple[Condition, ...] = ()
     degenerate: tuple[Callable[[int, int], bool], int] | None = None
 
@@ -111,18 +113,18 @@ _EVEN_N_GE_6 = Condition("even n >= 6", lambda n: n >= 6 and n % 2 == 0)
 _ODD_N_GT_3 = Condition("odd n > 3", lambda n: n > 3 and n % 2 == 1)
 
 COTERM_TABLE = {
-    "T5_1": CotermRule("f", OVER_Z, 0, _EVEN_N_GE_4, lambda n: (2, n // 2)),
-    "T5_2": CotermRule("f", OVER_Z, 2, _EVEN_N_GE_6, lambda n: (2 * n, n // 2 - 1)),
-    "T5_3": CotermRule("g", OVER_Z, 0, _EVEN_N_GE_4, lambda n: (2, n // 2)),
-    "T5_4": CotermRule("f", OVER_Z, 1, _ODD_N_GT_3, lambda n: (n + 1, (n - 1) // 2)),
-    "T5_5": CotermRule("gstar", OVER_Z, 1, _ODD_N_GT_3, lambda n: (n + 1, (n - 1) // 2)),
-    "T5_7": CotermRule("f", OVER_ODD_P, 0, _EVEN_N_GE_4, lambda n: (2, n // 2),
+    "T5_1": CotermRule("f", OVER_Z, 0, _EVEN_N_GE_4),
+    "T5_2": CotermRule("f", OVER_Z, 2, _EVEN_N_GE_6),
+    "T5_3": CotermRule("g", OVER_Z, 0, _EVEN_N_GE_4),
+    "T5_4": CotermRule("f", OVER_Z, 1, _ODD_N_GT_3),
+    "T5_5": CotermRule("gstar", OVER_Z, 1, _ODD_N_GT_3),
+    "T5_7": CotermRule("f", OVER_ODD_P, 0, _EVEN_N_GE_4,
                        degenerate=(lambda n, p: weight_base_p(n, p) == 2, 2)),
-    "T5_8": CotermRule("f", OVER_ODD_P, 2, _EVEN_N_GE_6, lambda n: (2 * n, n // 2 - 1),
+    "T5_8": CotermRule("f", OVER_ODD_P, 2, _EVEN_N_GE_6,
                        (P_NOT_DIVIDING_N,), degenerate=(lambda n, p: is_power_of(n - 1, p), 2)),
-    "T5_9": CotermRule("f", OVER_ODD_P, 1, _ODD_N_GT_3, lambda n: (n + 1, (n - 1) // 2),
+    "T5_9": CotermRule("f", OVER_ODD_P, 1, _ODD_N_GT_3,
                        (P_NOT_DIVIDING_N_PLUS_1,), degenerate=(lambda n, p: is_power_of(n, p), 1)),
-    "CHAR2": CotermRule("fchar2", OVER_F2, 1, _EVEN_N_GE_4, lambda n: (1, n // 2),
+    "CHAR2": CotermRule("fchar2", OVER_F2, 1, _EVEN_N_GE_4,
                         degenerate=(lambda n, p: is_power_of(n, 2), 1)),
 }
 
@@ -156,18 +158,12 @@ def coterm_construct(rule: str, n: int, k: int, ring: Ring) -> CotermConstructio
     for side in row.sides:
         if not side.holds(n, ring.p):
             raise HypothesisError(f"{t} requires {side.text}")
-    c, m = row.lead(n)
-    poly = build(FamilySpec(row.base, n, k, ring)) - Poly.monomial(ring, c, m)
+    poly, context = coterm_from_self_reciprocal(build(FamilySpec(row.base, n, k, ring)))
     test, value = row.degenerate or (None, None)
     degenerate = test is not None and test(n, ring.p)
     if degenerate and poly != Poly.constant(ring, value):
         raise RuntimeError(f"degenerate coterm case must collapse to the constant {value}, got {poly}")
-    return CotermConstruction(poly, CotermContext(m, ring), degenerate)
-
-
-def required_k(rule: str) -> int:
-    """The kind parameter each coterm rule is stated for."""
-    return coterm_rule(rule)[1].k
+    return CotermConstruction(poly, context, degenerate)
 
 
 # ------------------------------------------------------- factoring x^m - 1
@@ -177,71 +173,25 @@ def _poly_key(f: Poly):
     return (len(f.coeffs), f.coeffs)
 
 
-def _null_space_mod_p(mat: list[list[int]], p: int) -> list[list[int]]:
-    # right null space basis of a square matrix over GF(p), deterministic order
-    n = len(mat)
-    m = [row[:] for row in mat]
-    pivot_cols = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, n) if m[i][c] % p), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [v * inv % p for v in m[r]]
-        for i in range(n):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
-        pivot_cols.append(c)
-        r += 1
-    basis = []
-    for fc in (c for c in range(n) if c not in pivot_cols):
-        v = [0] * n
-        v[fc] = 1
-        for i, pc in enumerate(pivot_cols):
-            v[pc] = (-m[i][fc]) % p
-        basis.append(v)
-    return basis
-
-
-def _berlekamp_squarefree(f: Poly) -> list[Poly]:
-    # monic irreducible factors of a monic squarefree polynomial over GF(p)
-    p = f.ring.p
-    d = f.degree
-    if d == 1:
-        return [f]
-    x = Poly.x(f.ring)
-    xp = pow(x, p) % f
-    rows = []
-    cur = Poly.one(f.ring)
-    for _ in range(d):
-        rows.append([cur[j] for j in range(d)])
-        cur = cur * xp % f
-    # v is Frobenius-fixed mod f iff v * (Q - I) = 0; solve the transpose
-    mat = [[(rows[i][j] - (1 if i == j else 0)) % p for i in range(d)] for j in range(d)]
-    basis = _null_space_mod_p(mat, p)
-    factor_count = len(basis)
-    factors = [f]
-    if factor_count == 1:
-        return factors
-    for v in basis:
-        vp = Poly(f.ring, v)
-        if (vp.degree or 0) < 1:
-            continue
-        refined = []
-        for g in factors:
-            if g.degree == 1:
-                refined.append(g)
-                continue
-            parts = [h.monic() for c in range(p)
-                     for h in [gcd(g, vp - Poly.constant(f.ring, c))]
-                     if (h.degree or 0) >= 1]
-            refined.extend(parts or [g])
-        factors = refined
-        if len(factors) == factor_count:
+def _factor_squarefree_core(p: int, m: int) -> list[Poly]:
+    # monic irreducible factors of x^m - 1 over GF(p), p not dividing m, by
+    # Berlekamp's splitting with its basis known in closed form: the residues
+    # v with v^p = v mod x^m - 1 are spanned by the coset sums e_C = sum of x^t
+    # over the orbits C of t -> p*t on Z/m, one orbit per irreducible factor
+    ring = GF(p)
+    cosets, seen = [], set()
+    for s in range(m):
+        if s not in seen:
+            cosets.append({s * pow(p, j, m) % m for j in range(m)})
+            seen |= cosets[-1]
+    factors = [Poly(ring, (-1,) + (0,) * (m - 1) + (1,))]
+    for coset in cosets[1:]:  # the sum over {0} is the constant 1, which splits nothing
+        if len(factors) == len(cosets):
             break
+        e = Poly(ring, [int(t in coset) for t in range(m)])
+        # e^p = e mod g, so the gcd(g, e - c) over c in GF(p) are coprime with product g
+        factors = [h for g in factors for c in range(p)
+                   if (h := gcd(g, e - Poly.constant(ring, c))).degree]
     return sorted(factors, key=_poly_key)
 
 
@@ -258,14 +208,12 @@ def factor_xm_minus_1(p: int, m: int) -> list[tuple[Poly, int]]:
         raise DomainError("length m must be >= 1")
     if p > _FACTOR_P_CAP or m > _FACTOR_M_CAP:
         raise CapacityError(f"factor_xm_minus_1 supports p <= {_FACTOR_P_CAP}, m <= {_FACTOR_M_CAP}")
-    ring = GF(p)
     mult = 1
     core = m
     while core % p == 0:
         core //= p
         mult *= p
-    base = Poly(ring, (-1,) + (0,) * (core - 1) + (1,))
-    return [(f, mult) for f in _berlekamp_squarefree(base)]
+    return [(f, mult) for f in _factor_squarefree_core(p, core)]
 
 
 def monic_divisors(p: int, m: int) -> list[Poly]:

@@ -15,6 +15,7 @@ arbitrary-precision integers survive any JSON reader:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .binomics import is_prime
@@ -83,7 +84,12 @@ class Poly:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self):
-        c = [self.ring.normalize(int(v)) for v in self.coeffs]
+        try:
+            c = [self.ring.normalize(operator.index(v)) for v in self.coeffs]
+        except TypeError as e:
+            raise DomainError(f"polynomial coefficients must be integers: {e}") from None
+        if bool in map(type, self.coeffs):
+            raise DomainError("polynomial coefficients must be integers, not bool")
         while c and c[-1] == 0:
             c.pop()
         object.__setattr__(self, "coeffs", tuple(c))
@@ -132,10 +138,6 @@ class Poly:
     @property
     def leading_coefficient(self) -> int:
         return self.coeffs[-1] if self.coeffs else 0
-
-    @property
-    def constant_coefficient(self) -> int:
-        return self.coeffs[0] if self.coeffs else 0
 
     def is_monic(self) -> bool:
         return self.leading_coefficient == 1
@@ -188,14 +190,6 @@ class Poly:
     def scale(self, c: int) -> "Poly":
         """Multiply every coefficient by the ring element c."""
         return Poly(self.ring, tuple(c * v for v in self.coeffs))
-
-    def shift(self, e: int) -> "Poly":
-        """Multiply by x**e."""
-        if e < 0:
-            raise DomainError("shift exponent must be >= 0")
-        if not self.coeffs:
-            return self
-        return Poly(self.ring, (0,) * e + self.coeffs)
 
     def evaluate(self, v: int) -> int:
         """Horner evaluation at the ring element v."""
@@ -278,7 +272,14 @@ class Poly:
     @staticmethod
     def from_json_dict(d: dict) -> "Poly":
         ring = Ring.from_json_dict(d)
-        return Poly(ring, tuple(int(s) for s in d.get("coeffs", ())))
+        coeffs = d.get("coeffs", [])
+        if not isinstance(coeffs, list):
+            raise DomainError(f"coeffs must be a list, not {type(coeffs).__name__}")
+        try:
+            values = tuple(int(s) if isinstance(s, str) else s for s in coeffs)
+        except ValueError as e:
+            raise DomainError(f"coeffs must be integers or decimal strings: {e}") from None
+        return Poly(ring, values)
 
     def __str__(self):
         if not self.coeffs:

@@ -244,3 +244,8 @@ class TestLemmaL1:
 
     def test_scan(self):
         assert mismatches(scan("L1", n_max=12)) == []
+
+    def test_scan_honours_k_values(self):
+        verdicts = scan("L1", n_min=1, n_max=3, k_values=[0, 1], p_list=(3, 5))
+        assert {v.spec.k for v in verdicts} == {0, 1}
+        assert {v.spec.k for v in scan("L1", n_min=1, n_max=3, p_list=(3,))} == {0, 1, 2}

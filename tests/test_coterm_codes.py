@@ -231,6 +231,23 @@ class TestFactorXmMinus1:
         with pytest.raises(DomainError):
             factor_xm_minus_1(3, 0)
 
+    def test_cyclotomic_coset_cross_check(self):
+        # with m = p^a * m' and p not dividing m', the irreducible factors of
+        # x^m - 1 correspond to the p-cyclotomic cosets {t * p^j mod m'} of Z/m':
+        # degree = coset size, multiplicity = p^a, and a factor is its own
+        # monic reciprocal exactly when its coset is closed under negation
+        for p in (2, 3, 5, 7, 11, 13):
+            for m in range(1, 33):
+                core = m
+                while core % p == 0:
+                    core //= p
+                cosets = {frozenset(t * p**j % core for j in range(core)) for t in range(core)}
+                factors = factor_xm_minus_1(p, m)
+                assert sorted(f.degree for f, _ in factors) == sorted(len(c) for c in cosets), (p, m)
+                assert {mult for _, mult in factors} == {m // core}, (p, m)
+                closed = sum(c == frozenset(-t % core for t in c) for c in cosets)
+                assert sum(monic_reciprocal(f) == f for f, _ in factors) == closed, (p, m)
+
     def test_larger_scale(self):
         # worst allowed shape: two octic factors among smaller ones
         factors = factor_xm_minus_1(13, 32)
@@ -333,6 +350,14 @@ class TestCyclicCodes:
         assert code.reversible and verify_reversibility_by_enumeration(code) is True
         with pytest.raises(CapacityError):
             verify_reversibility_by_enumeration(build_cyclic_code(191, 2, P(GF(191), -1, 1)))
+
+    def test_enumeration_wide_words(self):
+        # p^m >= 2^62: words are compared as rows, not packed into int64
+        x40 = xm_minus_1(3, 40)
+        for h, reversible in ((P(GF(3), -1, 1), True), (P(GF(3), 2, 1, 1), False)):
+            code = build_cyclic_code(3, 40, x40 // h)
+            assert code.reversible is reversible
+            assert verify_reversibility_by_enumeration(code) is reversible
 
     def test_hamming_reversal_witness(self):
         # 1101000 reverses to 0001011 = x^3*(1 + x^2 + x^3); the other cubic

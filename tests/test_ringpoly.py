@@ -54,6 +54,12 @@ class TestArithmetic:
         with pytest.raises(DomainError):
             P(GF(3), 1) * P(GF(5), 1)
 
+    def test_rejects_non_integer_coefficients(self):
+        for ring in (Z, GF(5)):
+            for coeffs in ((2.7,), (1.0,), (True,), (1, False), ("1",), "12", (None,)):
+                with pytest.raises(DomainError):
+                    Poly(ring, coeffs)
+
     def test_trimming_and_degree(self):
         assert P(Z, 1, 2, 0, 0).coeffs == (1, 2)
         assert P(Z).degree is None
@@ -214,6 +220,13 @@ class TestJson:
         a = Poly(Z, (1, -(10**40), 10**40, 1))
         loaded = Poly.from_json_dict(json.loads(json.dumps(a.to_json_dict())))
         assert loaded == a
+
+    def test_rejects_non_integer_coefficients(self):
+        for coeffs in (["x"], [2.7, True], [True], [None], "12", 12, {"0": "1"}):
+            with pytest.raises(DomainError):
+                Poly.from_json_dict({"ring": "Z", "coeffs": coeffs})
+        with pytest.raises(DomainError):
+            Poly.from_json_dict({"ring": "Fp", "p": 5, "coeffs": ["1.5"]})
 
     def test_str(self):
         assert str(P(Z, 2, 12, 2)) == "2 + 12*x + 2*x^2"
