@@ -61,6 +61,14 @@ def binomial(n: int, m: int) -> int:
     return math.comb(n, m)
 
 
+def binomial_row(n: int) -> tuple[int, ...]:
+    """(C(n, 0), ..., C(n, n)): the lower half by ``binomial``, the upper half by symmetry."""
+    if n < 0:
+        raise DomainError("binomial_row requires n >= 0")
+    half = [binomial(n, m) for m in range(n // 2 + 1)]
+    return tuple(half + half[: (n + 1) // 2][::-1])
+
+
 def is_power_of(n: int, p: int) -> bool:
     """True iff n = p**l for some integer l >= 1."""
     if p < 2:

@@ -32,9 +32,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .binomics import is_power_of, is_prime
+from .binomics import binomial_row, is_power_of, is_prime
 from .errors import CapacityError, DomainError, HypothesisError
-from .families import FamilySpec, build
+from .families import FamilySpec, build, row_cache
 from .ringpoly import GF, Poly, Ring, Z, gcd, pow_mod
 
 DEFAULT_ODD_PRIMES = (3, 5, 7, 11, 13)
@@ -165,9 +165,9 @@ class Verdict:
         return d
 
 
-def oracle_self_reciprocal(spec: FamilySpec) -> bool:
+def oracle_self_reciprocal(spec: FamilySpec, rows=binomial_row) -> bool:
     """Definition-based oracle: build the polynomial and test the palindrome."""
-    return build(spec).is_self_reciprocal()
+    return build(spec, rows).is_self_reciprocal()
 
 
 # ------------------------------------------------------------------ predicates
@@ -275,7 +275,7 @@ def lemma_l1(a: Poly) -> bool:
     return (a.degree is not None and a.degree % 2 == 0) or _not_srim(a)
 
 
-def check_corollary(corollary: str, spec: FamilySpec) -> bool:
+def check_corollary(corollary: str, spec: FamilySpec, rows=binomial_row) -> bool:
     """True iff the spec's polynomial is not both irreducible and palindromic.
 
     Each corollary pins a parameter family on which the constructed
@@ -283,16 +283,16 @@ def check_corollary(corollary: str, spec: FamilySpec) -> bool:
     never hold.
     """
     _check_hypotheses(corollary, "corollary", spec, "a corollary id")
-    return _not_srim(build(spec))
+    return _not_srim(build(spec, rows))
 
 
 # ------------------------------------------------------------------- scanning
 
 # per kind of rule: how scan observes it, and the note a disagreement carries
 _OBSERVERS = {
-    "classification": (lambda t, spec: oracle_self_reciprocal(spec), "predicate and oracle disagree"),
-    "corollary": (lambda t, spec: check_corollary(t, spec), "corollary violated"),
-    "lemma": (lambda t, spec: lemma_l1(build(spec)), "odd-degree srim found"),
+    "classification": (lambda t, s, rows: oracle_self_reciprocal(s, rows), "predicate and oracle disagree"),
+    "corollary": (lambda t, s, rows: check_corollary(t, s, rows), "corollary violated"),
+    "lemma": (lambda t, s, rows: lemma_l1(build(s, rows)), "odd-degree srim found"),
 }
 
 
@@ -316,6 +316,7 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
     DEFAULT_K_WINDOW); over GF(p), over the distinct ``k_values`` in
     [0, p-1] in increasing order (default all of them).  Rules with a fixed
     k ignore ``k_values``.  Mismatches are reported as data, not raised.
+    All members of one call read their binomial rows from one ``row_cache()``.
     """
     t = normalize_theorem_id(theorem)
     rule = RULE_TABLE[t]
@@ -341,10 +342,11 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
             if k < r.p and (r.p > 2 or k == 1) and all(side.holds(n, r.p) for side in rule.sides)
         ]
     observe, note = _OBSERVERS[rule.kind]
+    rows = row_cache()
     out = []
     for spec in specs:
         pred = predicate(t, spec) if rule.kind == "classification" else True
-        obs = observe(t, spec)
+        obs = observe(t, spec, rows)
         out.append(Verdict(t, spec, pred, obs, "" if pred == obs else note))
     return out
 

@@ -36,7 +36,7 @@ from .coterm_codes import (
     verify_reversibility_by_enumeration,
 )
 from .errors import CapacityError, DomainError
-from .families import FAMILIES, FAMILY_TABLE, FamilySpec, build
+from .families import FAMILIES, FAMILY_TABLE, FamilySpec, build, row_cache
 from .ringpoly import GF, Ring, Z
 
 EXIT_OK = 0
@@ -205,8 +205,9 @@ def _cmd_gen(args) -> int:
         _emit(args, [], [build(specs[0]).to_json_dict()])
         return EXIT_OK
     records = []
+    rows = row_cache()
     for spec in specs:
-        poly = build(spec)
+        poly = build(spec, rows)
         record = spec.to_flat_dict()
         if args.format == "csv":
             record["degree"] = poly.degree
@@ -220,8 +221,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_classify(args) -> int:
     records = []
+    rows = row_cache()
     for spec in _resolve_specs(args):
-        poly = build(spec)
+        poly = build(spec, rows)
         record = spec.to_flat_dict()
         record["degree"] = poly.degree
         record["self_reciprocal"] = poly.is_self_reciprocal()

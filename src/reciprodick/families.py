@@ -21,16 +21,21 @@ Every family is constructed exactly over Z and then reduced coefficientwise
 when the target ring is a prime field, so characteristic-p degree drops are
 handled by the ordinary trimming rules of Poly.  Over GF(p) the kind
 parameter k is restricted to [0, p-1].
+
+All but dickson read C(n, .) and C(n-1, .) from a row source ``rows``, n ->
+(C(n, 0), ..., C(n, n)), by default ``binomial_row``.  A caller building many
+members shares one new ``row_cache()`` among the builds of one call only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
-from .binomics import binomial
+from .binomics import binomial, binomial_row
 from .errors import DomainError
-from .ringpoly import GF, Poly, Ring, Z
+from .ringpoly import GF, Poly, Ring, Z, as_int
 
 
 def _check_k_range(ring: Ring, k: int) -> None:
@@ -45,7 +50,7 @@ class Family:
     A family without ``fixed_k`` takes any k over Z and k in [0, p-1] over GF(p).
     """
 
-    build: Callable[["FamilySpec"], Poly]
+    build: Callable[["FamilySpec", Callable[[int], tuple[int, ...]]], Poly]  # of (spec, rows)
     parity: int | None = None  # required n % 2, for a family stated for n > 1 only
     n_min: int = 0  # least admitted n; the CLI starts its sweeps there
     fixed_k: tuple[int, str] | None = None  # the only k, and how errors state it
@@ -65,6 +70,8 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError(f"unknown family {self.family!r}")
+        for field in ("n", "k", "a"):
+            as_int(getattr(self, field), f"family {field}")
         if self.n < 0:
             raise DomainError("family index n must be >= 0")
         row = FAMILY_TABLE[self.family]
@@ -98,8 +105,8 @@ class FamilySpec:
     def from_json_dict(d: dict) -> "FamilySpec":
         try:
             family, ring = d["family"], d.get("ring", {"ring": "Z"})
-            n, k, a = int(d["n"]), int(d.get("k", 0)), int(d.get("a", 1))
-        except (AttributeError, KeyError, TypeError, ValueError):
+            n, k, a = (as_int(v, "n, k and a", decimal=True) for v in (d["n"], d.get("k", 0), d.get("a", 1)))
+        except (AttributeError, KeyError, TypeError, DomainError):
             raise DomainError(f"malformed family spec {d!r}") from None
         return FamilySpec(family, n, k, Ring.from_json_dict(ring), a)
 
@@ -107,24 +114,28 @@ class FamilySpec:
 # --------------------------------------------------------------- summation forms
 
 
-def _f_int_coeffs(n: int, k: int) -> list[int]:
+def row_cache() -> Callable[[int], tuple[int, ...]]:
+    """A new row source that keeps the rows of the last two n it was asked for."""
+    return lru_cache(maxsize=2)(binomial_row)
+
+
+def _f_int_coeffs(n: int, k: int, rows) -> list[int]:
     # exact integer accumulation of the defining sums, n >= 1
     out = [0] * (n // 2 + 2)
-    for j in range(n // 2 + 1):
-        b1 = binomial(n - 1, 2 * j + 1)
-        out[j] += k * b1 + 2 * binomial(n, 2 * j)
+    for j, (b1, b0) in enumerate(zip(rows(n - 1)[1::2] + (0,), rows(n)[::2])):
+        out[j] += k * b1 + 2 * b0
         out[j + 1] -= k * b1
     return out
 
 
-def f_family(n: int, k: int, ring: Ring = Z) -> Poly:
+def f_family(n: int, k: int, ring: Ring = Z, rows=binomial_row) -> Poly:
     """The generating family: summation form over Z, reduced into the ring."""
     if n < 0:
         raise DomainError("f_family requires n >= 0")
     _check_k_range(ring, k)
     if n == 0:
         return Poly.constant(ring, 2 - k)
-    return Poly(ring, _f_int_coeffs(n, k))
+    return Poly(ring, _f_int_coeffs(n, k, rows))
 
 
 def _low_end(n: int, k: int) -> int:
@@ -135,16 +146,14 @@ def _high_end(n: int, k: int) -> int:
     return 2 - k if n % 2 == 0 else 2 * n - k * (n - 1)
 
 
-def _end_variant(n: int, k: int, ring: Ring, lo, hi) -> Poly:
+def _end_variant(n: int, k: int, ring: Ring, lo, hi, rows) -> Poly:
     """The closed coefficient form of f_{n,k}, n > 1, with its two ends chosen by a rule.
 
     ``lo`` and ``hi`` map (n, k) to the x^0 and the x^(n//2) coefficient;
     the interior coefficients are those of f.
     """
-    interior = [
-        k * binomial(n - 1, 2 * j + 1) - k * binomial(n - 1, 2 * j - 1) + 2 * binomial(n, 2 * j)
-        for j in range(1, n // 2)
-    ]
+    below, top = rows(n - 1), rows(n)
+    interior = [k * below[2 * j + 1] - k * below[2 * j - 1] + 2 * top[2 * j] for j in range(1, n // 2)]
     return Poly(ring, [lo(n, k)] + interior + [hi(n, k)])
 
 
@@ -153,7 +162,7 @@ def f_expanded_even(n: int, k: int, ring: Ring = Z) -> Poly:
     if n <= 1 or n % 2:
         raise DomainError("f_expanded_even requires even n > 1")
     _check_k_range(ring, k)
-    return _end_variant(n, k, ring, _low_end, _high_end)
+    return _end_variant(n, k, ring, _low_end, _high_end, binomial_row)
 
 
 def f_expanded_odd(n: int, k: int, ring: Ring = Z) -> Poly:
@@ -161,20 +170,16 @@ def f_expanded_odd(n: int, k: int, ring: Ring = Z) -> Poly:
     if n <= 1 or n % 2 == 0:
         raise DomainError("f_expanded_odd requires odd n > 1")
     _check_k_range(ring, k)
-    return _end_variant(n, k, ring, _low_end, _high_end)
+    return _end_variant(n, k, ring, _low_end, _high_end, binomial_row)
 
 
-def f_kind(n: int, kind: int) -> Poly:
+def f_kind(n: int, kind: int, rows=binomial_row) -> Poly:
     """Kind specializations over Z: kind 1 picks even binomials, 2 and 3 odd."""
     if n < 0:
         raise DomainError("f_kind requires n >= 0")
-    if kind == 1:
-        coeffs = [binomial(n, 2 * j) for j in range(n // 2 + 1)]
-    elif kind in (2, 3):
-        coeffs = [binomial(n, 2 * j + 1) for j in range((n + 1) // 2)]
-    else:
+    if kind not in (1, 2, 3):
         raise DomainError(f"kind must be 1, 2 or 3, got {kind}")
-    return Poly(Z, coeffs)
+    return Poly(Z, rows(n)[0 if kind == 1 else 1 :: 2])
 
 
 # ------------------------------------------------------------ reversed Dickson
@@ -220,28 +225,30 @@ def check_dickson_f_identity(n: int, k: int) -> bool:
 
 def _ends(lo, hi):
     # g and gstar take f's x^(n//2) end at both ends, h and hstar its x^0 end
-    return lambda s: _end_variant(s.n, s.k, s.ring, lo, hi)
+    return lambda s, rows: _end_variant(s.n, s.k, s.ring, lo, hi, rows)
 
 
-_KIND2 = Family(lambda s: Poly(s.ring, f_kind(s.n, 2).coeffs), fixed_k=(0, "takes no kind parameter k"))
+_KIND2 = Family(lambda s, rows: Poly(s.ring, f_kind(s.n, 2, rows).coeffs),
+                fixed_k=(0, "takes no kind parameter k"))
 
 FAMILY_TABLE = {
-    "dickson": Family(lambda s: reversed_dickson(s.n, s.k, s.a, s.ring)),
-    "f": Family(lambda s: f_family(s.n, s.k, s.ring)),
+    "dickson": Family(lambda s, rows: reversed_dickson(s.n, s.k, s.a, s.ring)),
+    "f": Family(lambda s, rows: f_family(s.n, s.k, s.ring, rows)),
     "g": Family(_ends(_high_end, _high_end), parity=0, n_min=2),
     "h": Family(_ends(_low_end, _low_end), parity=0, n_min=2),
     "gstar": Family(_ends(_high_end, _high_end), parity=1, n_min=3),
     "hstar": Family(_ends(_low_end, _low_end), parity=1, n_min=3),
-    "kind1": Family(lambda s: Poly(s.ring, f_kind(s.n, 1).coeffs),
+    "kind1": Family(lambda s, rows: Poly(s.ring, f_kind(s.n, 1, rows).coeffs),
                     fixed_k=(0, "takes no kind parameter k")),
     "kind2": _KIND2,
     "kind3": _KIND2,  # the third kind coincides with the second
-    "fchar2": Family(lambda s: f_family(s.n, 1, s.ring), n_min=1, fixed_k=(1, "fixes k = 1"), ring=GF(2)),
+    "fchar2": Family(lambda s, rows: f_family(s.n, 1, s.ring, rows),
+                     n_min=1, fixed_k=(1, "fixes k = 1"), ring=GF(2)),
 }
 
 FAMILIES = tuple(FAMILY_TABLE)
 
 
-def build(spec: FamilySpec) -> Poly:
-    """Construct the polynomial a FamilySpec describes."""
-    return FAMILY_TABLE[spec.family].build(spec)
+def build(spec: FamilySpec, rows=binomial_row) -> Poly:
+    """Construct a FamilySpec's polynomial from the binomial rows ``rows``, shared within one call only."""
+    return FAMILY_TABLE[spec.family].build(spec, rows)

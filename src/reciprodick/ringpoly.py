@@ -22,6 +22,16 @@ from .binomics import is_prime
 from .errors import DomainError
 
 
+def as_int(v, what: str, decimal: bool = False) -> int:
+    """v as an int, or a decimal string's value if ``decimal``; DomainError for floats, bools and the rest."""
+    if not isinstance(v, bool):
+        try:
+            return int(v) if decimal and isinstance(v, str) else operator.index(v)
+        except (TypeError, ValueError):
+            pass
+    raise DomainError(f"{what} must be an integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class Ring:
     """Coefficient domain: the integers ("Z") or a prime field ("Fp")."""
@@ -34,7 +44,7 @@ class Ring:
             if self.p is not None:
                 raise DomainError("ring Z carries no modulus")
         elif self.kind == "Fp":
-            if self.p is None or not is_prime(self.p):
+            if self.p is None or not is_prime(as_int(self.p, "field order")):
                 raise DomainError(f"field order must be prime, got {self.p!r}")
         else:
             raise DomainError(f"unknown ring kind {self.kind!r}")
@@ -61,8 +71,8 @@ class Ring:
             return Z
         if kind == "Fp":
             try:
-                p = int(d["p"])
-            except (KeyError, TypeError, ValueError):
+                p = as_int(d["p"], "p", decimal=True)
+            except (KeyError, DomainError):
                 raise DomainError(f"ring descriptor {d!r} needs an integer p") from None
             return Ring("Fp", p)
         raise DomainError(f"unknown ring descriptor {d!r}")
@@ -193,7 +203,7 @@ class Poly:
 
     def evaluate(self, v: int) -> int:
         """Horner evaluation at the ring element v."""
-        v = self.ring.normalize(int(v))
+        v = self.ring.normalize(as_int(v, "evaluation point"))
         acc = 0
         for c in reversed(self.coeffs):
             acc = self.ring.normalize(acc * v + c)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from reciprodick import (
@@ -6,6 +8,7 @@ from reciprodick import (
     PadicDigits,
     binomial,
     binomial_mod_p_lucas,
+    binomial_row,
     digits_base_p,
     divisibility_by_digit_dominance,
     is_power_of,
@@ -43,6 +46,16 @@ class TestBinomial:
 
     def test_exceeds_64_bits(self):
         assert binomial(200, 100) == reference_binomial(200, 100) > 2**64
+
+
+class TestBinomialRow:
+    def test_matches_math_comb(self):
+        for n in range(0, 301):
+            assert binomial_row(n) == tuple(math.comb(n, m) for m in range(n + 1)), n
+
+    def test_negative_n(self):
+        with pytest.raises(DomainError):
+            binomial_row(-1)
 
 
 class TestPrimes:

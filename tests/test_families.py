@@ -288,3 +288,22 @@ class TestFamilySpec:
                   {"family": "f", "n": 4, "ring": {"ring": "Fp"}}, [1, 2]):
             with pytest.raises(DomainError):
                 FamilySpec.from_json_dict(d)
+
+    def test_json_rejects_float_and_bool_fields(self):
+        # {"n": 4.7, "k": true} used to load as n = 4, k = 1
+        base = {"family": "dickson", "n": 4, "k": 1, "a": 2, "ring": {"ring": "Fp", "p": 5}}
+        for field in ("n", "k", "a"):
+            for bad in (4.7, 4.0, True, False):
+                with pytest.raises(DomainError):
+                    FamilySpec.from_json_dict({**base, field: bad})
+        with pytest.raises(DomainError):
+            FamilySpec.from_json_dict({**base, "ring": {"ring": "Fp", "p": 5.0}})
+        assert FamilySpec.from_json_dict({**base, "n": "4", "k": "1", "a": "2"}) == \
+            FamilySpec("dickson", 4, 1, GF(5), 2)
+
+    def test_rejects_float_and_bool_fields(self):
+        # FamilySpec("f", 4.7, 0) used to raise a bare TypeError in build, ("f", 4, True) built k = 1
+        for bad in (4.7, 4.0, True, "4"):
+            for args in (("f", bad, 0), ("f", 4, bad), ("dickson", 4, 0, Z, bad)):
+                with pytest.raises(DomainError):
+                    FamilySpec(*args)

@@ -36,6 +36,15 @@ class TestRing:
             with pytest.raises(DomainError):
                 Ring.from_json_dict(d)
 
+    def test_json_rejects_float_and_bool_p(self):
+        # a float used to be truncated (5.9 loaded as F5) and a bool taken as 0 or 1
+        for p in (5.9, 5.0, True):
+            with pytest.raises(DomainError):
+                Ring.from_json_dict({"ring": "Fp", "p": p})
+        with pytest.raises(DomainError):
+            GF(5.0)
+        assert Ring.from_json_dict({"ring": "Fp", "p": "7"}) == GF(7)
+
 
 class TestArithmetic:
     def test_add_identity(self):
@@ -76,6 +85,12 @@ class TestArithmetic:
         assert f.evaluate(1) == 16
         assert P(Z, 0, 0, 1).evaluate(-1) == 1
         assert P(GF(5), 1, 3).evaluate(4) == (1 + 12) % 5
+
+    def test_evaluate_rejects_non_integer_points(self):
+        # 2.9 used to be read as 2 and True as 1
+        for v in (2.9, 2.0, True, "2", None):
+            with pytest.raises(DomainError):
+                P(Z, 0, 1).evaluate(v)
 
     def test_compose_linear(self):
         x2 = P(Z, 0, 0, 1)
