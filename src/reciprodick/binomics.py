@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, as_int
 
 # Deterministic Miller-Rabin witness set: the primes up to 41 decide every
 # n below _MR_BOUND (Sorenson and Webster, Math. Comp. 86, 2017).
@@ -22,6 +22,7 @@ _MR_BOUND = 3317044064679887385961981
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test (Miller-Rabin with a fixed witness set)."""
+    n = as_int(n, "is_prime argument")
     if n < 2:
         return False
     if n >= _MR_BOUND:
@@ -54,6 +55,9 @@ def _require_prime(p: int) -> None:
 
 def binomial(n: int, m: int) -> int:
     """C(n, m) exactly, with value 0 whenever m < 0 or m > n."""
+    # called once per row entry, so plain ints skip the conversion
+    if type(n) is not int or type(m) is not int:
+        n, m = as_int(n, "binomial n"), as_int(m, "binomial m")
     if n < 0:
         raise DomainError("binomial requires n >= 0")
     if m < 0 or m > n:
@@ -63,6 +67,7 @@ def binomial(n: int, m: int) -> int:
 
 def binomial_row(n: int) -> tuple[int, ...]:
     """(C(n, 0), ..., C(n, n)): the lower half by ``binomial``, the upper half by symmetry."""
+    n = as_int(n, "binomial_row n")
     if n < 0:
         raise DomainError("binomial_row requires n >= 0")
     half = [binomial(n, m) for m in range(n // 2 + 1)]

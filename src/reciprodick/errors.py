@@ -1,4 +1,6 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the integer-argument check that raises them."""
+
+import operator
 
 
 class DomainError(ValueError):
@@ -11,3 +13,13 @@ class HypothesisError(DomainError):
 
 class CapacityError(RuntimeError):
     """The input exceeds the supported desk-scale bounds."""
+
+
+def as_int(v, what: str, decimal: bool = False) -> int:
+    """v as an int, or a decimal string's value if ``decimal``; DomainError for floats, bools and the rest."""
+    if not isinstance(v, bool):
+        try:
+            return int(v) if decimal and isinstance(v, str) else operator.index(v)
+        except (TypeError, ValueError):
+            pass
+    raise DomainError(f"{what} must be an integer, got {v!r}")

@@ -34,8 +34,8 @@ from functools import lru_cache
 from typing import Callable
 
 from .binomics import binomial, binomial_row
-from .errors import DomainError
-from .ringpoly import GF, Poly, Ring, Z, as_int
+from .errors import DomainError, as_int
+from .ringpoly import GF, Poly, Ring, Z
 
 
 def _check_k_range(ring: Ring, k: int) -> None:
@@ -74,6 +74,8 @@ class FamilySpec:
             as_int(getattr(self, field), f"family {field}")
         if self.n < 0:
             raise DomainError("family index n must be >= 0")
+        if not isinstance(self.ring, Ring):
+            raise DomainError(f"family ring must be a Ring, got {self.ring!r}")
         row = FAMILY_TABLE[self.family]
         name = f"family {self.family!r}"
         if row.ring is not None and self.ring != row.ring:

@@ -19,17 +19,7 @@ import operator
 from dataclasses import dataclass
 
 from .binomics import is_prime
-from .errors import DomainError
-
-
-def as_int(v, what: str, decimal: bool = False) -> int:
-    """v as an int, or a decimal string's value if ``decimal``; DomainError for floats, bools and the rest."""
-    if not isinstance(v, bool):
-        try:
-            return int(v) if decimal and isinstance(v, str) else operator.index(v)
-        except (TypeError, ValueError):
-            pass
-    raise DomainError(f"{what} must be an integer, got {v!r}")
+from .errors import DomainError, as_int
 
 
 @dataclass(frozen=True)
@@ -325,9 +315,12 @@ def gcd(a: Poly, b: Poly) -> Poly:
 
 def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
     """base**e reduced mod a nonzero polynomial over a prime field."""
+    e = as_int(e, "exponent")
     if e < 0:
         raise DomainError("negative exponent")
     mod._require_field()
+    if not mod:
+        raise DomainError("pow_mod needs a nonzero modulus")
     result = Poly.one(base.ring) % mod
     base = base % mod
     while e:

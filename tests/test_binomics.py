@@ -39,6 +39,14 @@ class TestBinomial:
         with pytest.raises(DomainError):
             binomial(-1, 0)
 
+    def test_rejects_non_integers(self):
+        # binomial(4.5, 2) used to raise a bare TypeError, binomial(True, 1) returned 1
+        for args in ((4.5, 2), (4, 2.0), (True, 1), (4, False), ("4", 2)):
+            with pytest.raises(DomainError):
+                binomial(*args)
+        with pytest.raises(DomainError):
+            binomial_row(4.0)
+
     def test_against_running_product(self):
         for n in range(0, 121):
             for m in range(-1, n + 2):
@@ -69,6 +77,12 @@ class TestPrimes:
         assert not is_prime(104730)
         assert is_prime(2**61 - 1)
         assert not is_prime(2**61 + 1)
+
+    def test_is_prime_rejects_non_integers(self):
+        # is_prime(7.0) used to return True
+        for bad in (7.0, 7.5, True, "7", None):
+            with pytest.raises(DomainError):
+                is_prime(bad)
 
     def test_is_prime_strong_pseudoprime_to_bases_up_to_37(self):
         # 399165290221 * 798330580441 passes every witness up to 37; 41 rejects it

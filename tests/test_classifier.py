@@ -17,8 +17,10 @@ from reciprodick import (
     normalize_theorem_id,
     oracle_self_reciprocal,
     predicate,
+    pow_mod,
     scan,
 )
+from reciprodick import classifier
 
 K_WINDOW = tuple(range(-5, 7))
 
@@ -139,6 +141,12 @@ class TestScan:
         with pytest.raises(DomainError):
             scan("T3_1", n_max=10, p_list=(2,))
 
+    def test_rejects_non_integer_bounds(self):
+        # scan("T2_1", n_min=2.5, n_max=4) used to raise a bare TypeError
+        for bounds in ({"n_min": 2.5, "n_max": 4}, {"n_min": 2, "n_max": 4.0}, {"n_max": True}):
+            with pytest.raises(DomainError):
+                scan("T2_1", **bounds)
+
     def test_verdict_json_shape(self):
         v = scan("T3_1", n_min=6, n_max=6, k_values=(2,), p_list=(3,))[0]
         assert v.to_json_dict() == {
@@ -167,20 +175,46 @@ class TestIrreducible:
         with pytest.raises(DomainError):
             is_irreducible(P(Z, 1, 1))
 
+    def test_unknown_method_rejected_at_every_degree(self):
+        # at degree 1 an unknown method used to return True
+        for coeffs in ((1, 1), (1, 1, 1)):
+            with pytest.raises(DomainError, match="unknown irreducibility method"):
+                is_irreducible(Poly(GF(3), coeffs), "bogus")
+
     def test_trial_capacity(self):
         big = Poly(GF(13), tuple([1] * 29))
         with pytest.raises(CapacityError):
             is_irreducible(big, method="trial")
 
     def test_trial_matches_gcd_exhaustively(self):
-        for p in (2, 3):
+        # every monic polynomial of these degrees
+        for p, max_deg in ((2, 10), (3, 6), (5, 4), (7, 3)):
             ring = GF(p)
-            for deg in (2, 3, 4):
+            for deg in range(2, max_deg + 1):
                 for tail in itertools.product(range(p), repeat=deg):
                     a = Poly(ring, tail + (1,))
-                    if a.degree != deg:
-                        continue
                     assert is_irreducible(a, "trial") == is_irreducible(a, "gcd"), a
+
+    def test_gcd_counts_match_gauss_formula(self):
+        # monic irreducibles of degree d over GF(p): (1/d) * sum over e | d of mu(e) * p^(d/e)
+        def mobius(n):
+            out, q = 1, 2
+            while q * q <= n:
+                if n % q == 0:
+                    n //= q
+                    if n % q == 0:
+                        return 0
+                    out = -out
+                q += 1
+            return -out if n > 1 else out
+
+        for p, max_deg in ((2, 12), (3, 7)):
+            ring = GF(p)
+            for deg in range(1, max_deg + 1):
+                found = sum(is_irreducible(Poly(ring, tail + (1,)), "gcd")
+                            for tail in itertools.product(range(p), repeat=deg))
+                gauss = sum(mobius(e) * p ** (deg // e) for e in range(1, deg + 1) if deg % e == 0) // deg
+                assert found == gauss, (p, deg)
 
     def test_known_counts(self):
         # GF(2) irreducible counts by degree: 2, 1, 2, 3, 6
@@ -220,6 +254,19 @@ class TestCorollaries:
     def test_scans_find_no_violations(self):
         for cid in ("C3_2", "C3_3", "C3_5", "C4_2"):
             assert mismatches(scan(cid)) == []
+
+    def test_reducible_member_stops_at_its_linear_factor(self, monkeypatch):
+        # the member has odd degree 45 and is a palindrome, so x + 1 divides it:
+        # one Frobenius step x -> x^13 decides it, never x^(13^45)
+        exponents = []
+
+        def recording(base, e, mod):
+            exponents.append(e)
+            return pow_mod(base, e, mod)
+
+        monkeypatch.setattr(classifier, "pow_mod", recording)
+        assert check_corollary("C3_3", FamilySpec("f", 92, 2, GF(13))) is True
+        assert len(exponents) <= 1 and all(e <= 13 for e in exponents), exponents
 
 
 class TestLemmaL1:

@@ -307,3 +307,9 @@ class TestFamilySpec:
             for args in (("f", bad, 0), ("f", 4, bad), ("dickson", 4, 0, Z, bad)):
                 with pytest.raises(DomainError):
                     FamilySpec(*args)
+
+    def test_rejects_non_ring(self):
+        # FamilySpec("f", 4, 0, "Z") used to raise AttributeError
+        for bad in ("Z", 5, None, {"ring": "Z"}):
+            with pytest.raises(DomainError, match="Ring"):
+                FamilySpec("f", 4, 0, bad)

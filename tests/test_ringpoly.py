@@ -223,6 +223,14 @@ class TestFieldOps:
         x = Poly.x(ring)
         assert pow_mod(x, 9, mod) == (x**9) % mod
 
+    def test_pow_mod_rejects_bad_input(self):
+        # used to raise ZeroDivisionError, a bare TypeError, and to compute x^1 for True
+        ring = GF(3)
+        x, mod = Poly.x(ring), P(ring, 1, 0, 1)
+        for e, m in ((3, Poly.zero(ring)), (3.0, mod), (True, mod), ("3", mod), (-1, mod)):
+            with pytest.raises(DomainError):
+                pow_mod(x, e, m)
+
 
 class TestJson:
     def test_canonical_form(self):
