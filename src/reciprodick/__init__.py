@@ -6,6 +6,7 @@ from .binomics import (
     binomial,
     binomial_mod_p_lucas,
     binomial_row,
+    binomial_row_mod_p,
     digits_base_p,
     divisibility_by_digit_dominance,
     is_power_of,
@@ -61,7 +62,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError", "DomainError", "HypothesisError",
     "GF", "Poly", "Ring", "Z", "gcd", "pow_mod", "reduce_mod_p",
-    "PadicDigits", "binomial", "binomial_mod_p_lucas", "binomial_row", "digits_base_p",
+    "PadicDigits", "binomial", "binomial_mod_p_lucas", "binomial_row", "binomial_row_mod_p",
+    "digits_base_p",
     "divisibility_by_digit_dominance", "is_power_of", "is_prime", "weight_base_p",
     "FAMILIES", "FamilySpec", "build", "check_dickson_f_identity",
     "f_expanded_even", "f_expanded_odd", "f_family", "f_kind", "reversed_dickson",

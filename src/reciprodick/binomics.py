@@ -2,15 +2,15 @@
 
 Everything here is plain integer arithmetic: arbitrary-precision binomial
 coefficients, canonical base-p expansions, the digitwise (Lucas) reduction
-of C(n, m) modulo a prime, and the base-p digit weight.  These are the
-number-theoretic kernels the polynomial families and classifiers build on.
+of C(n, m) and of a whole binomial row modulo a prime, and the base-p digit
+weight.  These are the number-theoretic kernels the polynomial families and
+classifiers build on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import CapacityError, DomainError, as_int
 
@@ -76,6 +76,9 @@ def binomial_row(n: int) -> tuple[int, ...]:
 
 def is_power_of(n: int, p: int) -> bool:
     """True iff n = p**l for some integer l >= 1."""
+    # runs in T3_4's predicate and the coterm degenerate tests, so plain ints skip the conversion
+    if type(n) is not int or type(p) is not int:
+        n, p = as_int(n, "is_power_of n"), as_int(p, "is_power_of p")
     if p < 2:
         raise DomainError(f"is_power_of requires a base p >= 2, got {p}")
     if n < p:
@@ -106,51 +109,91 @@ class PadicDigits:
 def digits_base_p(n: int, p: int) -> PadicDigits:
     """Canonical base-p expansion of n >= 0."""
     _require_prime(p)
-    if n < 0:
-        raise DomainError("digits_base_p requires n >= 0")
-    digits = []
-    while n:
-        n, d = divmod(n, p)
-        digits.append(d)
-    return PadicDigits(p, tuple(digits))
+    return PadicDigits(p, tuple(_digits(n, p, "digits_base_p")))
 
 
 def weight_base_p(n: int, p: int) -> int:
     """Sum of the base-p digits of n."""
     _require_prime(p)
+    return sum(_digits(n, p, "weight_base_p"))
+
+
+def _digits(n: int, p: int, what: str) -> list[int]:
+    # base-p digits of n >= 0, least significant first, for a prime p already checked
+    n = as_int(n, f"{what} n")
     if n < 0:
-        raise DomainError("weight_base_p requires n >= 0")
-    w = 0
+        raise DomainError(f"{what} requires n >= 0")
+    digits = []
     while n:
         n, d = divmod(n, p)
-        w += d
-    return w
+        digits.append(d)
+    return digits
 
 
-@lru_cache(maxsize=None)
-def _small_binomials(p: int) -> tuple[tuple[int, ...], ...]:
-    # C(a, b) mod p for all 0 <= a, b < p
-    return tuple(tuple(math.comb(a, b) % p if b <= a else 0 for b in range(p)) for a in range(p))
+def _digit_pairs(n: int, m: int, p: int, what: str) -> list[tuple[int, int]]:
+    # the aligned base-p digits (a, b) of n and m >= 0, as far as m has digits
+    _require_prime(p)
+    n, m = as_int(n, f"{what} n"), as_int(m, f"{what} m")
+    if n < 0 or m < 0:
+        raise DomainError(f"{what} requires n, m >= 0")
+    pairs = []
+    while m:
+        n, a = divmod(n, p)
+        m, b = divmod(m, p)
+        pairs.append((a, b))
+    return pairs
+
+
+def _binomial_below_p(a: int, b: int, p: int) -> int:
+    # C(a, b) mod p for 0 <= b <= a < p, as a falling product over b!, with min(b, a - b) factors
+    b = min(b, a - b)
+    num = den = 1
+    for i in range(b):
+        num = num * (a - i) % p
+        den = den * (i + 1) % p
+    return num * pow(den, -1, p) % p
 
 
 def binomial_mod_p_lucas(n: int, m: int, p: int) -> int:
     """C(n, m) mod p via the digitwise product of the base-p expansions.
 
     Equals binomial(n, m) % p for all n, m >= 0; the product short-circuits
-    to 0 as soon as a digit of m exceeds the matching digit of n.
+    to 0 as soon as a digit of m exceeds the matching digit of n.  Each digit
+    factor C(a, b) mod p is computed directly, so no p x p table is built.
     """
-    _require_prime(p)
-    if n < 0 or m < 0:
-        raise DomainError("binomial_mod_p_lucas requires n, m >= 0")
-    table = _small_binomials(p)
     r = 1
-    while m:
-        n, a = divmod(n, p)
-        m, b = divmod(m, p)
+    for a, b in _digit_pairs(n, m, p, "binomial_mod_p_lucas"):
         if b > a:
             return 0
-        r = r * table[a][b] % p
+        r = r * _binomial_below_p(a, b, p) % p
     return r
+
+
+def binomial_row_mod_p(n: int, p: int) -> tuple[int, ...]:
+    """(C(n, 0), ..., C(n, n)) mod p, by Lucas's theorem (Amer. J. Math. 1, 1878).
+
+    With n = sum d_i p^i, C(n, sum b_i p^i) = prod C(d_i, b_i) mod p, so the
+    row is the Kronecker product of the digit rows (C(d, 0), ..., C(d, d), 0,
+    ..., 0) of length p, cut to n + 1 entries.  The digit rows come from
+    C(d, b) = C(d, b - 1) * (d - b + 1) / b with the inverses of 1..d mod p,
+    so a row costs O(n) small-integer products for any p.
+    """
+    _require_prime(p)
+    digits = _digits(n, p, "binomial_row_mod_p")
+    inv = [0, 1]
+    for i in range(2, max(digits, default=0) + 1):
+        inv.append(-(p // i) * inv[p % i] % p)
+    row = [1]
+    for d in reversed(digits):
+        digit_row = [1]
+        for b in range(1, d + 1):
+            digit_row.append(digit_row[-1] * (d - b + 1) % p * inv[b] % p)
+        # the entries with low digit b are row * C(d, b); those with b > d stay 0
+        out = [0] * ((len(row) - 1) * p + d + 1)
+        for b, c in enumerate(digit_row):
+            out[b::p] = [r * c % p for r in row]
+        row = out
+    return tuple(row)
 
 
 def divisibility_by_digit_dominance(n: int, m: int, p: int) -> bool:
@@ -158,12 +201,4 @@ def divisibility_by_digit_dominance(n: int, m: int, p: int) -> bool:
 
     Equivalent to p dividing C(n, m), for 0 <= m <= n.
     """
-    _require_prime(p)
-    if n < 0 or m < 0:
-        raise DomainError("divisibility_by_digit_dominance requires n, m >= 0")
-    while m:
-        n, a = divmod(n, p)
-        m, b = divmod(m, p)
-        if b > a:
-            return True
-    return False
+    return any(b > a for a, b in _digit_pairs(n, m, p, "divisibility_by_digit_dominance"))

@@ -141,7 +141,8 @@ def normalize_theorem_id(name: str) -> str:
     return canonical_id(name, RULE_TABLE, "theorem id", {})
 
 
-@dataclass(frozen=True)
+# Ring, Poly, FamilySpec and Verdict take slots=True: a scan makes them by the thousand
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """One predicate-vs-oracle comparison for a single family member."""
 
@@ -301,7 +302,8 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
     DEFAULT_K_WINDOW); over GF(p), over the distinct ``k_values`` in
     [0, p-1] in increasing order (default all of them).  Rules with a fixed
     k ignore ``k_values``.  Mismatches are reported as data, not raised.
-    All members of one call read their binomial rows from one ``row_cache()``.
+    All members of one call over one ring read their binomial rows from one
+    ``row_cache(ring)``, made for this call.
     """
     t = normalize_theorem_id(theorem)
     rule = RULE_TABLE[t]
@@ -328,11 +330,12 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
             if k < r.p and (r.p > 2 or k == 1) and all(side.holds(n, r.p) for side in rule.sides)
         ]
     observe, note = _OBSERVERS[rule.kind]
-    rows = row_cache()
+    # one cache per ring: rows mod p serve only their own p, and the specs interleave the primes
+    rows = {ring: row_cache(ring) for ring in {spec.ring for spec in specs}}
     out = []
     for spec in specs:
         pred = predicate(t, spec) if rule.kind == "classification" else True
-        obs = observe(t, spec, rows)
+        obs = observe(t, spec, rows[spec.ring])
         out.append(Verdict(t, spec, pred, obs, "" if pred == obs else note))
     return out
 

@@ -171,8 +171,7 @@ def _resolve_ring(args) -> Ring:
     return Z
 
 
-def _resolve_specs(args) -> list[FamilySpec]:
-    ring = _resolve_ring(args)
+def _resolve_specs(args, ring: Ring) -> list[FamilySpec]:
     family = args.family
     row = FAMILY_TABLE[family]
     if args.n is not None:
@@ -200,12 +199,13 @@ def _k_range(args) -> list[int] | None:
 
 
 def _cmd_gen(args) -> int:
-    specs = _resolve_specs(args)
+    ring = _resolve_ring(args)
+    specs = _resolve_specs(args, ring)
     if args.format == "json" and len(specs) == 1:
         _emit(args, [], [build(specs[0]).to_json_dict()])
         return EXIT_OK
     records = []
-    rows = row_cache()
+    rows = row_cache(ring)
     for spec in specs:
         poly = build(spec, rows)
         record = spec.to_flat_dict()
@@ -221,8 +221,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_classify(args) -> int:
     records = []
-    rows = row_cache()
-    for spec in _resolve_specs(args):
+    ring = _resolve_ring(args)
+    rows = row_cache(ring)
+    for spec in _resolve_specs(args, ring):
         poly = build(spec, rows)
         record = spec.to_flat_dict()
         record["degree"] = poly.degree

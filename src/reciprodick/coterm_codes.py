@@ -34,7 +34,7 @@ from .classifier import (
     Condition,
     canonical_id,
 )
-from .errors import CapacityError, DomainError, HypothesisError
+from .errors import CapacityError, DomainError, HypothesisError, as_int
 from .families import FAMILY_TABLE, FamilySpec, build
 from .ringpoly import GF, Poly, Ring, gcd
 
@@ -204,6 +204,7 @@ def factor_xm_minus_1(p: int, m: int) -> list[tuple[Poly, int]]:
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
+    m = as_int(m, "length m")
     if m < 1:
         raise DomainError("length m must be >= 1")
     if p > _FACTOR_P_CAP or m > _FACTOR_M_CAP:
@@ -276,6 +277,7 @@ def build_cyclic_code(p: int, m: int, generator: Poly) -> CyclicCode:
     """Check the generator and assemble the code record."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
+    m = as_int(m, "length m")
     if m < 1:
         raise DomainError("length m must be >= 1")
     if generator.ring != GF(p):

@@ -17,23 +17,26 @@ Wire names (shared by the CLI, the JSON forms, and the classifiers):
   fchar2    f at k = 1 over GF(2), where the even-binomial part vanishes:
             sum_j C(n-1, 2j+1) * (x^j - x^(j+1)).
 
-Every family is constructed exactly over Z and then reduced coefficientwise
-when the target ring is a prime field, so characteristic-p degree drops are
-handled by the ordinary trimming rules of Poly.  Over GF(p) the kind
-parameter k is restricted to [0, p-1].
-
 All but dickson read C(n, .) and C(n-1, .) from a row source ``rows``, n ->
-(C(n, 0), ..., C(n, n)), by default ``binomial_row``.  A caller building many
-members shares one new ``row_cache()`` among the builds of one call only.
+(C(n, 0), ..., C(n, n)), by default ``binomial_row``.  With it every family
+is constructed exactly over Z and then reduced coefficientwise when the
+target ring is a prime field; this is the reference path.  Characteristic-p
+degree drops are handled by the ordinary trimming rules of Poly.  Over GF(p)
+the kind parameter k is restricted to [0, p-1].
+
+The builders use only sums and products of row entries, so rows read mod p
+give the same member over GF(p).  A caller building many members shares one
+new ``row_cache(ring)`` per ring among the builds of one call only; over
+GF(p) it reads the rows mod p (``binomial_row_mod_p``), with no big integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
-from .binomics import binomial, binomial_row
+from .binomics import binomial, binomial_row, binomial_row_mod_p
 from .errors import DomainError, as_int
 from .ringpoly import GF, Poly, Ring, Z
 
@@ -57,7 +60,7 @@ class Family:
     ring: Ring | None = None  # the only ring, for a family that has one
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FamilySpec:
     """A fully parametrized family member: which family, n, k, ring, and a."""
 
@@ -116,22 +119,24 @@ class FamilySpec:
 # --------------------------------------------------------------- summation forms
 
 
-def row_cache() -> Callable[[int], tuple[int, ...]]:
-    """A new row source that keeps the rows of the last two n it was asked for."""
-    return lru_cache(maxsize=2)(binomial_row)
+def row_cache(ring: Ring = Z) -> Callable[[int], tuple[int, ...]]:
+    """A new row source for members over ``ring`` that keeps the rows of the last two n it was asked for.
+
+    Over Z it gives the rows over Z; over GF(p) it gives them mod p.
+    """
+    source = partial(binomial_row_mod_p, p=ring.p) if ring.is_field else binomial_row
+    return lru_cache(maxsize=2)(source)
 
 
 def _f_int_coeffs(n: int, k: int, rows) -> list[int]:
-    # exact integer accumulation of the defining sums, n >= 1
-    out = [0] * (n // 2 + 2)
-    for j, (b1, b0) in enumerate(zip(rows(n - 1)[1::2] + (0,), rows(n)[::2])):
-        out[j] += k * b1 + 2 * b0
-        out[j + 1] -= k * b1
-    return out
+    # the defining sums collected by power, n >= 1:
+    # x^j has k * (C(n-1, 2j+1) - C(n-1, 2j-1)) + 2 * C(n, 2j)
+    odd = rows(n - 1)[1::2]
+    return [k * (b1 - b1_before) + 2 * b0 for b1, b1_before, b0 in zip(odd + (0,), (0,) + odd, rows(n)[::2])]
 
 
 def f_family(n: int, k: int, ring: Ring = Z, rows=binomial_row) -> Poly:
-    """The generating family: summation form over Z, reduced into the ring."""
+    """The generating family: its summation form over the rows ``rows``, reduced into the ring."""
     if n < 0:
         raise DomainError("f_family requires n >= 0")
     _check_k_range(ring, k)
@@ -154,9 +159,7 @@ def _end_variant(n: int, k: int, ring: Ring, lo, hi, rows) -> Poly:
     ``lo`` and ``hi`` map (n, k) to the x^0 and the x^(n//2) coefficient;
     the interior coefficients are those of f.
     """
-    below, top = rows(n - 1), rows(n)
-    interior = [k * below[2 * j + 1] - k * below[2 * j - 1] + 2 * top[2 * j] for j in range(1, n // 2)]
-    return Poly(ring, [lo(n, k)] + interior + [hi(n, k)])
+    return Poly(ring, [lo(n, k)] + _f_int_coeffs(n, k, rows)[1 : n // 2] + [hi(n, k)])
 
 
 def f_expanded_even(n: int, k: int, ring: Ring = Z) -> Poly:

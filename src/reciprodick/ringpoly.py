@@ -22,7 +22,7 @@ from .binomics import is_prime
 from .errors import DomainError, as_int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ring:
     """Coefficient domain: the integers ("Z") or a prime field ("Fp")."""
 
@@ -76,7 +76,7 @@ def GF(p: int) -> Ring:
     return Ring("Fp", p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Poly:
     """Dense polynomial with exact coefficients over a Ring."""
 
@@ -84,8 +84,13 @@ class Poly:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self):
+        # every builder and operation ends here, so read (and reduce) the integers in one pass
+        p = self.ring.p
         try:
-            c = [self.ring.normalize(operator.index(v)) for v in self.coeffs]
+            if p is None:
+                c = list(map(operator.index, self.coeffs))
+            else:
+                c = [operator.index(v) % p for v in self.coeffs]
         except TypeError as e:
             raise DomainError(f"polynomial coefficients must be integers: {e}") from None
         if bool in map(type, self.coeffs):
@@ -115,6 +120,7 @@ class Poly:
     @classmethod
     def monomial(cls, ring: Ring, c: int, e: int) -> "Poly":
         """c * x**e."""
+        e = as_int(e, "monomial exponent")
         if e < 0:
             raise DomainError("monomial exponent must be >= 0")
         return cls(ring, (0,) * e + (c,))
@@ -176,6 +182,7 @@ class Poly:
         return Poly(self.ring, out)
 
     def __pow__(self, e: int) -> "Poly":
+        e = as_int(e, "polynomial exponent")
         if e < 0:
             raise DomainError("negative polynomial power")
         result = Poly.one(self.ring)

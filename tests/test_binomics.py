@@ -9,6 +9,7 @@ from reciprodick import (
     binomial,
     binomial_mod_p_lucas,
     binomial_row,
+    binomial_row_mod_p,
     digits_base_p,
     divisibility_by_digit_dominance,
     is_power_of,
@@ -100,6 +101,12 @@ class TestPrimes:
             with pytest.raises(DomainError):
                 is_power_of(8, p)
 
+    def test_is_power_of_rejects_non_integers(self):
+        # is_power_of(9.0, 3) and is_power_of(9, 3.0) used to be True
+        for args in ((9.0, 3), (9, 3.0), (9.5, 3), (True, 2), (4, True), ("9", 3)):
+            with pytest.raises(DomainError):
+                is_power_of(*args)
+
 
 class TestDigits:
     def test_examples(self):
@@ -120,6 +127,13 @@ class TestDigits:
             digits_base_p(3, 4)
         with pytest.raises(DomainError):
             digits_base_p(-1, 3)
+
+    def test_rejects_non_integers(self):
+        # digits_base_p(9.5, 3) used to have the digit 0.5, weight_base_p(9.5, 3) was 1.5
+        for n in (9.5, 9.0, True, "9"):
+            for call in (digits_base_p, weight_base_p):
+                with pytest.raises(DomainError):
+                    call(n, 3)
 
 
 class TestWeight:
@@ -165,3 +179,50 @@ class TestLucas:
             binomial_mod_p_lucas(-1, 0, 3)
         with pytest.raises(DomainError):
             divisibility_by_digit_dominance(5, -2, 3)
+
+    def test_rejects_non_integers(self):
+        # binomial_mod_p_lucas(True, 1, 3) used to be 1, and floats were read as digits
+        for args in ((True, 1, 3), (5, 2.0, 3), (5.0, 2, 3), (5.5, 2, 3), (5, False, 3)):
+            for call in (binomial_mod_p_lucas, divisibility_by_digit_dominance):
+                with pytest.raises(DomainError):
+                    call(*args)
+
+    def test_large_prime_needs_no_table(self):
+        # each digit's C(a, b) mod p is computed directly: a p x p table took
+        # 8 s at p = 1009 and never finished at p = 4001
+        for p in (1009, 4001, 2**61 - 1):
+            assert binomial_mod_p_lucas(5, 2, p) == 10
+        assert binomial_mod_p_lucas(2**61 - 2, 2, 2**61 - 1) == 1  # C(-1, 2) = 1 mod p
+        assert binomial_mod_p_lucas(10**6, 3, 1009) == math.comb(10**6, 3) % 1009
+
+
+class TestBinomialRowModP:
+    def test_matches_lucas_and_math_comb(self):
+        for n in range(0, 301):
+            exact = [math.comb(n, m) for m in range(n + 1)]
+            for p in (2, 3, 5, 7, 11, 13, 101):
+                row = binomial_row_mod_p(n, p)
+                assert row == tuple(c % p for c in exact), (n, p)
+                assert row == tuple(binomial_mod_p_lucas(n, m, p) for m in range(n + 1)), (n, p)
+
+    def test_matches_at_a_61_bit_prime(self):
+        p = 2**61 - 1
+        for n in range(0, 301):
+            assert binomial_row_mod_p(n, p) == tuple(math.comb(n, m) % p for m in range(n + 1)), n
+        # each Lucas call tests p for primality (about 0.25 ms at this p), so fewer rows here
+        for n in (*range(0, 21), 150, 299, 300):
+            assert binomial_row_mod_p(n, p) == tuple(binomial_mod_p_lucas(n, m, p) for m in range(n + 1)), n
+
+    def test_digit_blocks(self):
+        # 10 = 1 + 0*3 + 1*9: C(10, m) mod 3 is 1 where m's digits are at most (1, 0, 1), else 0
+        assert binomial_row_mod_p(10, 3) == (1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 1)
+        assert binomial_row_mod_p(0, 7) == (1,)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(DomainError):
+            binomial_row_mod_p(-1, 3)
+        with pytest.raises(DomainError):
+            binomial_row_mod_p(5, 4)
+        for args in ((5.0, 3), (True, 3), (5, 3.0)):
+            with pytest.raises(DomainError):
+                binomial_row_mod_p(*args)

@@ -231,6 +231,13 @@ class TestFactorXmMinus1:
         with pytest.raises(DomainError):
             factor_xm_minus_1(3, 0)
 
+    def test_rejects_non_integer_length(self):
+        # a float length used to raise a bare TypeError, and True read as m = 1
+        for m in (3.0, 3.5, True, "3"):
+            for call in (factor_xm_minus_1, monic_divisors):
+                with pytest.raises(DomainError):
+                    call(2, m)
+
     def test_cyclotomic_coset_cross_check(self):
         # with m = p^a * m' and p not dividing m', the irreducible factors of
         # x^m - 1 correspond to the p-cyclotomic cosets {t * p^j mod m'} of Z/m':
@@ -312,6 +319,9 @@ class TestCyclicCodes:
             build_cyclic_code(3, 2, P(GF(3), 2, 2))  # not monic
         with pytest.raises(DomainError):
             build_cyclic_code(3, 2, P(GF(2), 1, 1))  # ring mismatch
+        for m in (3.0, 3.5, True):  # a float length used to raise a bare TypeError
+            with pytest.raises(DomainError):
+                build_cyclic_code(2, m, P(GF(2), 1, 1))
 
     def test_json_shape(self):
         code = build_cyclic_code(2, 7, P(GF(2), 1, 1, 0, 1))

@@ -15,8 +15,10 @@ from reciprodick import (
     Poly,
     Z,
     binomial_mod_p_lucas,
+    binomial_row_mod_p,
     check_dickson_f_identity,
     is_irreducible,
+    is_prime,
 )
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -82,6 +84,26 @@ def test_reciprocal_is_an_involution(data):
 @given(st.sampled_from((2, 3, 5, 7, 13, 101)), st.integers(0, 3000), st.integers(0, 3100))
 def test_lucas_matches_math_comb(p, n, m):
     assert binomial_mod_p_lucas(n, m, p) == math.comb(n, m) % p
+
+
+def _prime_at_most(q):
+    while not is_prime(q):
+        q -= 1
+    return q
+
+
+primes = st.one_of(st.sampled_from(SMALL_PRIMES), st.integers(2, 2**61 - 1).map(_prime_at_most))
+
+
+@PROPERTY
+@given(primes, st.integers(0, 1999), st.lists(st.integers(0, 1999), min_size=1, max_size=8))
+def test_row_mod_p_matches_lucas(p, n, ms):
+    # each Lucas call tests p for primality, so a few entries per row, not all
+    row = binomial_row_mod_p(n, p)
+    assert len(row) == n + 1
+    for m in ms:
+        m %= n + 1
+        assert row[m] == binomial_mod_p_lucas(n, m, p)
 
 
 @PROPERTY

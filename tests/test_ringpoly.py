@@ -103,6 +103,16 @@ class TestArithmetic:
         assert P(Z, 1, 1) ** 2 == P(Z, 1, 2, 1)
         assert P(Z, 1, 1) ** 0 == Poly.one(Z)
 
+    def test_exponents_must_be_integers(self):
+        # x ** 2.0 and monomial(..., 2.0) used to raise a bare TypeError, x ** True returned x
+        x = Poly.x(GF(3))
+        for e in (2.0, 2.5, True, "2"):
+            with pytest.raises(DomainError):
+                x ** e
+            with pytest.raises(DomainError):
+                Poly.monomial(GF(3), 1, e)
+        assert Poly.monomial(GF(3), 2, 3) == x ** 3 * P(GF(3), 2)
+
     def test_mul_properties_random(self):
         rng = random.Random(20260809)
         for ring in (Z, GF(7)):

@@ -2,9 +2,13 @@
 
 Members built from one ``row_cache()`` must equal members built with fresh
 rows, whatever order the specs come in, and no row may outlive its call.
+Over GF(p) the rows of ``row_cache(GF(p))`` are read mod p; the members built
+from them must equal the members built over Z and then reduced.
 """
 
 import sys
+from collections import Counter
+from functools import lru_cache
 
 import pytest
 
@@ -16,6 +20,7 @@ from reciprodick import (
     THEOREM_IDS,
     Z,
     binomial,
+    binomial_row,
     build,
     scan,
 )
@@ -78,3 +83,67 @@ def test_scan_computes_each_row_once_per_call(monkeypatch):
     calls.clear()
     scan("T2_1", n_min=100, n_max=104, k_values=K_WINDOW)
     assert len(calls) == first  # no row survives from the first call
+
+
+def _fp_specs(p, n_max):
+    for n in range(n_max + 1):
+        for k in range(p):
+            for family in FAMILIES:
+                if family == "dickson":
+                    continue
+                try:
+                    yield FamilySpec(family, n, k, GF(p))
+                except DomainError:
+                    pass
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_fp_rows_build_the_reduced_members(p):
+    # the reference is build(spec): rows over Z, reduced after the build;
+    # memoizing binomial_row only saves recomputing the same Z rows
+    z_rows = lru_cache(maxsize=None)(binomial_row)
+    fp_rows = row_cache(GF(p))
+    checked = set()
+    for spec in _fp_specs(p, 300):
+        assert build(spec, fp_rows) == build(spec, z_rows), spec
+        checked.add(spec.family)
+    assert checked == set(FAMILIES) - {"dickson"} - ({"fchar2"} if p > 2 else set())
+
+
+def _count_rows(monkeypatch):
+    # records (n, p) of every mod-p row and (n, m) of every binomial, wherever the package binds them
+    from reciprodick.binomics import binomial_row_mod_p
+
+    rows, entries = [], []
+
+    def counting_row(n, p):
+        rows.append((n, p))
+        return binomial_row_mod_p(n, p)
+
+    def counting_binomial(n, m):
+        entries.append((n, m))
+        return binomial(n, m)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "reciprodick":
+            if vars(module).get("binomial_row_mod_p") is binomial_row_mod_p:
+                monkeypatch.setattr(module, "binomial_row_mod_p", counting_row)
+            if vars(module).get("binomial") is binomial:
+                monkeypatch.setattr(module, "binomial", counting_binomial)
+    return rows, entries
+
+
+def test_fp_scan_computes_each_row_once_per_call(monkeypatch):
+    rows, entries = _count_rows(monkeypatch)
+    primes = [3, 5, 7]
+    ns = range(100, 105, 2)  # T3_1 scans even n only, every k < p per prime
+    scan("T3_1", n_min=100, n_max=104, p_list=primes)
+    per_pair = Counter((n, p) for n, p in rows)
+    assert 0 < len(rows) <= 2 * len(ns) * len(primes)
+    assert max(per_pair.values()) == 1
+    assert {p for _, p in rows} == set(primes)
+    assert entries == []  # no member over GF(p) reads a row over Z
+    first = len(rows)
+    rows.clear()
+    scan("T3_1", n_min=100, n_max=104, p_list=primes)
+    assert len(rows) == first  # no row survives from the first call
