@@ -19,6 +19,9 @@ from .errors import CapacityError, DomainError, as_int
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 
+# binomial_mod_p_lucas refuses a C(n, m) mod p whose digit factors take more steps
+LUCAS_STEP_CAP = 10**6
+
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test (Miller-Rabin with a fixed witness set)."""
@@ -157,14 +160,20 @@ def _binomial_below_p(a: int, b: int, p: int) -> int:
 def binomial_mod_p_lucas(n: int, m: int, p: int) -> int:
     """C(n, m) mod p via the digitwise product of the base-p expansions.
 
-    Equals binomial(n, m) % p for all n, m >= 0; the product short-circuits
-    to 0 as soon as a digit of m exceeds the matching digit of n.  Each digit
-    factor C(a, b) mod p is computed directly, so no p x p table is built.
+    Equals binomial(n, m) % p for all n, m >= 0.  It is 0 when a digit of m
+    exceeds the matching digit of n, which is checked before any factor is
+    computed.  Each digit factor C(a, b) mod p is computed directly, with
+    min(b, a - b) steps and no p x p table; CapacityError is raised when the
+    steps over all digits exceed LUCAS_STEP_CAP.
     """
+    pairs = _digit_pairs(n, m, p, "binomial_mod_p_lucas")
+    if any(b > a for a, b in pairs):
+        return 0
+    steps = sum(min(b, a - b) for a, b in pairs)
+    if steps > LUCAS_STEP_CAP:
+        raise CapacityError(f"C(n, m) mod {p} takes {steps} digit steps, above LUCAS_STEP_CAP = {LUCAS_STEP_CAP}")
     r = 1
-    for a, b in _digit_pairs(n, m, p, "binomial_mod_p_lucas"):
-        if b > a:
-            return 0
+    for a, b in pairs:
         r = r * _binomial_below_p(a, b, p) % p
     return r
 

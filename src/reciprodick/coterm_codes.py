@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .binomics import is_power_of, is_prime, weight_base_p
 from .classifier import (
     OVER_F2,
@@ -290,33 +288,61 @@ def build_cyclic_code(p: int, m: int, generator: Poly) -> CyclicCode:
     return CyclicCode(p, m, generator, m - generator.degree, generates_reversible_code(generator))
 
 
+def _codeword_digits(code: CyclicCode):
+    # the (m, p^dim) digit columns of every codeword u * g with deg u < dim,
+    # in an unsigned dtype just wide enough for 2(p - 1).  Shift i adds the
+    # (m, p) table of c * x^i * g mod p, for every c, to every word so far; a
+    # digit sum s is reduced by min(s, s - p), as s - p wraps above s when s < p.
+    import numpy as np
+
+    p, m = code.p, code.m
+    dtype = np.uint8 if 2 * (p - 1) <= np.iinfo(np.uint8).max else np.uint16
+    g = np.array(code.generator.coeffs, dtype=np.int64)
+    multiples = (g[:, None] * np.arange(p)) % p  # row j, column c: c * g_j mod p
+    words = np.zeros((m, 1), dtype=dtype)
+    for i in range(code.dimension):
+        table = np.zeros((m, p), dtype=dtype)
+        table[i : i + len(g)] = multiples
+        s = (table[:, :, None] + words[:, None, :]).reshape(m, -1)
+        words = np.minimum(s, s - dtype(p), out=s)
+    return words
+
+
 def verify_reversibility_by_enumeration(code: CyclicCode) -> bool:
     """Brute-force oracle: list every codeword and test closure under reversal.
 
     The codewords are exactly u(x) * g(x) for deg(u) < dimension; closure
     holds iff the reversed rows form the same set.
+
+    The words are listed digit-column by digit-column, one generator shift
+    at a time: row j of an (m, p^dim) array holds digit j of every word, and
+    each digit sum is reduced mod p by one subtraction, with no division.
+    Each word and its reversal become an integer key by Horner's rule over
+    the digit rows, and the two sorted key lists must be equal; when p^m
+    does not fit in int64 the words are compared as sorted unique rows.
     """
+    import numpy as np
+
     p, m, dim = code.p, code.m, code.dimension
     if p**dim > ENUMERATION_CAP:
         raise CapacityError(f"{p}^{dim} codewords exceed the enumeration cap {ENUMERATION_CAP}")
     if p * (p - 1) > np.iinfo(np.int16).max:
+        # the oracle's stated range, kept with its refusal text; uint16 digits would reach further
         raise CapacityError(f"enumeration over GF({p}) overflows its int16 words; it supports p <= 181")
     if dim == 0:
         return True  # only the zero word, which reverses to itself
-    gen = np.zeros(m, dtype=np.int16)
-    gen[: len(code.generator.coeffs)] = code.generator.coeffs
-    words = np.zeros((1, m), dtype=np.int16)
-    scalars = np.arange(p, dtype=np.int16)[None, :, None]
-    for i in range(dim):
-        shifted = np.roll(gen, i)[None, None, :]
-        words = ((words[:, None, :] + scalars * shifted) % p).reshape(-1, m)
+    words = _codeword_digits(code)
     if p**m < 2**62:
-        powers = p ** np.arange(m, dtype=np.int64)
-        fwd = words.astype(np.int64) @ powers
-        rev = words[:, ::-1].astype(np.int64) @ powers
+        fwd = words[m - 1].astype(np.int64)
+        rev = words[0].astype(np.int64)
+        for j in range(1, m):
+            fwd *= p
+            fwd += words[m - 1 - j]
+            rev *= p
+            rev += words[j]
         fwd.sort()
         rev.sort()
         return bool(np.array_equal(fwd, rev))
-    rows = np.unique(words, axis=0)
-    rev_rows = np.unique(words[:, ::-1], axis=0)
+    rows = np.unique(words.T, axis=0)
+    rev_rows = np.unique(words[::-1].T, axis=0)
     return bool(np.array_equal(rows, rev_rows))

@@ -86,14 +86,17 @@ class Poly:
     def __post_init__(self):
         # every builder and operation ends here, so read (and reduce) the integers in one pass
         p = self.ring.p
+        coeffs = self.coeffs
         try:
+            if not isinstance(coeffs, (tuple, list)):
+                coeffs = tuple(coeffs)  # a one-shot iterator must survive both passes
             if p is None:
-                c = list(map(operator.index, self.coeffs))
+                c = list(map(operator.index, coeffs))
             else:
-                c = [operator.index(v) % p for v in self.coeffs]
+                c = [operator.index(v) % p for v in coeffs]
         except TypeError as e:
             raise DomainError(f"polynomial coefficients must be integers: {e}") from None
-        if bool in map(type, self.coeffs):
+        if bool in map(type, coeffs):
             raise DomainError("polynomial coefficients must be integers, not bool")
         while c and c[-1] == 0:
             c.pop()

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from reciprodick import (
     is_prime,
     weight_base_p,
 )
+from reciprodick.binomics import LUCAS_STEP_CAP
 
 
 def reference_binomial(n, m):
@@ -194,6 +196,20 @@ class TestLucas:
             assert binomial_mod_p_lucas(5, 2, p) == 10
         assert binomial_mod_p_lucas(2**61 - 2, 2, 2**61 - 1) == 1  # C(-1, 2) = 1 mod p
         assert binomial_mod_p_lucas(10**6, 3, 1009) == math.comb(10**6, 3) % 1009
+
+    def test_huge_digits(self):
+        # one digit pair (2^60, 2^59) used to run about 2^59 steps
+        p = 2**61 - 1
+        t0 = time.perf_counter()
+        with pytest.raises(CapacityError, match=f"LUCAS_STEP_CAP = {LUCAS_STEP_CAP}"):
+            binomial_mod_p_lucas(2**60, 2**59, p)
+        with pytest.raises(CapacityError):
+            binomial_mod_p_lucas(2**60, 2**60 - 2**59 + 1, p)  # min(b, a - b) counts, not b
+        # a digit of m above n's gives 0 before any digit factor is computed, here
+        # before the low digit pair (2^60, 2^59)
+        assert binomial_mod_p_lucas(2**60 + p, 2**59 + 2 * p, p) == 0
+        assert binomial_mod_p_lucas(2**60, 2**60 - 3, p) == math.comb(2**60, 3) % p  # 3 steps
+        assert time.perf_counter() - t0 < 0.5
 
 
 class TestBinomialRowModP:

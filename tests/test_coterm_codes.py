@@ -1,7 +1,12 @@
 import itertools
+import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import reciprodick
 from reciprodick import (
     CapacityError,
     CotermContext,
@@ -22,6 +27,7 @@ from reciprodick import (
     self_reciprocal_divisors,
     verify_reversibility_by_enumeration,
 )
+from reciprodick.coterm_codes import ENUMERATION_CAP, _codeword_digits
 
 
 def P(ring, *coeffs):
@@ -30,6 +36,39 @@ def P(ring, *coeffs):
 
 def xm_minus_1(p, m):
     return Poly(GF(p), (-1,) + (0,) * (m - 1) + (1,))
+
+
+REFERENCE_WORDS = 10**5
+
+
+def reference_words(code):
+    # the words u * g over all u with deg u < dim, as digit tuples; no library enumeration code
+    p, m, g = code.p, code.m, code.generator.coeffs
+    words = {(0,) * m}
+    for i in range(code.dimension):
+        shifted = (0,) * i + g + (0,) * (m - i - len(g))
+        words = {tuple([(a + c * b) % p for a, b in zip(w, shifted)]) for w in words for c in range(p)}
+    return words
+
+
+def check_against_reference(code):
+    # the verdict against the reference's, and the listed words against its words
+    result = verify_reversibility_by_enumeration(code)
+    words = reference_words(code)
+    assert result == (words == {w[::-1] for w in words}), code
+    listed = _codeword_digits(code).T.tolist()
+    assert len(listed) == len(words) and set(map(tuple, listed)) == words, code
+    return result
+
+
+def split_divisors(p, m):
+    # for m | p - 1, x^m - 1 is the product of x - r over the m-th roots of
+    # unity r, and its monic divisors are the products over subsets of them
+    ring = GF(p)
+    roots = sorted({pow(a, (p - 1) // m, p) for a in range(1, p)})
+    assert len(roots) == m
+    return [math.prod((P(ring, -r, 1) for r in subset), start=Poly.one(ring))
+            for k in range(m + 1) for subset in itertools.combinations(roots, k)]
 
 
 class TestIsCoterm:
@@ -355,7 +394,7 @@ class TestCyclicCodes:
             verify_reversibility_by_enumeration(code)
 
     def test_enumeration_word_range(self):
-        # codewords are int16 arrays: p * (p - 1) must fit, which holds up to p = 181
+        # the enumeration supports p <= 181, where p * (p - 1) fits in int16
         code = build_cyclic_code(181, 2, P(GF(181), -1, 1))
         assert code.reversible and verify_reversibility_by_enumeration(code) is True
         with pytest.raises(CapacityError):
@@ -368,6 +407,42 @@ class TestCyclicCodes:
             code = build_cyclic_code(3, 40, x40 // h)
             assert code.reversible is reversible
             assert verify_reversibility_by_enumeration(code) is reversible
+
+    def test_enumeration_matches_reference(self):
+        # every code of these lengths; the pure-Python reference takes a few
+        # microseconds a word, so the 12 codes above 10^5 words meet the criterion only
+        seen = {True: 0, False: 0}
+        for primes, lengths in (((2, 3, 5, 7), range(1, 9)), ((11, 13), range(1, 6))):
+            for p in primes:
+                for m in lengths:
+                    for g in monic_divisors(p, m):
+                        code = build_cyclic_code(p, m, g)
+                        if p**code.dimension > ENUMERATION_CAP:
+                            with pytest.raises(CapacityError):
+                                verify_reversibility_by_enumeration(code)
+                            continue
+                        if p**code.dimension <= REFERENCE_WORDS:
+                            result = check_against_reference(code)
+                        else:
+                            result = verify_reversibility_by_enumeration(code)
+                        assert result == code.reversible, (p, m, g)
+                        seen[result] += 1
+        assert seen[True] and seen[False]
+
+    @pytest.mark.parametrize("p", [131, 181])
+    def test_enumeration_wide_digits(self, p):
+        # digit sums reach 2(p - 1) > 255, so the digits are 16 bits wide; at
+        # m = 5 two shifts meet in one digit, and x^5 - 1 splits over GF(p)
+        seen = {True: 0, False: 0}
+        for m in (2, 5):
+            for g in split_divisors(p, m):
+                code = build_cyclic_code(p, m, g)
+                if p**code.dimension > ENUMERATION_CAP:
+                    continue
+                result = check_against_reference(code)
+                assert result == code.reversible, (p, m, g)
+                seen[result] += 1
+        assert seen[True] and seen[False]
 
     def test_hamming_reversal_witness(self):
         # 1101000 reverses to 0001011 = x^3*(1 + x^2 + x^3); the other cubic
@@ -393,3 +468,13 @@ class TestCyclicCodes:
             for m in range(1, 9):
                 for g in self_reciprocal_divisors(p, m):
                     assert generates_reversible_code(g)
+
+
+def test_import_loads_no_numpy():
+    # numpy is imported only when codewords are enumerated
+    src_dir = str(Path(reciprodick.__file__).resolve().parents[1])
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import reciprodick, reciprodick.cli; "
+             "assert 'numpy' not in sys.modules; "
+             "reciprodick.verify_reversibility_by_enumeration(reciprodick.build_cyclic_code("
+             "2, 3, reciprodick.Poly(reciprodick.GF(2), (1, 1)))); assert 'numpy' in sys.modules")
+    subprocess.run([sys.executable, "-c", probe, src_dir], check=True)

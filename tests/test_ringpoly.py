@@ -69,6 +69,16 @@ class TestArithmetic:
                 with pytest.raises(DomainError):
                     Poly(ring, coeffs)
 
+    def test_one_shot_iterators(self):
+        # the integer pass used to consume the iterator before the bool check: iter([True, 2]) was 1 + 2x
+        for ring in (Z, GF(5)):
+            for coeffs in ([True, 2], [2, False], [2.5, 1]):
+                with pytest.raises(DomainError):
+                    Poly(ring, iter(coeffs))
+        assert Poly(Z, (v for v in (1, -7, 0, 12, 0))) == P(Z, 1, -7, 0, 12)
+        assert Poly(GF(5), (v for v in (1, -7, 0, 12, 0))) == P(GF(5), 1, 3, 0, 2)
+        assert Poly(GF(5), iter([5, 10])) == Poly.zero(GF(5))
+
     def test_trimming_and_degree(self):
         assert P(Z, 1, 2, 0, 0).coeffs == (1, 2)
         assert P(Z).degree is None
