@@ -72,6 +72,8 @@ P_NOT_DIVIDING_N_PLUS_1 = Condition("p not dividing n + 1", lambda n, p: (n + 1)
 
 def canonical_id(name: str, ids, noun: str, aliases: dict) -> str:
     """Map spellings like 't2.1' or 'l-1' onto the canonical id among ``ids``."""
+    if not isinstance(name, str):
+        raise DomainError(f"{noun} must be a string, got {name!r}")
     t = name.strip().upper().replace(".", "_").replace("-", "_")
     t = aliases.get(t, t)
     if t not in ids:

@@ -15,12 +15,16 @@ coefficient that could exceed 53 bits is carried as a decimal string.
 
 Exit codes: 0 success, 1 usage or domain errors, 2 when a scan found
 predicate/oracle disagreements (the records are still emitted).
+
+``main(argv)`` may be called repeatedly in one process: the argument parser
+is built once, on the first call, and every parse makes a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -54,6 +58,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ERROR)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="reciprodick", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

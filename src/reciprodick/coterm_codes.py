@@ -37,6 +37,7 @@ from .families import FAMILY_TABLE, FamilySpec, build
 from .ringpoly import GF, Poly, Ring, gcd
 
 ENUMERATION_CAP = 10**6
+_ENUMERATION_P_MAX = 181
 DIVISOR_CAP = 4096
 _FACTOR_P_CAP = 13
 _FACTOR_M_CAP = 32
@@ -53,8 +54,10 @@ class CotermContext:
     ring: Ring
 
     def __post_init__(self):
-        if self.m < 1:
+        if as_int(self.m, "coterm modulus m") < 1:
             raise DomainError("coterm modulus m must be >= 1")
+        if not isinstance(self.ring, Ring):
+            raise DomainError(f"coterm ring must be a Ring, got {self.ring!r}")
 
 
 def is_coterm(a: Poly, ctx: CotermContext) -> bool:
@@ -145,6 +148,9 @@ def coterm_construct(rule: str, n: int, k: int, ring: Ring) -> CotermConstructio
     n = p^l + 1, 1 for T5_9 with n = p^l, and 1 for CHAR2 with n = 2^l.
     """
     t, row = coterm_rule(rule)
+    n, k = as_int(n, f"{t} n"), as_int(k, f"{t} k")
+    if not isinstance(ring, Ring):
+        raise DomainError(f"{t} takes a Ring, got {ring!r}")
     if not row.ring.holds(ring):
         raise HypothesisError(f"{t} is stated over {row.ring.text}")
     if not row.n.holds(n):
@@ -326,9 +332,8 @@ def verify_reversibility_by_enumeration(code: CyclicCode) -> bool:
     p, m, dim = code.p, code.m, code.dimension
     if p**dim > ENUMERATION_CAP:
         raise CapacityError(f"{p}^{dim} codewords exceed the enumeration cap {ENUMERATION_CAP}")
-    if p * (p - 1) > np.iinfo(np.int16).max:
-        # the oracle's stated range, kept with its refusal text; uint16 digits would reach further
-        raise CapacityError(f"enumeration over GF({p}) overflows its int16 words; it supports p <= 181")
+    if p > _ENUMERATION_P_MAX:
+        raise CapacityError(f"the enumeration oracle supports p <= {_ENUMERATION_P_MAX}, not GF({p})")
     if dim == 0:
         return True  # only the zero word, which reverses to itself
     words = _codeword_digits(code)

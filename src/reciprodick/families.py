@@ -180,6 +180,9 @@ def f_expanded_odd(n: int, k: int, ring: Ring = Z) -> Poly:
 
 def f_kind(n: int, kind: int, rows=binomial_row) -> Poly:
     """Kind specializations over Z: kind 1 picks even binomials, 2 and 3 odd."""
+    # called once per kind member, so plain ints skip the conversion
+    if type(n) is not int or type(kind) is not int:
+        n, kind = as_int(n, "f_kind n"), as_int(kind, "f_kind kind")
     if n < 0:
         raise DomainError("f_kind requires n >= 0")
     if kind not in (1, 2, 3):
@@ -197,6 +200,10 @@ def reversed_dickson(n: int, k: int, a: int = 1, ring: Ring = Z) -> Poly:
     division is exact for every n >= 1, i <= n//2 and any integer k, which the
     construction verifies instead of assuming.
     """
+    # called once per dickson member, so plain ints skip the conversion
+    if type(n) is not int or type(k) is not int or type(a) is not int:
+        n, k = as_int(n, "reversed_dickson n"), as_int(k, "reversed_dickson k")
+        a = as_int(a, "reversed_dickson a")
     if n < 0:
         raise DomainError("reversed_dickson requires n >= 0")
     _check_k_range(ring, k)
@@ -218,6 +225,7 @@ def reversed_dickson(n: int, k: int, a: int = 1, ring: Ring = Z) -> Poly:
 
 def check_dickson_f_identity(n: int, k: int) -> bool:
     """True iff 2^n * D_{n,k}(1, x) equals f_{n,k}(1 - 4x) coefficientwise over Z."""
+    n, k = as_int(n, "check_dickson_f_identity n"), as_int(k, "check_dickson_f_identity k")
     if n < 1:
         raise DomainError("check_dickson_f_identity requires n >= 1")
     lhs = reversed_dickson(n, k).scale(2**n)

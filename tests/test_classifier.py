@@ -21,6 +21,7 @@ from reciprodick import (
     scan,
 )
 from reciprodick import classifier
+from reciprodick.coterm_codes import coterm_rule
 
 K_WINDOW = tuple(range(-5, 7))
 
@@ -146,6 +147,15 @@ class TestScan:
         for bounds in ({"n_min": 2.5, "n_max": 4}, {"n_min": 2, "n_max": 4.0}, {"n_max": True}):
             with pytest.raises(DomainError):
                 scan("T2_1", **bounds)
+
+    def test_rejects_non_string_ids(self):
+        # scan(5) used to raise AttributeError: 'int' object has no attribute 'strip'
+        spec = FamilySpec("f", 4, 0)
+        for bad in (5, None, 2.1, ("T2_1",), b"T2_1"):
+            for call in (lambda: scan(bad), lambda: normalize_theorem_id(bad),
+                         lambda: predicate(bad, spec), lambda: coterm_rule(bad)):
+                with pytest.raises(DomainError, match="must be a string"):
+                    call()
 
     def test_verdict_json_shape(self):
         v = scan("T3_1", n_min=6, n_max=6, k_values=(2,), p_list=(3,))[0]

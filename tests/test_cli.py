@@ -1,6 +1,12 @@
+import argparse
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
-
+import reciprodick
 from reciprodick import Poly
 from reciprodick.cli import main
 
@@ -253,3 +259,65 @@ class TestHelp:
 
     def test_no_command_exits_1(self, capsys):
         assert run(capsys)[0] == 1
+
+
+# One process serves many calls: each call's rc, stdout and stderr must match
+# a fresh interpreter's.  The table/verify pair stays in that order, so table's
+# all_verdicts default would show in verify's output if it leaked.
+REUSE_UNITS = (
+    ("gen --family f --n 4 --k 0",),
+    ("gen --family f --n-max 5 --k-min 0 --k-max 1 --format csv",),
+    ("classify --family f --ring fp --p 3 --n-max 6 --k 1",),
+    ("classify --family g --n-max 6 --k 0 --format csv",),
+    ("table --theorem t2.3 --n-min 4 --n-max 4", "verify --theorem t2.3 --n-min 4 --n-max 4"),
+    ("table --theorem t4.1 --n-max 6 --format csv", "verify --theorem t4.1 --n-max 6 --format csv"),
+    ("coterm --theorem t5.1 --n 6",),
+    ("coterm --theorem t5.9 --n 9 --p 3 --format csv",),
+    ("code --p 2 --m 7",),
+    ("code --p 3 --m 4 --sr-only --format csv",),
+    ("--help",),
+    ("gen --help",),
+    ("",),
+    ("gen --family f --n 4 --n-max 8",),
+    ("gen --family nope --n 4",),
+    ("code --p 2",),
+    ("verify --theorem t2.1 --all-verdicts --bogus",),
+    ("gen --family g --n 5 --k 0",),
+)
+
+
+def _fresh_process(argv: list[str]) -> tuple[int, str, str]:
+    src_dir = str(Path(reciprodick.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src_dir, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path, "COLUMNS": "80"}
+    proc = subprocess.run([sys.executable, "-m", "reciprodick", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestParserReuse:
+    def test_repeated_calls_match_fresh_processes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        argvs = [line.split() for unit in REUSE_UNITS for line in unit]
+        expected = {" ".join(argv): _fresh_process(argv) for argv in argvs}
+        rng = random.Random(20161)
+        for _ in range(2):
+            units = list(REUSE_UNITS)
+            rng.shuffle(units)
+            for line in (line for unit in units for line in unit):
+                assert run(capsys, *line.split()) == expected[line], line
+
+    def test_warm_calls_build_no_arguments(self, capsys, monkeypatch):
+        run(capsys, "gen", "--family", "f", "--n", "4")
+        calls = []
+        add_argument = argparse._ActionsContainer.add_argument
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+        for argv in (("gen", "--family", "f", "--n", "4"), ("table", "--theorem", "t2.1", "--n-max", "4"),
+                     ("code", "--p", "2", "--m", "3")):
+            assert run(capsys, *argv)[0] == 0
+        assert calls == []

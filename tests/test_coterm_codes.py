@@ -96,6 +96,18 @@ class TestIsCoterm:
         with pytest.raises(DomainError):
             CotermContext(0, Z)
 
+    def test_context_rejects_non_integer_modulus(self):
+        # CotermContext(2.5, Z) used to fail later with a bare TypeError, and m = True was accepted
+        for bad in (2.5, 2.0, True, "4", None):
+            with pytest.raises(DomainError, match="must be an integer"):
+                is_coterm(P(Z, 1), CotermContext(bad, Z))
+
+    def test_context_rejects_non_ring(self):
+        # CotermContext(4, "Z") used to fail later with "ring mismatch: Z vs Z"
+        for bad in ("Z", 5, None):
+            with pytest.raises(DomainError, match="Ring"):
+                CotermContext(4, bad)
+
 
 class TestFromSelfReciprocal:
     def test_examples(self):
@@ -183,6 +195,19 @@ class TestCotermConstruct:
             coterm_construct("T5_9", 5, 1, GF(3))
         with pytest.raises(HypothesisError, match="odd n > 3"):
             coterm_construct("T5_4", 3, 1, Z)
+
+    def test_rejects_non_ring(self):
+        # coterm_construct("T5_7", 10, 0, "Z") used to raise AttributeError
+        for rule in ("T5_1", "T5_7", "CHAR2"):
+            for bad in ("Z", 3, None):
+                with pytest.raises(DomainError, match="Ring"):
+                    coterm_construct(rule, 10, 0, bad)
+
+    def test_rejects_non_integer_n_and_k(self):
+        # coterm_construct("T5_1", "4", 0, Z) used to raise a bare TypeError
+        for n, k in (("4", 0), (4.0, 0), (True, 0), (4, 0.0), (4, False), (4, None)):
+            with pytest.raises(DomainError, match="must be an integer"):
+                coterm_construct("T5_1", n, k, Z)
 
     def test_every_rule_yields_coterm(self):
         for n in range(4, 41, 2):
@@ -394,10 +419,10 @@ class TestCyclicCodes:
             verify_reversibility_by_enumeration(code)
 
     def test_enumeration_word_range(self):
-        # the enumeration supports p <= 181, where p * (p - 1) fits in int16
+        # the enumeration supports p <= 181
         code = build_cyclic_code(181, 2, P(GF(181), -1, 1))
         assert code.reversible and verify_reversibility_by_enumeration(code) is True
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match=r"supports p <= 181, not GF\(191\)$"):
             verify_reversibility_by_enumeration(build_cyclic_code(191, 2, P(GF(191), -1, 1)))
 
     def test_enumeration_wide_words(self):

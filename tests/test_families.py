@@ -169,6 +169,12 @@ class TestKinds:
         with pytest.raises(DomainError):
             f_kind(4, 4)
 
+    def test_rejects_non_integers(self):
+        # f_kind(4, True) used to return the kind-1 member
+        for args in ((4, True), (4, 1.0), (4.0, 1), ("4", 2)):
+            with pytest.raises(DomainError, match="must be an integer"):
+                f_kind(*args)
+
 
 class TestFChar2:
     def test_examples(self):
@@ -243,6 +249,15 @@ class TestReversedDickson:
     def test_negative_n(self):
         with pytest.raises(DomainError):
             reversed_dickson(-1, 0)
+
+    def test_rejects_non_integers(self):
+        # reversed_dickson(4, 0.5) used to raise a false RuntimeError, (4.0, 0) a bare TypeError
+        for args in ((4, 0.5), (4.0, 0), (4, True), (True, 0), ("4", 0), (4, 0, 1.5), (4, 0, True)):
+            with pytest.raises(DomainError, match="must be an integer"):
+                reversed_dickson(*args)
+        for args in ((4.5, 0), (4, 0.0), (4, True)):
+            with pytest.raises(DomainError, match="must be an integer"):
+                check_dickson_f_identity(*args)
 
 
 class TestFamilySpec:
