@@ -296,6 +296,14 @@ def _rings(kind: Condition, p_list) -> list[Ring]:
     return [GF(p) for p in ps]
 
 
+def _int_list(values, what: str) -> list[int]:
+    try:
+        items = list(values)
+    except TypeError:
+        raise DomainError(f"{what} must be an iterable of integers, got {values!r}") from None
+    return [as_int(v, f"a {what} entry") for v in items]
+
+
 def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Verdict]:
     """Evaluate one rule over finite ranges, one Verdict per in-range spec.
 
@@ -303,18 +311,21 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
     deterministic.  Over Z, k runs over ``k_values`` as given (default
     DEFAULT_K_WINDOW); over GF(p), over the distinct ``k_values`` in
     [0, p-1] in increasing order (default all of them).  Rules with a fixed
-    k ignore ``k_values``.  Mismatches are reported as data, not raised.
+    k ignore ``k_values``.  ``k_values`` and ``p_list`` may be any iterables
+    of integers.  Mismatches are reported as data, not raised.
     All members of one call over one ring read their binomial rows from one
     ``row_cache(ring)``, made for this call.
     """
     t = normalize_theorem_id(theorem)
     rule = RULE_TABLE[t]
+    k_values = None if k_values is None else _int_list(k_values, "k_values")
+    p_list = None if p_list is None else _int_list(p_list, "p_list")
     lo, hi = rule.scan_n
     lo = lo if n_min is None else max(as_int(n_min, "n_min"), lo)
     hi = hi if n_max is None else as_int(n_max, "n_max")
     ns = [n for n in range(lo, hi + 1) if rule.n.holds(n)]
     if rule.ring is OVER_Z:
-        ks = DEFAULT_K_WINDOW if k_values is None else list(k_values)
+        ks = DEFAULT_K_WINDOW if k_values is None else k_values
         specs = [FamilySpec(fam, n, k) for n in ns for k in ks for fam in rule.families]
     else:
         rings = _rings(rule.ring, p_list)

@@ -38,6 +38,7 @@ from .ringpoly import GF, Poly, Ring, gcd
 
 ENUMERATION_CAP = 10**6
 _ENUMERATION_P_MAX = 181
+_REDUCE_BLOCK = 1 << 15
 DIVISOR_CAP = 4096
 _FACTOR_P_CAP = 13
 _FACTOR_M_CAP = 32
@@ -294,23 +295,55 @@ def build_cyclic_code(p: int, m: int, generator: Poly) -> CyclicCode:
     return CyclicCode(p, m, generator, m - generator.degree, generates_reversible_code(generator))
 
 
-def _codeword_digits(code: CyclicCode):
-    # the (m, p^dim) digit columns of every codeword u * g with deg u < dim,
-    # in an unsigned dtype just wide enough for 2(p - 1).  Shift i adds the
-    # (m, p) table of c * x^i * g mod p, for every c, to every word so far; a
-    # digit sum s is reduced by min(s, s - p), as s - p wraps above s when s < p.
+def _check_enumerable(code) -> None:
+    # the listing trusts every field of the record, so check them before any array exists
+    if not isinstance(code, CyclicCode):
+        raise DomainError(f"the enumeration takes a CyclicCode, got {code!r}")
+    g, m, dim = code.generator, code.m, code.dimension
+    if not (isinstance(g, Poly) and g.ring == GF(code.p) and g.is_monic() and g[0]
+            and 0 <= as_int(dim, "dimension") and g.degree == as_int(m, "length m") - dim):
+        raise DomainError(f"generator {g} is not a monic polynomial over GF({code.p}) "
+                          "of degree m - dimension with a nonzero constant term")
+
+
+def _codeword_lanes(code: CyclicCode):
+    # a (2, lanes, p^dim) uint64 array: side 0 holds every codeword u * g with
+    # deg u < dim, side 1 the reversal of each, word k in column k.  Digit j sits in
+    # the w-bit field j % per of lane j // per, with w = bit_length(p - 1) + 1 and
+    # per = 64 // w, so a sum of two digits stays in its field.
     import numpy as np
 
-    p, m = code.p, code.m
-    dtype = np.uint8 if 2 * (p - 1) <= np.iinfo(np.uint8).max else np.uint16
-    g = np.array(code.generator.coeffs, dtype=np.int64)
-    multiples = (g[:, None] * np.arange(p)) % p  # row j, column c: c * g_j mod p
-    words = np.zeros((m, 1), dtype=dtype)
-    for i in range(code.dimension):
-        table = np.zeros((m, p), dtype=dtype)
-        table[i : i + len(g)] = multiples
-        s = (table[:, :, None] + words[:, None, :]).reshape(m, -1)
-        words = np.minimum(s, s - dtype(p), out=s)
+    p, m, dim = code.p, code.m, code.dimension
+    w = (p - 1).bit_length() + 1
+    per = 64 // w
+    lanes = -(-m // per)
+    g = np.array(code.generator.coeffs, dtype=np.uint64)
+    # digits[0, i, c] = c * x^i * g mod p.  Reversal permutes coordinates, so the
+    # reversal of sum u_i x^i g is sum u_i rev(x^i g), and digits[1] holds rev(x^i g)
+    digits = np.zeros((2, dim, p, lanes * per), dtype=np.uint64)
+    shift = np.arange(dim)[:, None]
+    multiples = np.multiply.outer(g, np.arange(p, dtype=np.uint64)) % np.uint64(p)  # [j, c] = c * g_j
+    digits[0, shift, :, shift + np.arange(len(g))] = multiples
+    digits[1, :, :, :m] = digits[0, :, :, m - 1 :: -1]
+    # tables[side, i, lane, c] packs the fields of digits[side, i, c] that fall in that lane
+    fields = np.uint64(1) << np.arange(0, w * per, w, dtype=np.uint64)
+    tables = np.ascontiguousarray((digits.reshape(2, dim, p, lanes, per) @ fields).swapaxes(2, 3))
+    # a field holding s <= 2(p - 1) sets its guard bit b = w - 1 in s + 2^b - p exactly when s >= p
+    ones = np.uint64(sum(1 << (w * k) for k in range(per)))
+    bias, b, p_ = ones * np.uint64(2 ** (w - 1) - p), np.uint64(w - 1), np.uint64(p)
+    words = tables[:, 0]
+    scratch = np.empty(min(2 * lanes * p**dim, _REDUCE_BLOCK), dtype=np.uint64)  # reduced block by block
+    for i in range(1, dim):
+        # shift i adds c * x^i * g, for every c, to every word so far
+        words = (tables[:, i, :, :, None] + words[:, :, None]).reshape(2, lanes, -1)
+        flat = words.reshape(-1)
+        for start in range(0, flat.size, _REDUCE_BLOCK):
+            s = flat[start : start + _REDUCE_BLOCK]
+            t = np.add(s, bias, out=scratch[: s.size])
+            t >>= b
+            t &= ones
+            t *= p_
+            s -= t
     return words
 
 
@@ -318,36 +351,35 @@ def verify_reversibility_by_enumeration(code: CyclicCode) -> bool:
     """Brute-force oracle: list every codeword and test closure under reversal.
 
     The codewords are exactly u(x) * g(x) for deg(u) < dimension; closure
-    holds iff the reversed rows form the same set.
+    holds iff the reversed words form the same set.
 
-    The words are listed digit-column by digit-column, one generator shift
-    at a time: row j of an (m, p^dim) array holds digit j of every word, and
-    each digit sum is reduced mod p by one subtraction, with no division.
-    Each word and its reversal become an integer key by Horner's rule over
-    the digit rows, and the two sorted key lists must be equal; when p^m
-    does not fit in int64 the words are compared as sorted unique rows.
+    Each word is packed into uint64 lanes, digit j in a field of
+    w = bit_length(p - 1) + 1 bits, so a sum of two digits fits its field.
+    The words and their reversals are listed one generator shift at a time:
+    shift i adds the packed c * x^i * g, or its reversal, for every c, to
+    every word so far, and one guard-bit step per lane reduces every field
+    mod p, with no division.  When the m fields fit one lane the two sorted
+    word lists must be equal; otherwise the lane rows, sorted by their first
+    lane, must be.
     """
-    import numpy as np
-
-    p, m, dim = code.p, code.m, code.dimension
+    _check_enumerable(code)
+    p, dim = code.p, code.dimension
     if p**dim > ENUMERATION_CAP:
         raise CapacityError(f"{p}^{dim} codewords exceed the enumeration cap {ENUMERATION_CAP}")
     if p > _ENUMERATION_P_MAX:
         raise CapacityError(f"the enumeration oracle supports p <= {_ENUMERATION_P_MAX}, not GF({p})")
     if dim == 0:
         return True  # only the zero word, which reverses to itself
-    words = _codeword_digits(code)
-    if p**m < 2**62:
-        fwd = words[m - 1].astype(np.int64)
-        rev = words[0].astype(np.int64)
-        for j in range(1, m):
-            fwd *= p
-            fwd += words[m - 1 - j]
-            rev *= p
-            rev += words[j]
-        fwd.sort()
-        rev.sort()
-        return bool(np.array_equal(fwd, rev))
-    rows = np.unique(words.T, axis=0)
-    rev_rows = np.unique(words[::-1].T, axis=0)
-    return bool(np.array_equal(rows, rev_rows))
+    import numpy as np
+
+    words = _codeword_lanes(code)
+    if words.shape[1] == 1:
+        words = words.reshape(2, -1)
+        words.sort(axis=1)
+        return bool(np.array_equal(words[0], words[1]))
+    # a word u * g is fixed by its low dim digits, which g(0) != 0 makes a triangular
+    # function of u, and so is a reversed word, a multiple of the reciprocal of g, whose
+    # constant term is 1.  Under the cap dim <= 64 // w, the fields of one lane, so
+    # those digits lie in lane 0, and ordering each side's rows by lane 0 leaves no ties
+    forward, backward = (side[:, np.argsort(side[0])] for side in words)
+    return bool(np.array_equal(forward, backward))

@@ -85,6 +85,8 @@ class Poly:
 
     def __post_init__(self):
         # every builder and operation ends here, so read (and reduce) the integers in one pass
+        if not isinstance(self.ring, Ring):
+            raise DomainError(f"polynomial ring must be a Ring, got {self.ring!r}")
         p = self.ring.p
         coeffs = self.coeffs
         try:
@@ -152,6 +154,8 @@ class Poly:
         return self.leading_coefficient == 1
 
     def _same_ring(self, other: "Poly") -> None:
+        if not isinstance(other, Poly):
+            raise DomainError(f"operand must be a Poly, got {other!r}")
         if self.ring != other.ring:
             raise DomainError(f"ring mismatch: {self.ring} vs {other.ring}")
 
@@ -328,6 +332,9 @@ def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
     e = as_int(e, "exponent")
     if e < 0:
         raise DomainError("negative exponent")
+    if not isinstance(mod, Poly):
+        raise DomainError(f"pow_mod's modulus must be a Poly, got {mod!r}")
+    mod._same_ring(base)
     mod._require_field()
     if not mod:
         raise DomainError("pow_mod needs a nonzero modulus")

@@ -157,6 +157,20 @@ class TestScan:
                 with pytest.raises(DomainError, match="must be a string"):
                     call()
 
+    def test_rejects_non_integer_iterables(self):
+        # each used to raise a bare TypeError
+        for kwargs in ({"k_values": 5}, {"k_values": ["a"]}, {"k_values": [1.0]}, {"k_values": "12"}):
+            for rule in ("T2_1", "T3_1"):
+                with pytest.raises(DomainError, match="k_values"):
+                    scan(rule, 2, 4, **kwargs)
+        for p_list in (3, [3.0], ["3"], [True]):
+            with pytest.raises(DomainError, match="p_list"):
+                scan("T3_1", 2, 4, p_list=p_list)
+        # any iterable of integers serves, and the verdicts do not depend on its type
+        assert scan("T3_1", 2, 6, k_values=iter([2, 1]), p_list=(x for x in (5, 3))) == \
+            scan("T3_1", 2, 6, k_values=[1, 2], p_list=[3, 5])
+        assert scan("T2_1", 2, 6, k_values=range(3)) == scan("T2_1", 2, 6, k_values=[0, 1, 2])
+
     def test_verdict_json_shape(self):
         v = scan("T3_1", n_min=6, n_max=6, k_values=(2,), p_list=(3,))[0]
         assert v.to_json_dict() == {

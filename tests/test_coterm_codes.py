@@ -4,12 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import reciprodick
 from reciprodick import (
     CapacityError,
     CotermContext,
+    CyclicCode,
     DomainError,
     GF,
     HypothesisError,
@@ -22,12 +24,13 @@ from reciprodick import (
     factor_xm_minus_1,
     generates_reversible_code,
     is_coterm,
+    is_prime,
     monic_divisors,
     monic_reciprocal,
     self_reciprocal_divisors,
     verify_reversibility_by_enumeration,
 )
-from reciprodick.coterm_codes import ENUMERATION_CAP, _codeword_digits
+from reciprodick.coterm_codes import ENUMERATION_CAP, _codeword_lanes
 
 
 def P(ring, *coeffs):
@@ -51,13 +54,26 @@ def reference_words(code):
     return words
 
 
+def decode(lanes, p, m):
+    # packed words as digit tuples: digit j is the w-bit field j % per of lane
+    # j // per, with w = bit_length(p - 1) + 1 and per = 64 // w
+    w = (p - 1).bit_length() + 1
+    per = 64 // w
+    j = np.arange(m)
+    fields = (lanes[j // per] >> (w * (j % per)).astype(np.uint64)[:, None]) & np.uint64(2**w - 1)
+    return list(map(tuple, fields.T.tolist()))
+
+
 def check_against_reference(code):
-    # the verdict against the reference's, and the listed words against its words
+    # the verdict against the reference's, and both listed sides against its words
     result = verify_reversibility_by_enumeration(code)
     words = reference_words(code)
-    assert result == (words == {w[::-1] for w in words}), code
-    listed = _codeword_digits(code).T.tolist()
-    assert len(listed) == len(words) and set(map(tuple, listed)) == words, code
+    reversed_words = {w[::-1] for w in words}
+    assert result == (words == reversed_words), code
+    if code.dimension:  # the zero code is answered without a listing
+        forward, backward = (decode(side, code.p, code.m) for side in _codeword_lanes(code))
+        assert len(forward) == len(words) and set(forward) == words, code
+        assert len(backward) == len(words) and set(backward) == reversed_words, code
     return result
 
 
@@ -413,6 +429,40 @@ class TestCyclicCodes:
         assert full.dimension == 0
         assert verify_reversibility_by_enumeration(full) is True
 
+    def test_enumeration_rejects_malformed_codes(self):
+        # a non-code used to raise a bare AttributeError, and a generator of the
+        # wrong degree a bare numpy ValueError or a listing of the wrong words
+        x1 = P(GF(2), 1, 1)
+        malformed = ("x", None, (2, 3, x1, 2, True),
+                     CyclicCode(2, 3, x1, 5, True),  # degree 1, m - dimension = -2
+                     CyclicCode(2, 3, x1, 1, True),  # degree 1, m - dimension = 2
+                     CyclicCode(2, 1, P(GF(2), 0, 0, 1), -1, True),  # degree 2 = m - dimension, dimension < 0
+                     CyclicCode(2, 3, P(GF(3), 1, 1), 2, True),  # over GF(3), not GF(2)
+                     CyclicCode(3, 3, P(GF(3), 2, 2), 2, True),  # not monic
+                     CyclicCode(2, 3, P(GF(2), 0, 1), 2, True),  # x divides no x^m - 1
+                     CyclicCode(2, 3, (1, 1), 2, True), CyclicCode(2, 3, P(Z, 1, 1), 2, True),
+                     CyclicCode(2, 3.0, x1, 2, True), CyclicCode(2, 3, x1, 2.0, True),
+                     CyclicCode(4, 3, x1, 2, True), CyclicCode("2", 3, x1, 2, True),
+                     CyclicCode(2, 30, x1, 28, True))  # over the cap, yet malformed first
+        for code in malformed:
+            with pytest.raises(DomainError):
+                verify_reversibility_by_enumeration(code)
+        # the refusals keep their order: the cap, then p > 181, then dim = 0
+        with pytest.raises(CapacityError, match=r"^191\^3 codewords exceed"):
+            verify_reversibility_by_enumeration(build_cyclic_code(191, 4, P(GF(191), -1, 1)))
+        with pytest.raises(CapacityError, match=r"supports p <= 181, not GF\(191\)$"):
+            verify_reversibility_by_enumeration(build_cyclic_code(191, 1, P(GF(191), -1, 1)))
+        assert verify_reversibility_by_enumeration(build_cyclic_code(181, 1, P(GF(181), -1, 1))) is True
+
+    def test_enumeration_checks_before_numpy(self):
+        # a malformed code is refused before numpy is imported, let alone an array made
+        src_dir = str(Path(reciprodick.__file__).resolve().parents[1])
+        probe = ("import sys; sys.path.insert(0, sys.argv[1]); import reciprodick as R\n"
+                 "try: R.verify_reversibility_by_enumeration(R.CyclicCode(2, 3, R.Poly(R.GF(2), (1, 1)), 5, True))\n"
+                 "except R.DomainError: pass\n"
+                 "assert 'numpy' not in sys.modules")
+        subprocess.run([sys.executable, "-c", probe, src_dir], check=True)
+
     def test_enumeration_cap(self):
         code = build_cyclic_code(2, 25, Poly.one(GF(2)))
         with pytest.raises(CapacityError):
@@ -426,7 +476,7 @@ class TestCyclicCodes:
             verify_reversibility_by_enumeration(build_cyclic_code(191, 2, P(GF(191), -1, 1)))
 
     def test_enumeration_wide_words(self):
-        # p^m >= 2^62: words are compared as rows, not packed into int64
+        # 40 fields of 3 bits take two lanes: words are compared as sorted unique lane rows
         x40 = xm_minus_1(3, 40)
         for h, reversible in ((P(GF(3), -1, 1), True), (P(GF(3), 2, 1, 1), False)):
             code = build_cyclic_code(3, 40, x40 // h)
@@ -456,7 +506,7 @@ class TestCyclicCodes:
 
     @pytest.mark.parametrize("p", [131, 181])
     def test_enumeration_wide_digits(self, p):
-        # digit sums reach 2(p - 1) > 255, so the digits are 16 bits wide; at
+        # digit sums reach 2(p - 1) > 255, so the fields are 9 bits wide; at
         # m = 5 two shifts meet in one digit, and x^5 - 1 splits over GF(p)
         seen = {True: 0, False: 0}
         for m in (2, 5):
@@ -468,6 +518,33 @@ class TestCyclicCodes:
                 assert result == code.reversible, (p, m, g)
                 seen[result] += 1
         assert seen[True] and seen[False]
+
+    @pytest.mark.parametrize("p, m, lanes", [(3, 21, 1), (7, 16, 1), (3, 26, 2), (181, 9, 2)])
+    def test_enumeration_lanes(self, p, m, lanes):
+        # 21 fields of 3 bits fill 63 bits of one lane and 16 fields of 4 bits
+        # all 64; 26 fields of 3 bits split 21 + 5 over two lanes, 9 of 9 bits 7 + 2.
+        # Every code up to 1000 words, and the largest of each verdict below 10^5
+        divisors = split_divisors(p, m) if p == 181 else monic_divisors(p, m)
+        codes = [code for g in divisors if p ** (code := build_cyclic_code(p, m, g)).dimension <= REFERENCE_WORDS]
+        large = [code for code in codes if p**code.dimension > 1000]
+        chosen = [code for code in codes if p**code.dimension <= 1000]
+        chosen += [next(code for code in large if code.reversible is r) for r in {code.reversible for code in large}]
+        seen = {True: 0, False: 0}
+        for code in chosen:
+            if code.dimension:
+                assert _codeword_lanes(code).shape[1] == lanes, code
+            result = check_against_reference(code)
+            assert result == code.reversible, code
+            seen[result] += 1
+        assert seen[True] and (seen[False] or (p, m) == (3, 21))  # every code of length 21 over GF(3) is reversible
+
+    def test_enumeration_low_digits_fit_lane_zero(self):
+        # rows of several lanes are ordered by lane 0 alone, which is exact because
+        # a codeword and a reversed one are fixed by their low dim digits, and under
+        # the cap those lie in lane 0
+        for p in filter(is_prime, range(2, 182)):
+            dim = max(d for d in range(21) if p**d <= ENUMERATION_CAP)
+            assert dim <= 64 // ((p - 1).bit_length() + 1), p
 
     def test_hamming_reversal_witness(self):
         # 1101000 reverses to 0001011 = x^3*(1 + x^2 + x^3); the other cubic

@@ -63,6 +63,16 @@ class TestArithmetic:
         with pytest.raises(DomainError):
             P(GF(3), 1) * P(GF(5), 1)
 
+    def test_rejects_non_ring_and_non_poly_operands(self):
+        # each used to raise a bare AttributeError
+        g = P(GF(3), 1, 1)
+        calls = (lambda: Poly("Z", (1,)), lambda: Poly(None, ()), lambda: g + 3, lambda: g - 3,
+                 lambda: g * 3, lambda: g % 3, lambda: divmod(g, 3), lambda: gcd(g, 3),
+                 lambda: pow_mod(g, 2, 3), lambda: pow_mod(3, 2, g))
+        for call in calls:
+            with pytest.raises(DomainError):
+                call()
+
     def test_rejects_non_integer_coefficients(self):
         for ring in (Z, GF(5)):
             for coeffs in ((2.7,), (1.0,), (True,), (1, False), ("1",), "12", (None,)):
