@@ -34,8 +34,8 @@ from typing import Callable
 
 from .binomics import binomial_row, is_power_of, is_prime
 from .errors import CapacityError, DomainError, HypothesisError, as_int
-from .families import FamilySpec, build, row_cache
-from .ringpoly import GF, Poly, Ring, Z, gcd, pow_mod
+from .families import FAMILY_TABLE, FamilySpec, build, row_cache
+from .ringpoly import GF, Poly, Ring, Z, gcd, pow_mod, require_poly
 
 DEFAULT_ODD_PRIMES = (3, 5, 7, 11, 13)
 DEFAULT_K_WINDOW = tuple(range(-5, 7))
@@ -86,21 +86,26 @@ def canonical_id(name: str, ids, noun: str, aliases: dict) -> str:
 
 @dataclass(frozen=True)
 class Rule:
-    """One row of the rule table: a rule's hypotheses, scan range and prediction.
+    """One row of the rule table or of the coterm table: its hypotheses, and what it states.
 
     A classification predicts self-reciprocality and scan compares it with
     the oracle; a corollary, and the lemma L1, claim on every spec of their
-    domain that the polynomial is not both self-reciprocal and irreducible.
+    domain that the polynomial is not both self-reciprocal and irreducible; a
+    coterm construction removes the leading term of its family's member at
+    ``fixed_k``, which these hypotheses make self-reciprocal, and the member's
+    degree is the coterm modulus m.  ``check_hypotheses`` checks every kind.
     """
 
-    kind: str  # "classification", "corollary" or "lemma"
+    kind: str  # "classification", "corollary", "lemma" or "coterm"
     families: tuple[str, ...]
     ring: Condition
     n: Condition
-    scan_n: tuple[int, int]  # default scan range of n; its low end is also a floor
+    scan_n: tuple[int, int] | None = None  # default scan range of n; its low end is also a floor
     predict: Callable[[int, int, int | None], bool] | None = None  # of (n, k, p)
     fixed_k: int | None = None
     sides: tuple[Condition, ...] = ()
+    # (test, c) for a coterm construction known to collapse to the constant c when test(n, p)
+    degenerate: tuple[Callable[[int, int], bool], int] | None = None
 
 
 _EVEN_N = Condition("even n > 1", lambda n: n > 1 and n % 2 == 0)
@@ -176,25 +181,35 @@ def oracle_self_reciprocal(spec: FamilySpec, rows=binomial_row) -> bool:
 # ------------------------------------------------------------------ predicates
 
 
+def check_hypotheses(t: str, row: Rule, family: str, n: int, k: int, ring: Ring) -> None:
+    """HypothesisError naming the first hypothesis of row ``t`` that fails.
+
+    The order is the family, the ring, n, the fixed k, then the side conditions.
+    """
+    fams = row.families
+    if family not in fams:
+        named = f"{'families' if len(fams) > 1 else 'family'} {' and '.join(fams)}"
+        raise HypothesisError(f"{t} applies to {named}")
+    if not row.ring.holds(ring):
+        raise HypothesisError(f"{t} is stated over {row.ring.text}")
+    if not row.n.holds(n):
+        raise HypothesisError(f"{t} requires {row.n.text}")
+    if row.fixed_k is not None and k != row.fixed_k:
+        # a row on a family that fixes k (fchar2) words it as the family does
+        fixed = FAMILY_TABLE[family].fixed_k
+        raise HypothesisError(f"{t} {fixed[1] if fixed else f'requires k = {row.fixed_k}'}")
+    for side in row.sides:
+        if not side.holds(n, ring.p):
+            raise HypothesisError(f"{t} requires {side.text}")
+
+
 def _check_hypotheses(theorem: str, kind: str, spec: FamilySpec, wrong_kind: str) -> Rule:
     """The rule's row, once it is of ``kind`` (else "<id> is not <wrong_kind>") and holds on spec."""
     t = normalize_theorem_id(theorem)
     rule = RULE_TABLE[t]
     if rule.kind != kind:
         raise DomainError(f"{t} is not {wrong_kind}")
-    fams = rule.families
-    if spec.family not in fams:
-        named = f"{'families' if len(fams) > 1 else 'family'} {' and '.join(fams)}"
-        raise HypothesisError(f"{t} applies to {named}")
-    if not rule.ring.holds(spec.ring):
-        raise HypothesisError(f"{t} applies over {rule.ring.text}")
-    if rule.fixed_k is not None and spec.k != rule.fixed_k:
-        raise HypothesisError(f"{t} requires k = {rule.fixed_k}")
-    if not rule.n.holds(spec.n):
-        raise HypothesisError(f"{t} requires {rule.n.text}")
-    for side in rule.sides:
-        if not side.holds(spec.n, spec.ring.p):
-            raise HypothesisError(f"{t} requires {side.text}")
+    check_hypotheses(t, rule, spec.family, spec.n, spec.k, spec.ring)
     return rule
 
 
@@ -222,7 +237,7 @@ def is_irreducible(a: Poly, method: str = "auto") -> bool:
     irreducible factor of a, so an input with a small factor costs few steps.
     ``auto`` picks by candidate count.
     """
-    if not a.ring.is_field:
+    if not require_poly(a, "is_irreducible's argument").ring.is_field:
         raise DomainError("irreducibility testing requires a prime-field ring")
     deg = a.degree
     if deg is None or deg < 1:
@@ -260,7 +275,8 @@ def _not_srim(a: Poly) -> bool:
 
 def lemma_l1(a: Poly) -> bool:
     """Even-degree law: no self-reciprocal irreducible has odd degree >= 3."""
-    return (a.degree is not None and a.degree % 2 == 0) or _not_srim(a)
+    deg = require_poly(a, "lemma_l1's argument").degree
+    return (deg is not None and deg % 2 == 0) or _not_srim(a)
 
 
 def check_corollary(corollary: str, spec: FamilySpec, rows=binomial_row) -> bool:

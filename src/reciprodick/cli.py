@@ -281,7 +281,7 @@ def _cmd_coterm(args) -> int:
         ring = Z if row.ring is OVER_Z else GF(2)
         if args.p not in (None, ring.p) or (args.ring == "fp" and not ring.is_field):
             raise DomainError(f"{rule} is stated over {row.ring.text}")
-    k = args.k if args.k is not None else row.k
+    k = args.k if args.k is not None else row.fixed_k
     result = coterm_construct(rule, args.n, k, ring)
     record = {"theorem": rule, "n": args.n, "k": k}
     if ring.is_field:

@@ -3,9 +3,9 @@
 A coterm polynomial in R[x]/(x^m - 1) is a_0 + a_1 x + ... + a_{m-1} x^{m-1}
 with a_i = a_{m-i} for 1 <= i <= floor(m/2); the constant term is free.
 Removing the leading term of a self-reciprocal polynomial of degree m yields
-a coterm polynomial for that modulus, and each named construction (one row
-of COTERM_TABLE) is a member the classification proves self-reciprocal with
-its leading term removed.
+a coterm polynomial for that modulus, and each named construction (one
+``classifier.Rule`` row of COTERM_TABLE) is a member the classification
+proves self-reciprocal with its leading term removed.
 
 The code half factors x^m - 1 over GF(p) from its p-cyclotomic cosets,
 enumerates monic divisors, builds the cyclic codes they generate, and
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .binomics import is_power_of, is_prime, weight_base_p
 from .classifier import (
@@ -30,11 +30,13 @@ from .classifier import (
     P_NOT_DIVIDING_N,
     P_NOT_DIVIDING_N_PLUS_1,
     Condition,
+    Rule,
     canonical_id,
+    check_hypotheses,
 )
-from .errors import CapacityError, DomainError, HypothesisError, as_int
-from .families import FAMILY_TABLE, FamilySpec, build
-from .ringpoly import GF, Poly, Ring, gcd
+from .errors import CapacityError, DomainError, as_int
+from .families import FamilySpec, build
+from .ringpoly import GF, Poly, Ring, gcd, require_poly
 
 ENUMERATION_CAP = 10**6
 _ENUMERATION_P_MAX = 181
@@ -63,7 +65,7 @@ class CotermContext:
 
 def is_coterm(a: Poly, ctx: CotermContext) -> bool:
     """True iff a_i = a_{m-i} for all 1 <= i <= floor(m/2) (a_0 is free)."""
-    if a.ring != ctx.ring:
+    if require_poly(a, "coterm candidate").ring != ctx.ring:
         raise DomainError(f"ring mismatch: {a.ring} vs {ctx.ring}")
     deg = a.degree
     if deg is not None and deg >= ctx.m:
@@ -76,7 +78,7 @@ def coterm_from_self_reciprocal(a: Poly) -> tuple[Poly, CotermContext]:
 
     The result is coterm for the modulus m = deg(a).
     """
-    if not a.is_self_reciprocal():
+    if not require_poly(a, "input").is_self_reciprocal():
         raise DomainError("input must be self-reciprocal")
     deg = a.degree
     if deg < 1:
@@ -91,50 +93,31 @@ class CotermConstruction(NamedTuple):
     degenerate: bool
 
 
-@dataclass(frozen=True)
-class CotermRule:
-    """One row of the coterm table: a named construction and its hypotheses.
-
-    The construction builds the ``base`` family member at the rule's k, which
-    the classification proves self-reciprocal under these hypotheses, and
-    removes its leading term; the member's degree is the coterm modulus m.
-    When ``degenerate`` = (test, c) and test(n, p) holds, the result is known
-    to collapse to the constant c.
-    """
-
-    base: str
-    ring: Condition
-    k: int
-    n: Condition
-    sides: tuple[Condition, ...] = ()
-    degenerate: tuple[Callable[[int, int], bool], int] | None = None
-
-
 _EVEN_N_GE_4 = Condition("even n >= 4", lambda n: n >= 4 and n % 2 == 0)
 _EVEN_N_GE_6 = Condition("even n >= 6", lambda n: n >= 6 and n % 2 == 0)
 _ODD_N_GT_3 = Condition("odd n > 3", lambda n: n > 3 and n % 2 == 1)
 
 COTERM_TABLE = {
-    "T5_1": CotermRule("f", OVER_Z, 0, _EVEN_N_GE_4),
-    "T5_2": CotermRule("f", OVER_Z, 2, _EVEN_N_GE_6),
-    "T5_3": CotermRule("g", OVER_Z, 0, _EVEN_N_GE_4),
-    "T5_4": CotermRule("f", OVER_Z, 1, _ODD_N_GT_3),
-    "T5_5": CotermRule("gstar", OVER_Z, 1, _ODD_N_GT_3),
-    "T5_7": CotermRule("f", OVER_ODD_P, 0, _EVEN_N_GE_4,
-                       degenerate=(lambda n, p: weight_base_p(n, p) == 2, 2)),
-    "T5_8": CotermRule("f", OVER_ODD_P, 2, _EVEN_N_GE_6,
-                       (P_NOT_DIVIDING_N,), degenerate=(lambda n, p: is_power_of(n - 1, p), 2)),
-    "T5_9": CotermRule("f", OVER_ODD_P, 1, _ODD_N_GT_3,
-                       (P_NOT_DIVIDING_N_PLUS_1,), degenerate=(lambda n, p: is_power_of(n, p), 1)),
-    "CHAR2": CotermRule("fchar2", OVER_F2, 1, _EVEN_N_GE_4,
-                        degenerate=(lambda n, p: is_power_of(n, 2), 1)),
+    "T5_1": Rule("coterm", ("f",), OVER_Z, _EVEN_N_GE_4, fixed_k=0),
+    "T5_2": Rule("coterm", ("f",), OVER_Z, _EVEN_N_GE_6, fixed_k=2),
+    "T5_3": Rule("coterm", ("g",), OVER_Z, _EVEN_N_GE_4, fixed_k=0),
+    "T5_4": Rule("coterm", ("f",), OVER_Z, _ODD_N_GT_3, fixed_k=1),
+    "T5_5": Rule("coterm", ("gstar",), OVER_Z, _ODD_N_GT_3, fixed_k=1),
+    "T5_7": Rule("coterm", ("f",), OVER_ODD_P, _EVEN_N_GE_4, fixed_k=0,
+                 degenerate=(lambda n, p: weight_base_p(n, p) == 2, 2)),
+    "T5_8": Rule("coterm", ("f",), OVER_ODD_P, _EVEN_N_GE_6, fixed_k=2,
+                 sides=(P_NOT_DIVIDING_N,), degenerate=(lambda n, p: is_power_of(n - 1, p), 2)),
+    "T5_9": Rule("coterm", ("f",), OVER_ODD_P, _ODD_N_GT_3, fixed_k=1,
+                 sides=(P_NOT_DIVIDING_N_PLUS_1,), degenerate=(lambda n, p: is_power_of(n, p), 1)),
+    "CHAR2": Rule("coterm", ("fchar2",), OVER_F2, _EVEN_N_GE_4, fixed_k=1,
+                  degenerate=(lambda n, p: is_power_of(n, 2), 1)),
 }
 
 COTERM_RULES = tuple(COTERM_TABLE)
 _ALIASES = {"R5_CHAR2": "CHAR2", "T5_CHAR2": "CHAR2"}
 
 
-def coterm_rule(name: str) -> tuple[str, CotermRule]:
+def coterm_rule(name: str) -> tuple[str, Rule]:
     """The canonical id of a coterm rule (spellings like 't5.1') and its table row."""
     t = canonical_id(name, COTERM_TABLE, "coterm rule", _ALIASES)
     return t, COTERM_TABLE[t]
@@ -143,7 +126,7 @@ def coterm_rule(name: str) -> tuple[str, CotermRule]:
 def coterm_construct(rule: str, n: int, k: int, ring: Ring) -> CotermConstruction:
     """Build the named coterm polynomial; degenerate side cases are flagged.
 
-    Hypothesis violations raise HypothesisError naming the failed condition.
+    ``check_hypotheses``, shared with the rules, names a failed hypothesis.
     When a degenerate side case applies (flag True) the result is the known
     constant: 2 for T5_7 with digit weight w_p(n) = 2, 2 for T5_8 with
     n = p^l + 1, 1 for T5_9 with n = p^l, and 1 for CHAR2 with n = 2^l.
@@ -152,18 +135,8 @@ def coterm_construct(rule: str, n: int, k: int, ring: Ring) -> CotermConstructio
     n, k = as_int(n, f"{t} n"), as_int(k, f"{t} k")
     if not isinstance(ring, Ring):
         raise DomainError(f"{t} takes a Ring, got {ring!r}")
-    if not row.ring.holds(ring):
-        raise HypothesisError(f"{t} is stated over {row.ring.text}")
-    if not row.n.holds(n):
-        raise HypothesisError(f"{t} requires {row.n.text}")
-    if k != row.k:
-        # a rule on a family that fixes k (fchar2) words it as the family does
-        fixed = FAMILY_TABLE[row.base].fixed_k
-        raise HypothesisError(f"{t} {fixed[1] if fixed else f'requires k = {row.k}'}")
-    for side in row.sides:
-        if not side.holds(n, ring.p):
-            raise HypothesisError(f"{t} requires {side.text}")
-    poly, context = coterm_from_self_reciprocal(build(FamilySpec(row.base, n, k, ring)))
+    check_hypotheses(t, row, row.families[0], n, k, ring)
+    poly, context = coterm_from_self_reciprocal(build(FamilySpec(row.families[0], n, k, ring)))
     test, value = row.degenerate or (None, None)
     degenerate = test is not None and test(n, ring.p)
     if degenerate and poly != Poly.constant(ring, value):
@@ -247,14 +220,14 @@ def self_reciprocal_divisors(p: int, m: int) -> list[Poly]:
 
 def monic_reciprocal(g: Poly) -> Poly:
     """The reciprocal of g scaled monic: g(0)^-1 * x^deg * g(1/x) for g(0) != 0."""
-    g._require_field()
+    require_poly(g, "monic_reciprocal's argument")._require_field()
     return g.reciprocal().monic()
 
 
 def generates_reversible_code(g: Poly) -> bool:
     """Massey's criterion: the cyclic code of g is reversible iff g equals
     its monic reciprocal."""
-    return monic_reciprocal(g) == g
+    return monic_reciprocal(require_poly(g, "generator")) == g
 
 
 @dataclass(frozen=True)
@@ -285,7 +258,7 @@ def build_cyclic_code(p: int, m: int, generator: Poly) -> CyclicCode:
     m = as_int(m, "length m")
     if m < 1:
         raise DomainError("length m must be >= 1")
-    if generator.ring != GF(p):
+    if require_poly(generator, "generator").ring != GF(p):
         raise DomainError(f"generator ring {generator.ring} does not match GF({p})")
     if not generator.is_monic():
         raise DomainError("generator must be monic")

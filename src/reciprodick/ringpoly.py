@@ -154,9 +154,7 @@ class Poly:
         return self.leading_coefficient == 1
 
     def _same_ring(self, other: "Poly") -> None:
-        if not isinstance(other, Poly):
-            raise DomainError(f"operand must be a Poly, got {other!r}")
-        if self.ring != other.ring:
+        if self.ring != require_poly(other, "operand").ring:
             raise DomainError(f"ring mismatch: {self.ring} vs {other.ring}")
 
     # ----------------------------------------------------------- arithmetic
@@ -175,7 +173,7 @@ class Poly:
         return Poly(self.ring, tuple(-v for v in self.coeffs))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return self + -require_poly(other, "operand")
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._same_ring(other)
@@ -187,6 +185,13 @@ class Poly:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return Poly(self.ring, out)
+
+    # Python reflects an operator only onto a left operand that is not a Poly, which _same_ring refuses
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def __rsub__(self, other) -> "Poly":
+        return -self + other
 
     def __pow__(self, e: int) -> "Poly":
         e = as_int(e, "polynomial exponent")
@@ -311,16 +316,23 @@ class Poly:
         return " + ".join(terms)
 
 
+def require_poly(v, what: str) -> Poly:
+    """v itself if it is a Poly; otherwise DomainError "<what> must be a Poly, got <v!r>"."""
+    if not isinstance(v, Poly):
+        raise DomainError(f"{what} must be a Poly, got {v!r}")
+    return v
+
+
 def reduce_mod_p(a: Poly, p: int) -> Poly:
     """Coefficientwise reduction of an integer polynomial into GF(p)."""
-    if a.ring != Z:
+    if require_poly(a, "reduce_mod_p's argument").ring != Z:
         raise DomainError("reduce_mod_p expects a polynomial over Z")
     return Poly(GF(p), a.coeffs)
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor over a prime field (0 for gcd(0, 0))."""
-    a._same_ring(b)
+    require_poly(a, "operand")._same_ring(b)
     a._require_field()
     while b:
         a, b = b, a % b
@@ -332,9 +344,7 @@ def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
     e = as_int(e, "exponent")
     if e < 0:
         raise DomainError("negative exponent")
-    if not isinstance(mod, Poly):
-        raise DomainError(f"pow_mod's modulus must be a Poly, got {mod!r}")
-    mod._same_ring(base)
+    require_poly(mod, "pow_mod's modulus")._same_ring(base)
     mod._require_field()
     if not mod:
         raise DomainError("pow_mod needs a nonzero modulus")

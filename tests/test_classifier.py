@@ -3,6 +3,9 @@ import itertools
 import pytest
 
 from reciprodick import (
+    COTERM_RULES,
+    FAMILIES,
+    THEOREM_IDS,
     CapacityError,
     DomainError,
     FamilySpec,
@@ -11,6 +14,7 @@ from reciprodick import (
     Poly,
     Z,
     check_corollary,
+    coterm_construct,
     is_irreducible,
     lemma_l1,
     mismatches,
@@ -21,7 +25,8 @@ from reciprodick import (
     scan,
 )
 from reciprodick import classifier
-from reciprodick.coterm_codes import coterm_rule
+from reciprodick.coterm_codes import COTERM_TABLE, coterm_rule
+from reciprodick.families import FAMILY_TABLE
 
 K_WINDOW = tuple(range(-5, 7))
 
@@ -198,6 +203,10 @@ class TestIrreducible:
             is_irreducible(Poly.zero(GF(3)))
         with pytest.raises(DomainError):
             is_irreducible(P(Z, 1, 1))
+        # a non-Poly used to raise a bare AttributeError, here and in lemma_l1
+        for call in (is_irreducible, lemma_l1):
+            with pytest.raises(DomainError, match=f"{call.__name__}'s argument must be a Poly, got 3$"):
+                call(3)
 
     def test_unknown_method_rejected_at_every_degree(self):
         # at degree 1 an unknown method used to return True
@@ -320,3 +329,74 @@ class TestLemmaL1:
         verdicts = scan("L1", n_min=1, n_max=3, k_values=[0, 1], p_list=(3, 5))
         assert {v.spec.k for v in verdicts} == {0, 1}
         assert {v.spec.k for v in scan("L1", n_min=1, n_max=3, p_list=(3,))} == {0, 1, 2}
+
+
+# ------------------------------------------------------- the hypothesis check
+
+
+def _failed_hypotheses(row, family, n, k, ring) -> list[str]:
+    """The row's failed hypotheses in the order they are checked: family, ring, n, k, sides."""
+    failed = []
+    if family not in row.families:
+        failed.append("family")
+    if not row.ring.holds(ring):
+        failed.append("ring")
+    if not row.n.holds(n):
+        failed.append("n")
+    if row.fixed_k is not None and k != row.fixed_k:
+        failed.append("k")
+    if ring.is_field:
+        failed += [side.text for side in row.sides if not side.holds(n, ring.p)]
+    return failed
+
+
+def _refusal(t, row, family, first) -> str:
+    if first == "family":
+        fams = row.families
+        return f"{t} applies to {'families' if len(fams) > 1 else 'family'} {' and '.join(fams)}"
+    if first == "ring":
+        return f"{t} is stated over {row.ring.text}"
+    if first == "n":
+        return f"{t} requires {row.n.text}"
+    if first == "k":
+        fixed = FAMILY_TABLE[family].fixed_k
+        return f"{t} {fixed[1]}" if fixed else f"{t} requires k = {row.fixed_k}"
+    return f"{t} requires {first}"
+
+
+@pytest.mark.parametrize("t", [t for t in THEOREM_IDS if classifier.RULE_TABLE[t].kind != "lemma"]
+                         + list(COTERM_RULES))
+def test_every_broken_hypothesis_is_named_first_in_check_order(t):
+    # break one or two hypotheses of each rule and each coterm construction at a time:
+    # the refusal names the failed one, or the first of the two in check order
+    coterm = t in COTERM_TABLE
+    row = COTERM_TABLE[t] if coterm else classifier.RULE_TABLE[t]
+    call = {"classification": predicate, "corollary": check_corollary}.get(row.kind)
+    seen = set()
+    for family, n, k, ring in itertools.product(row.families if coterm else FAMILIES, range(30),
+                                                range(-1, 5), (Z, GF(2), GF(3), GF(5), GF(7))):
+        failed = _failed_hypotheses(row, family, n, k, ring)
+        if len(failed) > 2 or tuple(failed) in seen:
+            continue
+        if coterm:
+            run = lambda: coterm_construct(t, n, k, ring)  # noqa: E731
+        else:
+            try:
+                spec = FamilySpec(family, n, k, ring)
+            except DomainError:
+                continue
+            run = lambda: call(t, spec)  # noqa: E731
+        seen.add(tuple(failed))
+        if not failed:
+            run()
+            continue
+        with pytest.raises(HypothesisError) as info:
+            run()
+        assert str(info.value) == _refusal(t, row, family, failed[0]), failed
+    # every hypothesis was broken, and an unbroken point passed
+    hypotheses = {"ring", "n", *(side.text for side in row.sides)}
+    if row.fixed_k is not None:
+        hypotheses.add("k")
+    if not coterm:
+        hypotheses.add("family")
+    assert () in seen and set().union(*seen) == hypotheses

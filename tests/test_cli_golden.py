@@ -150,6 +150,36 @@ CASES = (
     "coterm --theorem t5.7 --n 10 --p 2",
     "coterm --theorem t5.7 --n 10 --p 4",
     "coterm --theorem t5.6 --n 10",
+    # coterm refusals for every rule; two failed hypotheses pin the order in
+    # which they are checked (ring, then n, then k, then side conditions)
+    "coterm --theorem t5.2 --n 4",
+    "coterm --theorem t5.2 --n 5 --k 0",
+    "coterm --theorem t5.3 --n 5",
+    "coterm --theorem t5.3 --n 4 --k 1",
+    "coterm --theorem t5.3 --n 3 --k 2",
+    "coterm --theorem t5.4 --n 5 --k 0",
+    "coterm --theorem t5.4 --n -1 --k 0",
+    "coterm --theorem t5.5 --n 4 --k 1",
+    "coterm --theorem t5.5 --n 7 --k 0",
+    "coterm --theorem t5.5 --n 4 --k 0",
+    "coterm --theorem t5.7 --n 3 --p 3",
+    "coterm --theorem t5.7 --n 10 --p 3 --k 1",
+    "coterm --theorem t5.7 --n 3 --p 3 --k 1",
+    "coterm --theorem t5.7 --n 3 --p 2",
+    "coterm --theorem t5.7 --n 10",
+    "coterm --theorem t5.8 --n 4 --p 3",
+    "coterm --theorem t5.8 --n 5 --p 5",
+    "coterm --theorem t5.8 --n 6 --p 3 --k 1",
+    "coterm --theorem t5.8 --n 10 --p 5 --k 0",
+    "coterm --theorem t5.8 --n 9 --p 3 --k 0",
+    "coterm --theorem t5.9 --n 8 --p 3 --k 0",
+    "coterm --theorem t5.9 --n 9 --p 3 --k 2",
+    "coterm --theorem t5.9 --n 11 --p 3 --k 0",
+    "coterm --theorem t5.9 --n 5 --p 3",
+    "coterm --theorem char2 --n 5 --k 0",
+    "coterm --theorem char2 --n 4 --k 2",
+    "coterm --theorem t5.1 --n 3 --p 3",
+    "coterm --theorem t5.1 --n 3 --k 1 --ring fp",
     # code
     "code --p 2 --m 7",
     "code --p 2 --m 7 --sr-only --format csv",

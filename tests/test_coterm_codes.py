@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -123,6 +124,21 @@ class TestIsCoterm:
         for bad in ("Z", 5, None):
             with pytest.raises(DomainError, match="Ring"):
                 CotermContext(4, bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: is_coterm(v, CotermContext(4, GF(3))),
+    lambda v: coterm_from_self_reciprocal(v),
+    lambda v: build_cyclic_code(2, 3, v),
+    lambda v: monic_reciprocal(v),
+    lambda v: generates_reversible_code(v),
+], ids=["is_coterm", "coterm_from_self_reciprocal", "build_cyclic_code", "monic_reciprocal",
+        "generates_reversible_code"])
+def test_polynomial_arguments_must_be_polys(call):
+    # each used to raise a bare AttributeError, e.g. build_cyclic_code(2, 3, 5)
+    for bad in (5, [1, 1], None):
+        with pytest.raises(DomainError, match=rf"must be a Poly, got {re.escape(repr(bad))}$"):
+            call(bad)
 
 
 class TestFromSelfReciprocal:

@@ -73,6 +73,26 @@ class TestArithmetic:
             with pytest.raises(DomainError):
                 call()
 
+    def test_reflected_operators_refuse_non_polys(self):
+        # 3 * g, 3 + g and 3 - g used to raise a bare TypeError while g * 3 raised DomainError,
+        # and g - 3 named -3
+        g = P(GF(3), 1, 1)
+        for call in (lambda: 3 * g, lambda: 3 + g, lambda: 3 - g, lambda: g * 3, lambda: g + 3, lambda: g - 3):
+            with pytest.raises(DomainError) as info:
+                call()
+            assert str(info.value) == "operand must be a Poly, got 3"
+        with pytest.raises(DomainError, match="got 2.5"):
+            2.5 * g
+        with pytest.raises(DomainError, match=r"got \[1\]"):
+            g - [1]  # used to raise a bare TypeError from negating the list
+        with pytest.raises(DomainError) as info:
+            pow_mod(g, 2, 3)
+        assert str(info.value) == "pow_mod's modulus must be a Poly, got 3"
+        # gcd(3, g) and reduce_mod_p(3, 5) used to raise a bare AttributeError
+        for call in (lambda: gcd(3, g), lambda: reduce_mod_p(3, 5)):
+            with pytest.raises(DomainError, match="must be a Poly, got 3$"):
+                call()
+
     def test_rejects_non_integer_coefficients(self):
         for ring in (Z, GF(5)):
             for coeffs in ((2.7,), (1.0,), (True,), (1, False), ("1",), "12", (None,)):
