@@ -180,6 +180,14 @@ CASES = (
     "coterm --theorem char2 --n 4 --k 2",
     "coterm --theorem t5.1 --n 3 --p 3",
     "coterm --theorem t5.1 --n 3 --k 1 --ring fp",
+    # the ring a row is read over, and the members it has there
+    "verify --theorem l1 --n-max 6 --p-list 2,3 --k-min 0 --k-max 0",
+    "verify --theorem t4.1 --n-max 6 --p-list 3,5",
+    "coterm --theorem t5.1 --n 4 --p 4",
+    "coterm --theorem t5.7 --n 10 --ring fp",
+    "coterm --theorem char2 --n 6 --ring fp --p 3",
+    "gen --family f --n 6 --k 1 --ring fp --p 2",
+    "gen --family dickson --n 6 --k 1 --a 2 --ring fp --p 5",
     # code
     "code --p 2 --m 7",
     "code --p 2 --m 7 --sr-only --format csv",
