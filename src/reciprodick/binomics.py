@@ -51,7 +51,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _require_prime(p: int) -> None:
+def require_prime(p: int) -> None:
+    """DomainError "<p> is not prime" unless p is prime."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
 
@@ -111,13 +112,13 @@ class PadicDigits:
 
 def digits_base_p(n: int, p: int) -> PadicDigits:
     """Canonical base-p expansion of n >= 0."""
-    _require_prime(p)
+    require_prime(p)
     return PadicDigits(p, tuple(_digits(n, p, "digits_base_p")))
 
 
 def weight_base_p(n: int, p: int) -> int:
     """Sum of the base-p digits of n."""
-    _require_prime(p)
+    require_prime(p)
     return sum(_digits(n, p, "weight_base_p"))
 
 
@@ -135,7 +136,7 @@ def _digits(n: int, p: int, what: str) -> list[int]:
 
 def _digit_pairs(n: int, m: int, p: int, what: str) -> list[tuple[int, int]]:
     # the aligned base-p digits (a, b) of n and m >= 0, as far as m has digits
-    _require_prime(p)
+    require_prime(p)
     n, m = as_int(n, f"{what} n"), as_int(m, f"{what} m")
     if n < 0 or m < 0:
         raise DomainError(f"{what} requires n, m >= 0")
@@ -187,7 +188,7 @@ def binomial_row_mod_p(n: int, p: int) -> tuple[int, ...]:
     C(d, b) = C(d, b - 1) * (d - b + 1) / b with the inverses of 1..d mod p,
     so a row costs O(n) small-integer products for any p.
     """
-    _require_prime(p)
+    require_prime(p)
     digits = _digits(n, p, "binomial_row_mod_p")
     inv = [0, 1]
     for i in range(2, max(digits, default=0) + 1):

@@ -32,10 +32,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .binomics import binomial_row, is_power_of, is_prime
-from .errors import CapacityError, DomainError, HypothesisError, as_int
+from .binomics import binomial_row, is_power_of, require_prime
+from .errors import CapacityError, DomainError, HypothesisError, as_int, require_type
 from .families import FAMILY_TABLE, FamilySpec, build, row_cache
-from .ringpoly import GF, Poly, Ring, Z, gcd, pow_mod, require_poly
+from .ringpoly import GF, Poly, Ring, Z, gcd, pow_mod
 
 DEFAULT_ODD_PRIMES = (3, 5, 7, 11, 13)
 DEFAULT_K_WINDOW = tuple(range(-5, 7))
@@ -60,12 +60,13 @@ class Condition:
 
     text: str
     holds: Callable[..., bool]
+    rings: tuple[Ring, ...] = ()  # a ring condition's default rings; exactly one pins that ring
 
 
-OVER_Z = Condition("Z", lambda r: r == Z)
-OVER_F2 = Condition("F2", lambda r: r == F2)
-OVER_ODD_P = Condition("GF(p) with p odd", lambda r: r.is_field and r.p != 2)
-OVER_FIELD = Condition("GF(p)", lambda r: r.is_field)
+OVER_Z = Condition("Z", lambda r: r == Z, (Z,))
+OVER_F2 = Condition("F2", lambda r: r == F2, (F2,))
+OVER_ODD_P = Condition("GF(p) with p odd", lambda r: r.is_field and r.p != 2, tuple(map(GF, DEFAULT_ODD_PRIMES)))
+OVER_FIELD = Condition("GF(p)", lambda r: r.is_field, (F2,) + OVER_ODD_P.rings)
 P_NOT_DIVIDING_N = Condition("p not dividing n", lambda n, p: n % p != 0)
 P_NOT_DIVIDING_N_PLUS_1 = Condition("p not dividing n + 1", lambda n, p: (n + 1) % p != 0)
 
@@ -74,6 +75,8 @@ def canonical_id(name: str, ids, noun: str, aliases: dict) -> str:
     """Map spellings like 't2.1' or 'l-1' onto the canonical id among ``ids``."""
     if not isinstance(name, str):
         raise DomainError(f"{noun} must be a string, got {name!r}")
+    if name in ids:  # scan asks once per spec, by canonical id
+        return name
     t = name.strip().upper().replace(".", "_").replace("-", "_")
     t = aliases.get(t, t)
     if t not in ids:
@@ -209,7 +212,7 @@ def _check_hypotheses(theorem: str, kind: str, spec: FamilySpec, wrong_kind: str
     rule = RULE_TABLE[t]
     if rule.kind != kind:
         raise DomainError(f"{t} is not {wrong_kind}")
-    check_hypotheses(t, rule, spec.family, spec.n, spec.k, spec.ring)
+    check_hypotheses(t, rule, require_type(spec, FamilySpec, "spec").family, spec.n, spec.k, spec.ring)
     return rule
 
 
@@ -237,7 +240,7 @@ def is_irreducible(a: Poly, method: str = "auto") -> bool:
     irreducible factor of a, so an input with a small factor costs few steps.
     ``auto`` picks by candidate count.
     """
-    if not require_poly(a, "is_irreducible's argument").ring.is_field:
+    if not require_type(a, Poly, "is_irreducible's argument").ring.is_field:
         raise DomainError("irreducibility testing requires a prime-field ring")
     deg = a.degree
     if deg is None or deg < 1:
@@ -275,7 +278,7 @@ def _not_srim(a: Poly) -> bool:
 
 def lemma_l1(a: Poly) -> bool:
     """Even-degree law: no self-reciprocal irreducible has odd degree >= 3."""
-    deg = require_poly(a, "lemma_l1's argument").degree
+    deg = require_type(a, Poly, "lemma_l1's argument").degree
     return (deg is not None and deg % 2 == 0) or _not_srim(a)
 
 
@@ -300,16 +303,22 @@ _OBSERVERS = {
 }
 
 
-def _rings(kind: Condition, p_list) -> list[Ring]:
-    if kind is OVER_F2:
-        return [F2]
-    ps = sorted(set(p_list or (DEFAULT_ODD_PRIMES if kind is OVER_ODD_P else (2,) + DEFAULT_ODD_PRIMES)))
+def _rings(over: Condition, p_list) -> list[Ring]:
+    """The ring a condition pins, else GF(p) for the distinct p of p_list (default its rings), increasing."""
+    if len(over.rings) == 1 or not p_list:
+        return list(over.rings)
+    ps = sorted(set(p_list))
     for p in ps:
-        if not is_prime(p):
-            raise DomainError(f"{p} is not prime")
-        if not kind.holds(GF(p)):
+        require_prime(p)
+        if not over.holds(GF(p)):
             raise DomainError("this rule is stated for odd primes")
     return [GF(p) for p in ps]
+
+
+def _members(rule: Rule, ring: Ring) -> list[tuple[str, int | None]]:
+    """(family, its fixed k) for the row's families pinned to ring; else (family, None) for its unpinned ones."""
+    pinned = [(fam, FAMILY_TABLE[fam].fixed_k[0]) for fam in rule.families if FAMILY_TABLE[fam].ring == ring]
+    return pinned or [(fam, None) for fam in rule.families if FAMILY_TABLE[fam].ring is None]
 
 
 def _int_list(values, what: str) -> list[int]:
@@ -323,9 +332,10 @@ def _int_list(values, what: str) -> list[int]:
 def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Verdict]:
     """Evaluate one rule over finite ranges, one Verdict per in-range spec.
 
-    Iteration order is (n, then k, then p, then family), so output is
-    deterministic.  Over Z, k runs over ``k_values`` as given (default
-    DEFAULT_K_WINDOW); over GF(p), over the distinct ``k_values`` in
+    The rings and member families are read from the rule's row (``_rings``
+    and ``_members``).  Iteration order is (n, then k, then p, then family),
+    so output is deterministic.  Over Z, k runs over ``k_values`` as given
+    (default DEFAULT_K_WINDOW); over GF(p), over the distinct ``k_values`` in
     [0, p-1] in increasing order (default all of them).  Rules with a fixed
     k ignore ``k_values``.  ``k_values`` and ``p_list`` may be any iterables
     of integers.  Mismatches are reported as data, not raised.
@@ -340,27 +350,22 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
     lo = lo if n_min is None else max(as_int(n_min, "n_min"), lo)
     hi = hi if n_max is None else as_int(n_max, "n_max")
     ns = [n for n in range(lo, hi + 1) if rule.n.holds(n)]
-    if rule.ring is OVER_Z:
+    rings = _rings(rule.ring, p_list)
+    top = rings[-1].p
+    if rule.fixed_k is not None:
+        ks = [rule.fixed_k]
+    elif top is None:
         ks = DEFAULT_K_WINDOW if k_values is None else k_values
-        specs = [FamilySpec(fam, n, k) for n in ns for k in ks for fam in rule.families]
     else:
-        rings = _rings(rule.ring, p_list)
-        top = rings[-1].p
-        if rule.fixed_k is not None:
-            ks = [rule.fixed_k]
-        elif k_values is None:
-            ks = range(top)
-        else:
-            ks = sorted(k for k in set(k_values) if 0 <= k < top)
-        # the member over GF(2) is fchar2, which fixes k = 1; over odd p it is f
-        specs = [
-            FamilySpec("f" if r.p > 2 else "fchar2", n, k, r)
-            for n in ns for k in ks for r in rings
-            if k < r.p and (r.p > 2 or k == 1) and all(side.holds(n, r.p) for side in rule.sides)
-        ]
+        ks = range(top) if k_values is None else sorted(k for k in set(k_values) if 0 <= k < top)
+    members = [(r, _members(rule, r)) for r in rings]
+    # a pinned member takes only its fixed k, an unpinned one every k, below p over GF(p)
+    specs = [FamilySpec(fam, n, k, r) for n in ns for k in ks for r, fams in members for fam, fixed in fams
+             if (k == fixed if fixed is not None else r.p is None or k < r.p)
+             and (not rule.sides or all(side.holds(n, r.p) for side in rule.sides))]
     observe, note = _OBSERVERS[rule.kind]
     # one cache per ring: rows mod p serve only their own p, and the specs interleave the primes
-    rows = {ring: row_cache(ring) for ring in {spec.ring for spec in specs}}
+    rows = {r: row_cache(r) for r in rings}
     out = []
     for spec in specs:
         pred = predicate(t, spec) if rule.kind == "classification" else True

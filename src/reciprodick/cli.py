@@ -29,7 +29,7 @@ import io
 import json
 import sys
 
-from .classifier import OVER_ODD_P, OVER_Z, THEOREM_IDS, mismatches, normalize_theorem_id, scan
+from .classifier import THEOREM_IDS, mismatches, normalize_theorem_id, scan
 from .coterm_codes import (
     ENUMERATION_CAP,
     build_cyclic_code,
@@ -41,7 +41,7 @@ from .coterm_codes import (
 )
 from .errors import CapacityError, DomainError
 from .families import FAMILIES, FAMILY_TABLE, FamilySpec, build, row_cache
-from .ringpoly import GF, Ring, Z
+from .ringpoly import GF, Poly, Ring, Z
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -176,7 +176,9 @@ def _resolve_ring(args) -> Ring:
     return Z
 
 
-def _resolve_specs(args, ring: Ring) -> list[FamilySpec]:
+def _selected_members(args) -> list[tuple[FamilySpec, Poly]]:
+    """The selected specs over the resolved ring, each with its member built from one row_cache."""
+    ring = _resolve_ring(args)
     family = args.family
     row = FAMILY_TABLE[family]
     if args.n is not None:
@@ -189,7 +191,9 @@ def _resolve_specs(args, ring: Ring) -> list[FamilySpec]:
     ks = [args.k] if args.k is not None else _k_range(args)
     if ks is None:
         ks = [row.fixed_k[0] if row.fixed_k else 0]
-    return [FamilySpec(family, n, k, ring, args.a) for n in ns for k in ks]
+    specs = [FamilySpec(family, n, k, ring, args.a) for n in ns for k in ks]
+    rows = row_cache(ring)
+    return [(spec, build(spec, rows)) for spec in specs]
 
 
 def _k_range(args) -> list[int] | None:
@@ -204,15 +208,12 @@ def _k_range(args) -> list[int] | None:
 
 
 def _cmd_gen(args) -> int:
-    ring = _resolve_ring(args)
-    specs = _resolve_specs(args, ring)
-    if args.format == "json" and len(specs) == 1:
-        _emit(args, [], [build(specs[0]).to_json_dict()])
+    members = _selected_members(args)
+    if args.format == "json" and len(members) == 1:
+        _emit(args, [], [members[0][1].to_json_dict()])
         return EXIT_OK
     records = []
-    rows = row_cache(ring)
-    for spec in specs:
-        poly = build(spec, rows)
+    for spec, poly in members:
         record = spec.to_flat_dict()
         if args.format == "csv":
             record["degree"] = poly.degree
@@ -226,10 +227,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_classify(args) -> int:
     records = []
-    ring = _resolve_ring(args)
-    rows = row_cache(ring)
-    for spec in _resolve_specs(args, ring):
-        poly = build(spec, rows)
+    for spec, poly in _selected_members(args):
         record = spec.to_flat_dict()
         record["degree"] = poly.degree
         record["self_reciprocal"] = poly.is_self_reciprocal()
@@ -273,14 +271,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_coterm(args) -> int:
     rule, row = coterm_rule(args.theorem)
-    if row.ring is OVER_ODD_P:
-        if args.p is None:
-            raise DomainError(f"{rule} requires --p")
-        ring = GF(args.p)
-    else:
-        ring = Z if row.ring is OVER_Z else GF(2)
-        if args.p not in (None, ring.p) or (args.ring == "fp" and not ring.is_field):
-            raise DomainError(f"{rule} is stated over {row.ring.text}")
+    pinned = len(row.ring.rings) == 1
+    if not pinned and args.p is None:
+        raise DomainError(f"{rule} requires --p")
+    ring = row.ring.rings[0] if pinned else GF(args.p)
+    if args.p not in (None, ring.p) or (args.ring == "fp" and not ring.is_field):
+        raise DomainError(f"{rule} is stated over {row.ring.text}")
     k = args.k if args.k is not None else row.fixed_k
     result = coterm_construct(rule, args.n, k, ring)
     record = {"theorem": rule, "n": args.n, "k": k}

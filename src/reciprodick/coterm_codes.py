@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .binomics import is_power_of, is_prime, weight_base_p
+from .binomics import is_power_of, require_prime, weight_base_p
 from .classifier import (
     OVER_F2,
     OVER_ODD_P,
@@ -34,9 +34,9 @@ from .classifier import (
     canonical_id,
     check_hypotheses,
 )
-from .errors import CapacityError, DomainError, as_int
+from .errors import CapacityError, DomainError, as_int, require_type
 from .families import FamilySpec, build
-from .ringpoly import GF, Poly, Ring, gcd, require_poly
+from .ringpoly import GF, Poly, Ring, gcd
 
 ENUMERATION_CAP = 10**6
 _ENUMERATION_P_MAX = 181
@@ -59,13 +59,13 @@ class CotermContext:
     def __post_init__(self):
         if as_int(self.m, "coterm modulus m") < 1:
             raise DomainError("coterm modulus m must be >= 1")
-        if not isinstance(self.ring, Ring):
-            raise DomainError(f"coterm ring must be a Ring, got {self.ring!r}")
+        require_type(self.ring, Ring, "coterm ring")
 
 
 def is_coterm(a: Poly, ctx: CotermContext) -> bool:
     """True iff a_i = a_{m-i} for all 1 <= i <= floor(m/2) (a_0 is free)."""
-    if require_poly(a, "coterm candidate").ring != ctx.ring:
+    ring = require_type(ctx, CotermContext, "coterm context").ring
+    if require_type(a, Poly, "coterm candidate").ring != ring:
         raise DomainError(f"ring mismatch: {a.ring} vs {ctx.ring}")
     deg = a.degree
     if deg is not None and deg >= ctx.m:
@@ -78,7 +78,7 @@ def coterm_from_self_reciprocal(a: Poly) -> tuple[Poly, CotermContext]:
 
     The result is coterm for the modulus m = deg(a).
     """
-    if not require_poly(a, "input").is_self_reciprocal():
+    if not require_type(a, Poly, "input").is_self_reciprocal():
         raise DomainError("input must be self-reciprocal")
     deg = a.degree
     if deg < 1:
@@ -151,6 +151,19 @@ def _poly_key(f: Poly):
     return (len(f.coeffs), f.coeffs)
 
 
+def _xm_minus_1(ring: Ring, m: int) -> Poly:
+    return Poly(ring, (-1,) + (0,) * (m - 1) + (1,))
+
+
+def _prime_and_length(p: int, m: int) -> int:
+    """m as an int, once p is prime and m is an integer >= 1."""
+    require_prime(p)
+    m = as_int(m, "length m")
+    if m < 1:
+        raise DomainError("length m must be >= 1")
+    return m
+
+
 def _factor_squarefree_core(p: int, m: int) -> list[Poly]:
     # monic irreducible factors of x^m - 1 over GF(p), p not dividing m, by
     # Berlekamp's splitting with its basis known in closed form: the residues
@@ -162,7 +175,7 @@ def _factor_squarefree_core(p: int, m: int) -> list[Poly]:
         if s not in seen:
             cosets.append({s * pow(p, j, m) % m for j in range(m)})
             seen |= cosets[-1]
-    factors = [Poly(ring, (-1,) + (0,) * (m - 1) + (1,))]
+    factors = [_xm_minus_1(ring, m)]
     for coset in cosets[1:]:  # the sum over {0} is the constant 1, which splits nothing
         if len(factors) == len(cosets):
             break
@@ -180,11 +193,7 @@ def factor_xm_minus_1(p: int, m: int) -> list[tuple[Poly, int]]:
     (x^m' - 1)^(p^a), so every irreducible factor of the squarefree core
     carries multiplicity p^a.
     """
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    m = as_int(m, "length m")
-    if m < 1:
-        raise DomainError("length m must be >= 1")
+    m = _prime_and_length(p, m)
     if p > _FACTOR_P_CAP or m > _FACTOR_M_CAP:
         raise CapacityError(f"factor_xm_minus_1 supports p <= {_FACTOR_P_CAP}, m <= {_FACTOR_M_CAP}")
     mult = 1
@@ -220,14 +229,14 @@ def self_reciprocal_divisors(p: int, m: int) -> list[Poly]:
 
 def monic_reciprocal(g: Poly) -> Poly:
     """The reciprocal of g scaled monic: g(0)^-1 * x^deg * g(1/x) for g(0) != 0."""
-    require_poly(g, "monic_reciprocal's argument")._require_field()
+    require_type(g, Poly, "monic_reciprocal's argument")._require_field()
     return g.reciprocal().monic()
 
 
 def generates_reversible_code(g: Poly) -> bool:
     """Massey's criterion: the cyclic code of g is reversible iff g equals
     its monic reciprocal."""
-    return monic_reciprocal(require_poly(g, "generator")) == g
+    return monic_reciprocal(require_type(g, Poly, "generator")) == g
 
 
 @dataclass(frozen=True)
@@ -253,17 +262,12 @@ class CyclicCode:
 
 def build_cyclic_code(p: int, m: int, generator: Poly) -> CyclicCode:
     """Check the generator and assemble the code record."""
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    m = as_int(m, "length m")
-    if m < 1:
-        raise DomainError("length m must be >= 1")
-    if require_poly(generator, "generator").ring != GF(p):
+    m = _prime_and_length(p, m)
+    if require_type(generator, Poly, "generator").ring != GF(p):
         raise DomainError(f"generator ring {generator.ring} does not match GF({p})")
     if not generator.is_monic():
         raise DomainError("generator must be monic")
-    modulus = Poly(GF(p), (-1,) + (0,) * (m - 1) + (1,))
-    if modulus % generator:
+    if _xm_minus_1(GF(p), m) % generator:
         raise DomainError(f"generator does not divide x^{m} - 1")
     return CyclicCode(p, m, generator, m - generator.degree, generates_reversible_code(generator))
 

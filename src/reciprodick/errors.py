@@ -1,4 +1,4 @@
-"""Exception types shared across the library, and the integer-argument check that raises them."""
+"""Exception types shared across the library, and the argument checks that raise them."""
 
 import operator
 
@@ -23,3 +23,10 @@ def as_int(v, what: str, decimal: bool = False) -> int:
         except (TypeError, ValueError):
             pass
     raise DomainError(f"{what} must be an integer, got {v!r}")
+
+
+def require_type(v, cls: type, what: str):
+    """v itself if it is a ``cls``; otherwise DomainError "<what> must be a <cls name>, got <v!r>"."""
+    if not isinstance(v, cls):
+        raise DomainError(f"{what} must be a {cls.__name__}, got {v!r}")
+    return v

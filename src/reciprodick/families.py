@@ -37,12 +37,12 @@ from functools import lru_cache, partial
 from typing import Callable
 
 from .binomics import binomial, binomial_row, binomial_row_mod_p
-from .errors import DomainError, as_int
+from .errors import DomainError, as_int, require_type
 from .ringpoly import GF, Poly, Ring, Z
 
 
 def _check_k_range(ring: Ring, k: int) -> None:
-    if ring.is_field and not 0 <= k <= ring.p - 1:
+    if require_type(ring, Ring, "ring").is_field and not 0 <= k <= ring.p - 1:
         raise DomainError(f"over {ring} the kind parameter k must lie in [0, {ring.p - 1}], got {k}")
 
 
@@ -264,4 +264,4 @@ FAMILIES = tuple(FAMILY_TABLE)
 
 def build(spec: FamilySpec, rows=binomial_row) -> Poly:
     """Construct a FamilySpec's polynomial from the binomial rows ``rows``, shared within one call only."""
-    return FAMILY_TABLE[spec.family].build(spec, rows)
+    return FAMILY_TABLE[require_type(spec, FamilySpec, "spec").family].build(spec, rows)

@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass
 
 from .binomics import is_prime
-from .errors import DomainError, as_int
+from .errors import DomainError, as_int, require_type
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,7 +154,7 @@ class Poly:
         return self.leading_coefficient == 1
 
     def _same_ring(self, other: "Poly") -> None:
-        if self.ring != require_poly(other, "operand").ring:
+        if self.ring != require_type(other, Poly, "operand").ring:
             raise DomainError(f"ring mismatch: {self.ring} vs {other.ring}")
 
     # ----------------------------------------------------------- arithmetic
@@ -173,7 +173,7 @@ class Poly:
         return Poly(self.ring, tuple(-v for v in self.coeffs))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + -require_poly(other, "operand")
+        return self + -require_type(other, Poly, "operand")
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._same_ring(other)
@@ -316,23 +316,16 @@ class Poly:
         return " + ".join(terms)
 
 
-def require_poly(v, what: str) -> Poly:
-    """v itself if it is a Poly; otherwise DomainError "<what> must be a Poly, got <v!r>"."""
-    if not isinstance(v, Poly):
-        raise DomainError(f"{what} must be a Poly, got {v!r}")
-    return v
-
-
 def reduce_mod_p(a: Poly, p: int) -> Poly:
     """Coefficientwise reduction of an integer polynomial into GF(p)."""
-    if require_poly(a, "reduce_mod_p's argument").ring != Z:
+    if require_type(a, Poly, "reduce_mod_p's argument").ring != Z:
         raise DomainError("reduce_mod_p expects a polynomial over Z")
     return Poly(GF(p), a.coeffs)
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor over a prime field (0 for gcd(0, 0))."""
-    require_poly(a, "operand")._same_ring(b)
+    require_type(a, Poly, "operand")._same_ring(b)
     a._require_field()
     while b:
         a, b = b, a % b
@@ -344,7 +337,7 @@ def pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
     e = as_int(e, "exponent")
     if e < 0:
         raise DomainError("negative exponent")
-    require_poly(mod, "pow_mod's modulus")._same_ring(base)
+    require_type(mod, Poly, "pow_mod's modulus")._same_ring(base)
     mod._require_field()
     if not mod:
         raise DomainError("pow_mod needs a nonzero modulus")

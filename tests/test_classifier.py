@@ -81,6 +81,14 @@ class TestPredicate:
         with pytest.raises(DomainError):
             predicate("T9_9", FamilySpec("f", 4, 0))
 
+    def test_spec_must_be_a_family_spec(self):
+        # each used to raise a bare AttributeError, e.g. predicate("T2_1", 3)
+        calls = (lambda v: predicate("T2_1", v), lambda v: check_corollary("C3_2", v), oracle_self_reciprocal)
+        for call in calls:
+            for bad in (3, None, ("f", 4, 0)):
+                with pytest.raises(DomainError, match=r"^spec must be a FamilySpec, got "):
+                    call(bad)
+
     def test_id_normalization(self):
         assert normalize_theorem_id("t2.1") == "T2_1"
         assert normalize_theorem_id(" c3-5 ") == "C3_5"
@@ -142,6 +150,16 @@ class TestScan:
         verdicts = scan("T3_1", n_min=2, n_max=4, k_values=[0, 2], p_list=[2**61 - 1])
         assert [(v.spec.n, v.spec.k) for v in verdicts] == [(2, 0), (2, 2), (4, 0), (4, 2)]
         assert mismatches(verdicts) == []
+
+    def test_scan_reads_the_rows_families_over_gfp(self, monkeypatch):
+        # a GF(p) row on families g and h scans g and h members, with k in [0, p-1]
+        row = classifier.Rule("classification", ("g", "h"), classifier.OVER_ODD_P, classifier._EVEN_N,
+                              (2, 8), lambda n, k, p: k == 0)
+        monkeypatch.setitem(classifier.RULE_TABLE, "X3_G", row)
+        verdicts = scan("X3_G", p_list=[5, 3])
+        assert [(v.spec.family, v.spec.n, v.spec.k, v.spec.ring.p) for v in verdicts] == [
+            (fam, n, k, p) for n in (2, 4, 6, 8) for k in range(5) for p in (3, 5) if k < p for fam in "gh"]
+        assert {v.predicted for v in verdicts if v.spec.k == 0} == {True}
 
     def test_fp_scan_rejects_even_p(self):
         with pytest.raises(DomainError):

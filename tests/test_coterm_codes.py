@@ -125,6 +125,12 @@ class TestIsCoterm:
             with pytest.raises(DomainError, match="Ring"):
                 CotermContext(4, bad)
 
+    def test_context_must_be_a_coterm_context(self):
+        # is_coterm(g, 4) used to raise a bare AttributeError
+        for bad in (4, None, (4, Z)):
+            with pytest.raises(DomainError, match=rf"^coterm context must be a CotermContext, got {re.escape(repr(bad))}$"):
+                is_coterm(P(Z, 1, 2, 2), bad)
+
 
 @pytest.mark.parametrize("call", [
     lambda v: is_coterm(v, CotermContext(4, GF(3))),

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import comb
 
@@ -328,3 +329,19 @@ class TestFamilySpec:
         for bad in ("Z", 5, None, {"ring": "Z"}):
             with pytest.raises(DomainError, match="Ring"):
                 FamilySpec("f", 4, 0, bad)
+
+    def test_build_rejects_non_spec(self):
+        # build(3) used to raise a bare AttributeError
+        for bad in (3, "f", None, ("f", 4, 0)):
+            with pytest.raises(DomainError, match=rf"^spec must be a FamilySpec, got {re.escape(repr(bad))}$"):
+                build(bad)
+
+
+def test_builders_reject_non_ring():
+    # each used to raise AttributeError: ... has no attribute 'is_field'
+    calls = (lambda r: f_family(3, 0, r), lambda r: f_expanded_even(4, 0, r),
+             lambda r: f_expanded_odd(5, 0, r), lambda r: reversed_dickson(3, 0, 1, r))
+    for call in calls:
+        for bad in (5, "Z", None):
+            with pytest.raises(DomainError, match=rf"^ring must be a Ring, got {re.escape(repr(bad))}$"):
+                call(bad)
