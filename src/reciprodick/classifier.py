@@ -39,6 +39,7 @@ from .ringpoly import GF, Poly, Ring, Z, gcd, pow_mod
 
 DEFAULT_ODD_PRIMES = (3, 5, 7, 11, 13)
 DEFAULT_K_WINDOW = tuple(range(-5, 7))
+SCAN_CAP = 10**6  # candidate members of one scan
 
 # trial-division irreducibility is used below this candidate count
 _TRIAL_AUTO_LIMIT = 200_000
@@ -75,8 +76,6 @@ def canonical_id(name: str, ids, noun: str, aliases: dict) -> str:
     """Map spellings like 't2.1' or 'l-1' onto the canonical id among ``ids``."""
     if not isinstance(name, str):
         raise DomainError(f"{noun} must be a string, got {name!r}")
-    if name in ids:  # scan asks once per spec, by canonical id
-        return name
     t = name.strip().upper().replace(".", "_").replace("-", "_")
     t = aliases.get(t, t)
     if t not in ids:
@@ -297,9 +296,9 @@ def check_corollary(corollary: str, spec: FamilySpec, rows=binomial_row) -> bool
 
 # per kind of rule: how scan observes it, and the note a disagreement carries
 _OBSERVERS = {
-    "classification": (lambda t, s, rows: oracle_self_reciprocal(s, rows), "predicate and oracle disagree"),
-    "corollary": (lambda t, s, rows: check_corollary(t, s, rows), "corollary violated"),
-    "lemma": (lambda t, s, rows: lemma_l1(build(s, rows)), "odd-degree srim found"),
+    "classification": (lambda s, rows: oracle_self_reciprocal(s, rows), "predicate and oracle disagree"),
+    "corollary": (lambda s, rows: _not_srim(build(s, rows)), "corollary violated"),
+    "lemma": (lambda s, rows: lemma_l1(build(s, rows)), "odd-degree srim found"),
 }
 
 
@@ -338,7 +337,10 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
     (default DEFAULT_K_WINDOW); over GF(p), over the distinct ``k_values`` in
     [0, p-1] in increasing order (default all of them).  Rules with a fixed
     k ignore ``k_values``.  ``k_values`` and ``p_list`` may be any iterables
-    of integers.  Mismatches are reported as data, not raised.
+    of integers.  Mismatches are reported as data, not raised.  The members
+    come from the row's own conditions, its hypotheses, so none is checked
+    again; over SCAN_CAP candidates (n range x k values x ring and member
+    family pairs) raise CapacityError before any is listed.
     All members of one call over one ring read their binomial rows from one
     ``row_cache(ring)``, made for this call.
     """
@@ -349,7 +351,6 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
     lo, hi = rule.scan_n
     lo = lo if n_min is None else max(as_int(n_min, "n_min"), lo)
     hi = hi if n_max is None else as_int(n_max, "n_max")
-    ns = [n for n in range(lo, hi + 1) if rule.n.holds(n)]
     rings = _rings(rule.ring, p_list)
     top = rings[-1].p
     if rule.fixed_k is not None:
@@ -359,6 +360,12 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
     else:
         ks = range(top) if k_values is None else sorted(k for k in set(k_values) if 0 <= k < top)
     members = [(r, _members(rule, r)) for r in rings]
+    # counted, not listed: len() of a range overflows past sys.maxsize
+    n_ks = ks.stop if isinstance(ks, range) else len(ks)
+    count = max(hi - lo + 1, 0) * n_ks * sum(len(fams) for _, fams in members)
+    if count > SCAN_CAP:
+        raise CapacityError(f"{t} would scan {count} candidate members, above the cap {SCAN_CAP}")
+    ns = [n for n in range(lo, hi + 1) if rule.n.holds(n)]
     # a pinned member takes only its fixed k, an unpinned one every k, below p over GF(p)
     specs = [FamilySpec(fam, n, k, r) for n in ns for k in ks for r, fams in members for fam, fixed in fams
              if (k == fixed if fixed is not None else r.p is None or k < r.p)
@@ -368,8 +375,8 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
     rows = {r: row_cache(r) for r in rings}
     out = []
     for spec in specs:
-        pred = predicate(t, spec) if rule.kind == "classification" else True
-        obs = observe(t, spec, rows[spec.ring])
+        pred = True if rule.predict is None else rule.predict(spec.n, spec.k, spec.ring.p)
+        obs = observe(spec, rows[spec.ring])
         out.append(Verdict(t, spec, pred, obs, "" if pred == obs else note))
     return out
 

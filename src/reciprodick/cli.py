@@ -72,7 +72,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--k", type=int)
         p.add_argument("--k-min", type=int)
         p.add_argument("--k-max", type=int)
-        p.add_argument("--ring", choices=("z", "fp"), default="z")
+        p.add_argument("--ring", choices=("z", "fp"))  # None when not given, so an explicit z shows
         p.add_argument("--p", type=int)
         p.add_argument("--a", type=int, default=1)
 
@@ -161,10 +161,15 @@ def _emit(args, fields: list[str], records: list[dict]) -> None:
 # ----------------------------------------------------------------- selectors
 
 
+def _contradicts(args, ring: Ring) -> bool:
+    """True when --ring or --p names a ring other than ``ring``."""
+    return args.p not in (None, ring.p) or args.ring not in (None, "fp" if ring.is_field else "z")
+
+
 def _resolve_ring(args) -> Ring:
     fixed = FAMILY_TABLE[args.family].ring
     if fixed is not None:
-        if args.ring == "fp" and args.p not in (None, fixed.p):
+        if _contradicts(args, fixed):
             raise DomainError(f"family {args.family!r} lives over {fixed}")
         return fixed
     if args.ring == "fp":
@@ -275,7 +280,7 @@ def _cmd_coterm(args) -> int:
     if not pinned and args.p is None:
         raise DomainError(f"{rule} requires --p")
     ring = row.ring.rings[0] if pinned else GF(args.p)
-    if args.p not in (None, ring.p) or (args.ring == "fp" and not ring.is_field):
+    if _contradicts(args, ring):
         raise DomainError(f"{rule} is stated over {row.ring.text}")
     k = args.k if args.k is not None else row.fixed_k
     result = coterm_construct(rule, args.n, k, ring)

@@ -19,7 +19,7 @@ independent cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .binomics import is_power_of, require_prime, weight_base_p
@@ -241,13 +241,26 @@ def generates_reversible_code(g: Poly) -> bool:
 
 @dataclass(frozen=True)
 class CyclicCode:
-    """A cyclic code of length m over GF(p) with monic generator g | x^m - 1."""
+    """A cyclic code of length m over GF(p) with monic generator g | x^m - 1, checked when made."""
 
     p: int
     m: int
     generator: Poly
-    dimension: int
-    reversible: bool
+    dimension: int = field(init=False)
+    reversible: bool = field(init=False)
+
+    def __post_init__(self):
+        m = _prime_and_length(self.p, self.m)
+        g = require_type(self.generator, Poly, "generator")
+        if g.ring != GF(self.p):
+            raise DomainError(f"generator ring {g.ring} does not match GF({self.p})")
+        if not g.is_monic():
+            raise DomainError("generator must be monic")
+        if _xm_minus_1(g.ring, m) % g:
+            raise DomainError(f"generator does not divide x^{m} - 1")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "dimension", m - g.degree)
+        object.__setattr__(self, "reversible", generates_reversible_code(g))
 
     def to_json_dict(self, enumeration_checked: bool = False) -> dict:
         return {
@@ -261,26 +274,8 @@ class CyclicCode:
 
 
 def build_cyclic_code(p: int, m: int, generator: Poly) -> CyclicCode:
-    """Check the generator and assemble the code record."""
-    m = _prime_and_length(p, m)
-    if require_type(generator, Poly, "generator").ring != GF(p):
-        raise DomainError(f"generator ring {generator.ring} does not match GF({p})")
-    if not generator.is_monic():
-        raise DomainError("generator must be monic")
-    if _xm_minus_1(GF(p), m) % generator:
-        raise DomainError(f"generator does not divide x^{m} - 1")
-    return CyclicCode(p, m, generator, m - generator.degree, generates_reversible_code(generator))
-
-
-def _check_enumerable(code) -> None:
-    # the listing trusts every field of the record, so check them before any array exists
-    if not isinstance(code, CyclicCode):
-        raise DomainError(f"the enumeration takes a CyclicCode, got {code!r}")
-    g, m, dim = code.generator, code.m, code.dimension
-    if not (isinstance(g, Poly) and g.ring == GF(code.p) and g.is_monic() and g[0]
-            and 0 <= as_int(dim, "dimension") and g.degree == as_int(m, "length m") - dim):
-        raise DomainError(f"generator {g} is not a monic polynomial over GF({code.p}) "
-                          "of degree m - dimension with a nonzero constant term")
+    """The cyclic code of length m over GF(p) that ``generator`` generates, checked as it is made."""
+    return CyclicCode(p, m, generator)
 
 
 def _codeword_lanes(code: CyclicCode):
@@ -339,8 +334,7 @@ def verify_reversibility_by_enumeration(code: CyclicCode) -> bool:
     word lists must be equal; otherwise the lane rows, sorted by their first
     lane, must be.
     """
-    _check_enumerable(code)
-    p, dim = code.p, code.dimension
+    p, dim = require_type(code, CyclicCode, "code").p, code.dimension
     if p**dim > ENUMERATION_CAP:
         raise CapacityError(f"{p}^{dim} codewords exceed the enumeration cap {ENUMERATION_CAP}")
     if p > _ENUMERATION_P_MAX:

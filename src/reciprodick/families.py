@@ -28,6 +28,8 @@ The builders use only sums and products of row entries, so rows read mod p
 give the same member over GF(p).  A caller building many members shares one
 new ``row_cache(ring)`` per ring among the builds of one call only; over
 GF(p) it reads the rows mod p (``binomial_row_mod_p``), with no big integers.
+A member's n, k, a and ring are checked once, by ``FamilySpec``: the public
+builders build through it, and the table's builders are unchecked cores.
 """
 
 from __future__ import annotations
@@ -77,8 +79,7 @@ class FamilySpec:
             as_int(getattr(self, field), f"family {field}")
         if self.n < 0:
             raise DomainError("family index n must be >= 0")
-        if not isinstance(self.ring, Ring):
-            raise DomainError(f"family ring must be a Ring, got {self.ring!r}")
+        require_type(self.ring, Ring, "ring")
         row = FAMILY_TABLE[self.family]
         name = f"family {self.family!r}"
         if row.ring is not None and self.ring != row.ring:
@@ -135,14 +136,16 @@ def _f_int_coeffs(n: int, k: int, rows) -> list[int]:
     return [k * (b1 - b1_before) + 2 * b0 for b1, b1_before, b0 in zip(odd + (0,), (0,) + odd, rows(n)[::2])]
 
 
+def _f(s: FamilySpec, rows) -> Poly:
+    # the summation form of f, and of fchar2, whose spec fixes k = 1
+    if s.n == 0:
+        return Poly.constant(s.ring, 2 - s.k)
+    return Poly(s.ring, _f_int_coeffs(s.n, s.k, rows))
+
+
 def f_family(n: int, k: int, ring: Ring = Z, rows=binomial_row) -> Poly:
     """The generating family: its summation form over the rows ``rows``, reduced into the ring."""
-    if n < 0:
-        raise DomainError("f_family requires n >= 0")
-    _check_k_range(ring, k)
-    if n == 0:
-        return Poly.constant(ring, 2 - k)
-    return Poly(ring, _f_int_coeffs(n, k, rows))
+    return build(FamilySpec("f", n, k, ring), rows)
 
 
 def _low_end(n: int, k: int) -> int:
@@ -180,14 +183,9 @@ def f_expanded_odd(n: int, k: int, ring: Ring = Z) -> Poly:
 
 def f_kind(n: int, kind: int, rows=binomial_row) -> Poly:
     """Kind specializations over Z: kind 1 picks even binomials, 2 and 3 odd."""
-    # called once per kind member, so plain ints skip the conversion
-    if type(n) is not int or type(kind) is not int:
-        n, kind = as_int(n, "f_kind n"), as_int(kind, "f_kind kind")
-    if n < 0:
-        raise DomainError("f_kind requires n >= 0")
-    if kind not in (1, 2, 3):
+    if as_int(kind, "f_kind kind") not in (1, 2, 3):
         raise DomainError(f"kind must be 1, 2 or 3, got {kind}")
-    return Poly(Z, rows(n)[0 if kind == 1 else 1 :: 2])
+    return build(FamilySpec(f"kind{kind}", n), rows)
 
 
 # ------------------------------------------------------------ reversed Dickson
@@ -200,16 +198,14 @@ def reversed_dickson(n: int, k: int, a: int = 1, ring: Ring = Z) -> Poly:
     division is exact for every n >= 1, i <= n//2 and any integer k, which the
     construction verifies instead of assuming.
     """
-    # called once per dickson member, so plain ints skip the conversion
-    if type(n) is not int or type(k) is not int or type(a) is not int:
-        n, k = as_int(n, "reversed_dickson n"), as_int(k, "reversed_dickson k")
-        a = as_int(a, "reversed_dickson a")
-    if n < 0:
-        raise DomainError("reversed_dickson requires n >= 0")
-    _check_k_range(ring, k)
+    return build(FamilySpec("dickson", n, k, ring, a))
+
+
+def _dickson(s: FamilySpec, rows) -> Poly:
+    n, k, ring = s.n, s.k, s.ring
     if n == 0:
         return Poly.constant(ring, 2 - k)
-    a = ring.normalize(a)
+    a = ring.normalize(s.a)
     coeffs = []
     for i in range(n // 2 + 1):
         num = (n - k * i) * binomial(n - i, i)
@@ -241,22 +237,19 @@ def _ends(lo, hi):
     return lambda s, rows: _end_variant(s.n, s.k, s.ring, lo, hi, rows)
 
 
-_KIND2 = Family(lambda s, rows: Poly(s.ring, f_kind(s.n, 2, rows).coeffs),
-                fixed_k=(0, "takes no kind parameter k"))
+_KIND2 = Family(lambda s, rows: Poly(s.ring, rows(s.n)[1::2]), fixed_k=(0, "takes no kind parameter k"))
 
 FAMILY_TABLE = {
-    "dickson": Family(lambda s, rows: reversed_dickson(s.n, s.k, s.a, s.ring)),
-    "f": Family(lambda s, rows: f_family(s.n, s.k, s.ring, rows)),
+    "dickson": Family(_dickson),
+    "f": Family(_f),
     "g": Family(_ends(_high_end, _high_end), parity=0, n_min=2),
     "h": Family(_ends(_low_end, _low_end), parity=0, n_min=2),
     "gstar": Family(_ends(_high_end, _high_end), parity=1, n_min=3),
     "hstar": Family(_ends(_low_end, _low_end), parity=1, n_min=3),
-    "kind1": Family(lambda s, rows: Poly(s.ring, f_kind(s.n, 1, rows).coeffs),
-                    fixed_k=(0, "takes no kind parameter k")),
+    "kind1": Family(lambda s, rows: Poly(s.ring, rows(s.n)[::2]), fixed_k=(0, "takes no kind parameter k")),
     "kind2": _KIND2,
     "kind3": _KIND2,  # the third kind coincides with the second
-    "fchar2": Family(lambda s, rows: f_family(s.n, 1, s.ring, rows),
-                     n_min=1, fixed_k=(1, "fixes k = 1"), ring=GF(2)),
+    "fchar2": Family(_f, n_min=1, fixed_k=(1, "fixes k = 1"), ring=GF(2)),
 }
 
 FAMILIES = tuple(FAMILY_TABLE)

@@ -1,4 +1,7 @@
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +32,7 @@ from reciprodick.coterm_codes import COTERM_TABLE, coterm_rule
 from reciprodick.families import FAMILY_TABLE
 
 K_WINDOW = tuple(range(-5, 7))
+SRC_DIR = str(Path(classifier.__file__).resolve().parents[1])
 
 
 def P(ring, *coeffs):
@@ -194,6 +198,20 @@ class TestScan:
             scan("T3_1", 2, 6, k_values=[1, 2], p_list=[3, 5])
         assert scan("T2_1", 2, 6, k_values=range(3)) == scan("T2_1", 2, 6, k_values=[0, 1, 2])
 
+    def test_refuses_past_its_cap_before_listing(self):
+        # each used to run for years: k over all of [0, p-1], or n up to 10^12.
+        # A child process with a timeout makes a hang fail instead of stall the run
+        probe = ("import sys, time; sys.path.insert(0, sys.argv[1]); import reciprodick as R\n"
+                 "for args, kwargs in ((('T3_1', 2, 2), {'p_list': [2305843009213693951]}),\n"
+                 "                     (('T3_1', 2, 2), {'p_list': [18446744073709551557]}),\n"
+                 "                     (('T2_1',), {'n_max': 10**12})):\n"
+                 "    start = time.perf_counter()\n"
+                 "    try: R.scan(*args, **kwargs)\n"
+                 "    except R.CapacityError as exc: assert 'above the cap 1000000' in str(exc), exc\n"
+                 "    else: raise AssertionError(args)\n"
+                 "    assert time.perf_counter() - start < 1, args\n")
+        subprocess.run([sys.executable, "-c", probe, SRC_DIR], check=True, timeout=60)
+
     def test_verdict_json_shape(self):
         v = scan("T3_1", n_min=6, n_max=6, k_values=(2,), p_list=(3,))[0]
         assert v.to_json_dict() == {
@@ -347,6 +365,29 @@ class TestLemmaL1:
         verdicts = scan("L1", n_min=1, n_max=3, k_values=[0, 1], p_list=(3, 5))
         assert {v.spec.k for v in verdicts} == {0, 1}
         assert {v.spec.k for v in scan("L1", n_min=1, n_max=3, p_list=(3,))} == {0, 1, 2}
+
+
+@pytest.mark.parametrize("t", [t for t in THEOREM_IDS
+                               if classifier.RULE_TABLE[t].kind in ("classification", "corollary")])
+def test_scan_lists_exactly_the_members_its_rule_accepts(t):
+    # scan lists its members from the row's own conditions and asks neither predicate
+    # nor check_corollary; on a grid, they are exactly the specs those two accept
+    row = classifier.RULE_TABLE[t]
+    call = {"classification": predicate, "corollary": check_corollary}[row.kind]
+    accepted = {}
+    for family, n, k, ring in itertools.product(FAMILIES, range(31), range(-1, 5),
+                                                (Z, GF(2), GF(3), GF(5), GF(7))):
+        try:
+            spec = FamilySpec(family, n, k, ring)
+            accepted[family, n, k, ring] = call(t, spec)
+        except DomainError:
+            continue
+    verdicts = scan(t, n_min=0, n_max=30, k_values=range(-1, 5), p_list=(3, 5, 7))
+    scanned = {(v.spec.family, v.spec.n, v.spec.k, v.spec.ring): v for v in verdicts}
+    assert len(scanned) == len(verdicts) and scanned.keys() == accepted.keys()
+    # and each verdict reads what predicate or check_corollary answers
+    field = "predicted" if row.kind == "classification" else "observed"
+    assert all(getattr(v, field) == accepted[key] for key, v in scanned.items())
 
 
 # ------------------------------------------------------- the hypothesis check

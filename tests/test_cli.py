@@ -79,6 +79,15 @@ class TestGen:
         rc, _, err = run(capsys, "gen", "--family", "f", "--n", "4", "--p", "5")
         assert rc == 1  # --p without --ring fp
 
+    def test_ring_contradicting_the_family_exits_1(self, capsys):
+        # an explicit --ring z, or a --p other than 2, used to print the F2 member
+        for command in ("gen", "classify"):
+            for extra in (("--ring", "z", "--p", "3"), ("--ring", "z"), ("--p", "3"), ("--ring", "fp", "--p", "3")):
+                rc, out, err = run(capsys, command, "--family", "fchar2", "--n", "8", *extra)
+                assert (rc, out, err) == (1, "", "error: family 'fchar2' lives over F2\n"), (command, extra)
+            for extra in ((), ("--ring", "fp"), ("--ring", "fp", "--p", "2")):
+                assert run(capsys, command, "--family", "fchar2", "--n", "8", *extra)[0] == 0, (command, extra)
+
     def test_unwritable_out_exits_1(self, capsys, tmp_path):
         target = tmp_path / "missing" / "poly.json"
         rc, out, err = run(capsys, "gen", "--family", "f", "--n", "4", "--out", str(target))
@@ -204,6 +213,16 @@ class TestCoterm:
         record = json.loads(out)
         assert record["p"] == 2 and record["degenerate"] is False
 
+    def test_ring_contradicting_the_rule_exits_1(self, capsys):
+        # --ring z used to be ignored: char2 built over F2, t5.7 over GF(3)
+        for argv, text in (("coterm --theorem char2 --n 6 --ring z", "CHAR2 is stated over F2"),
+                           ("coterm --theorem t5.7 --n 10 --ring z --p 3", "T5_7 is stated over GF(p) with p odd"),
+                           ("coterm --theorem t5.1 --n 4 --ring fp", "T5_1 is stated over Z")):
+            assert run(capsys, *argv.split()) == (1, "", f"error: {text}\n"), argv
+        for argv in ("coterm --theorem char2 --n 6 --ring fp", "coterm --theorem t5.7 --n 10 --ring fp --p 3",
+                     "coterm --theorem t5.1 --n 4 --ring z"):
+            assert run(capsys, *argv.split())[0] == 0, argv
+
     def test_hypothesis_violation_exits_1(self, capsys):
         rc, _, err = run(capsys, "coterm", "--theorem", "t5.1", "--n", "4", "--k", "1")
         assert rc == 1 and "k = 0" in err
@@ -321,3 +340,11 @@ class TestParserReuse:
                      ("code", "--p", "2", "--m", "3")):
             assert run(capsys, *argv)[0] == 0
         assert calls == []
+
+
+def test_scan_over_a_huge_prime_is_refused():
+    # k used to run over all of [0, p-1], so this ran for years
+    rc, out, err = _fresh_process(["verify", "--theorem", "t3.1", "--p", "2305843009213693951"])
+    assert rc == 1 and out == ""
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == [err.rstrip("\n")]
+    assert "above the cap" in err

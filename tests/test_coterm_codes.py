@@ -452,36 +452,52 @@ class TestCyclicCodes:
         assert verify_reversibility_by_enumeration(full) is True
 
     def test_enumeration_rejects_malformed_codes(self):
-        # a non-code used to raise a bare AttributeError, and a generator of the
-        # wrong degree a bare numpy ValueError or a listing of the wrong words
+        # a malformed code used to be constructible and refused only by the
+        # enumeration; now CyclicCode refuses it as it is made
         x1 = P(GF(2), 1, 1)
-        malformed = ("x", None, (2, 3, x1, 2, True),
-                     CyclicCode(2, 3, x1, 5, True),  # degree 1, m - dimension = -2
-                     CyclicCode(2, 3, x1, 1, True),  # degree 1, m - dimension = 2
-                     CyclicCode(2, 1, P(GF(2), 0, 0, 1), -1, True),  # degree 2 = m - dimension, dimension < 0
-                     CyclicCode(2, 3, P(GF(3), 1, 1), 2, True),  # over GF(3), not GF(2)
-                     CyclicCode(3, 3, P(GF(3), 2, 2), 2, True),  # not monic
-                     CyclicCode(2, 3, P(GF(2), 0, 1), 2, True),  # x divides no x^m - 1
-                     CyclicCode(2, 3, (1, 1), 2, True), CyclicCode(2, 3, P(Z, 1, 1), 2, True),
-                     CyclicCode(2, 3.0, x1, 2, True), CyclicCode(2, 3, x1, 2.0, True),
-                     CyclicCode(4, 3, x1, 2, True), CyclicCode("2", 3, x1, 2, True),
-                     CyclicCode(2, 30, x1, 28, True))  # over the cap, yet malformed first
-        for code in malformed:
+        malformed = ((2, 3, P(GF(3), 1, 1)),  # over GF(3), not GF(2)
+                     (3, 3, P(GF(3), 2, 2)),  # not monic
+                     (2, 3, P(GF(2), 0, 1)),  # x divides no x^m - 1
+                     (2, 30, P(GF(2), 0, 1)),  # nor x^30 - 1, whose codes are over the cap
+                     (2, 7, P(GF(2), 1, 1, 1)),  # not a divisor
+                     (2, 3, (1, 1)), (2, 3, P(Z, 1, 1)), (2, 3, None),
+                     (2, 3.0, x1), (2, True, x1), (2, 0, x1), (2, -3, x1),
+                     (4, 3, x1), ("2", 3, x1), (2.0, 3, x1))
+        for args in malformed:
             with pytest.raises(DomainError):
-                verify_reversibility_by_enumeration(code)
+                CyclicCode(*args)
+            with pytest.raises(DomainError):
+                build_cyclic_code(*args)
+        # the dimension and the verdict are derived, never given
+        for extra in ((2,), (2, True)):
+            with pytest.raises(TypeError):
+                CyclicCode(2, 3, x1, *extra)
+        with pytest.raises(TypeError):
+            CyclicCode(2, 3, x1, dimension=2)
+        code = CyclicCode(2, 3, x1)
+        assert (code.dimension, code.reversible) == (2, True) and code == build_cyclic_code(2, 3, x1)
+        # a non-code is refused by the enumeration itself
+        for bad in ("x", None, (2, 3, x1)):
+            with pytest.raises(DomainError, match=r"^code must be a CyclicCode"):
+                verify_reversibility_by_enumeration(bad)
         # the refusals keep their order: the cap, then p > 181, then dim = 0
         with pytest.raises(CapacityError, match=r"^191\^3 codewords exceed"):
-            verify_reversibility_by_enumeration(build_cyclic_code(191, 4, P(GF(191), -1, 1)))
+            verify_reversibility_by_enumeration(CyclicCode(191, 4, P(GF(191), -1, 1)))
         with pytest.raises(CapacityError, match=r"supports p <= 181, not GF\(191\)$"):
-            verify_reversibility_by_enumeration(build_cyclic_code(191, 1, P(GF(191), -1, 1)))
-        assert verify_reversibility_by_enumeration(build_cyclic_code(181, 1, P(GF(181), -1, 1))) is True
+            verify_reversibility_by_enumeration(CyclicCode(191, 1, P(GF(191), -1, 1)))
+        assert verify_reversibility_by_enumeration(CyclicCode(181, 1, P(GF(181), -1, 1))) is True
 
     def test_enumeration_checks_before_numpy(self):
-        # a malformed code is refused before numpy is imported, let alone an array made
+        # a malformed code is refused as it is made, and a non-code by the
+        # enumeration, before numpy is imported, let alone an array made
         src_dir = str(Path(reciprodick.__file__).resolve().parents[1])
         probe = ("import sys; sys.path.insert(0, sys.argv[1]); import reciprodick as R\n"
-                 "try: R.verify_reversibility_by_enumeration(R.CyclicCode(2, 3, R.Poly(R.GF(2), (1, 1)), 5, True))\n"
-                 "except R.DomainError: pass\n"
+                 "g = R.Poly(R.GF(2), (0, 1))\n"
+                 "for make in (lambda: R.CyclicCode(2, 3, g), lambda: R.build_cyclic_code(2, 3, g),\n"
+                 "             lambda: R.verify_reversibility_by_enumeration((2, 3, g))):\n"
+                 "    try: make()\n"
+                 "    except R.DomainError: pass\n"
+                 "    else: raise AssertionError('not refused')\n"
                  "assert 'numpy' not in sys.modules")
         subprocess.run([sys.executable, "-c", probe, src_dir], check=True)
 

@@ -19,6 +19,7 @@ from reciprodick import (
     reduce_mod_p,
     reversed_dickson,
 )
+from reciprodick import families as families_module
 
 K_WINDOW = range(-5, 7)
 
@@ -345,3 +346,25 @@ def test_builders_reject_non_ring():
         for bad in (5, "Z", None):
             with pytest.raises(DomainError, match=rf"^ring must be a Ring, got {re.escape(repr(bad))}$"):
                 call(bad)
+
+
+def test_builders_check_each_member_once_through_family_spec(monkeypatch):
+    # the builders hold no checks of their own: a refusal is FamilySpec's, word for word
+    cases = ((lambda: f_family(-1, 0), ("f", -1, 0)), (lambda: f_family(4, 3, GF(3)), ("f", 4, 3, GF(3))),
+             (lambda: f_family(4.0, 0), ("f", 4.0, 0)), (lambda: reversed_dickson(-1, 0), ("dickson", -1, 0)),
+             (lambda: reversed_dickson(4, 0, 1.5), ("dickson", 4, 0, Z, 1.5)),
+             (lambda: reversed_dickson(4, -1, 1, GF(5)), ("dickson", 4, -1, GF(5))),
+             (lambda: f_kind(-1, 1), ("kind1", -1)), (lambda: f_kind("4", 2), ("kind2", "4")))
+    for call, spec_args in cases:
+        with pytest.raises(DomainError) as expected:
+            FamilySpec(*spec_args)
+        with pytest.raises(DomainError, match=rf"^{re.escape(str(expected.value))}$"):
+            call()
+    # and the k range of an f or dickson member is checked once, not again by its builder
+    calls = []
+    check = families_module._check_k_range
+    monkeypatch.setattr(families_module, "_check_k_range", lambda *a: calls.append(a) or check(*a))
+    f_family(6, 2, GF(3))
+    reversed_dickson(6, 2, 1, GF(3))
+    build(FamilySpec("f", 6, 2, GF(3)))
+    assert len(calls) == 3
