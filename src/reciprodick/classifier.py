@@ -281,7 +281,7 @@ def lemma_l1(a: Poly) -> bool:
     return (deg is not None and deg % 2 == 0) or _not_srim(a)
 
 
-def check_corollary(corollary: str, spec: FamilySpec, rows=binomial_row) -> bool:
+def check_corollary(corollary: str, spec: FamilySpec) -> bool:
     """True iff the spec's polynomial is not both irreducible and palindromic.
 
     Each corollary pins a parameter family on which the constructed
@@ -289,7 +289,7 @@ def check_corollary(corollary: str, spec: FamilySpec, rows=binomial_row) -> bool
     never hold.
     """
     _check_hypotheses(corollary, "corollary", spec, "a corollary id")
-    return _not_srim(build(spec, rows))
+    return _not_srim(build(spec))
 
 
 # ------------------------------------------------------------------- scanning
@@ -321,10 +321,13 @@ def _members(rule: Rule, ring: Ring) -> list[tuple[str, int | None]]:
 
 
 def _int_list(values, what: str) -> list[int]:
+    """The integers of an iterable, reading at most SCAN_CAP + 1 of them (CapacityError past SCAN_CAP)."""
     try:
-        items = list(values)
+        items = list(itertools.islice(values, SCAN_CAP + 1))
     except TypeError:
         raise DomainError(f"{what} must be an iterable of integers, got {values!r}") from None
+    if len(items) > SCAN_CAP:
+        raise CapacityError(f"{what} lists more entries than the cap {SCAN_CAP}")
     return [as_int(v, f"a {what} entry") for v in items]
 
 
@@ -337,8 +340,9 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
     (default DEFAULT_K_WINDOW); over GF(p), over the distinct ``k_values`` in
     [0, p-1] in increasing order (default all of them).  Rules with a fixed
     k ignore ``k_values``.  ``k_values`` and ``p_list`` may be any iterables
-    of integers.  Mismatches are reported as data, not raised.  The members
-    come from the row's own conditions, its hypotheses, so none is checked
+    of at most SCAN_CAP integers; at most SCAN_CAP + 1 entries of each are
+    read.  Mismatches are reported as data, not raised.  The members come
+    from the row's own conditions, its hypotheses, so none is checked
     again; over SCAN_CAP candidates (n range x k values x ring and member
     family pairs) raise CapacityError before any is listed.
     All members of one call over one ring read their binomial rows from one
@@ -365,7 +369,8 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
     count = max(hi - lo + 1, 0) * n_ks * sum(len(fams) for _, fams in members)
     if count > SCAN_CAP:
         raise CapacityError(f"{t} would scan {count} candidate members, above the cap {SCAN_CAP}")
-    ns = [n for n in range(lo, hi + 1) if rule.n.holds(n)]
+    # with no candidate the n range is not listed: n_max alone may make it as long as it likes
+    ns = [n for n in range(lo, hi + 1) if rule.n.holds(n)] if count else []
     # a pinned member takes only its fixed k, an unpinned one every k, below p over GF(p)
     specs = [FamilySpec(fam, n, k, r) for n in ns for k in ks for r, fams in members for fam, fixed in fams
              if (k == fixed if fixed is not None else r.p is None or k < r.p)

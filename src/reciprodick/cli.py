@@ -29,7 +29,7 @@ import io
 import json
 import sys
 
-from .classifier import THEOREM_IDS, mismatches, normalize_theorem_id, scan
+from .classifier import SCAN_CAP, THEOREM_IDS, mismatches, normalize_theorem_id, scan
 from .coterm_codes import (
     ENUMERATION_CAP,
     build_cyclic_code,
@@ -181,8 +181,16 @@ def _resolve_ring(args) -> Ring:
     return Z
 
 
+def _count(values) -> int:
+    # len() of a range overflows past sys.maxsize
+    return max(-((values.start - values.stop) // values.step), 0) if isinstance(values, range) else len(values)
+
+
 def _selected_members(args) -> list[tuple[FamilySpec, Poly]]:
-    """The selected specs over the resolved ring, each with its member built from one row_cache."""
+    """The selected specs over the resolved ring, each with its member built from one row_cache.
+
+    Over SCAN_CAP of them (n values x k values) raise CapacityError before any spec is made.
+    """
     ring = _resolve_ring(args)
     family = args.family
     row = FAMILY_TABLE[family]
@@ -190,23 +198,29 @@ def _selected_members(args) -> list[tuple[FamilySpec, Poly]]:
         ns = [args.n]
     elif args.n_max is not None:
         lo = args.n_min if args.n_min is not None else row.n_min
-        ns = [n for n in range(lo, args.n_max + 1) if row.parity is None or n % 2 == row.parity]
+        if row.parity is None:
+            ns = range(lo, args.n_max + 1)
+        else:  # every other n, from the first of the family's parity
+            ns = range(lo + (lo - row.parity) % 2, args.n_max + 1, 2)
     else:
         raise DomainError("one of --n or --n-max is required")
     ks = [args.k] if args.k is not None else _k_range(args)
     if ks is None:
         ks = [row.fixed_k[0] if row.fixed_k else 0]
+    count = _count(ns) * _count(ks)
+    if count > SCAN_CAP:
+        raise CapacityError(f"the selection would build {count} members, above the cap {SCAN_CAP}")
     specs = [FamilySpec(family, n, k, ring, args.a) for n in ns for k in ks]
     rows = row_cache(ring)
     return [(spec, build(spec, rows)) for spec in specs]
 
 
-def _k_range(args) -> list[int] | None:
+def _k_range(args) -> range | None:
     if args.k_min is None and args.k_max is None:
         return None
     if args.k_min is None or args.k_max is None:
         raise DomainError("--k-min and --k-max go together")
-    return list(range(args.k_min, args.k_max + 1))
+    return range(args.k_min, args.k_max + 1)
 
 
 # ------------------------------------------------------------------ commands

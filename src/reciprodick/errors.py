@@ -15,12 +15,12 @@ class CapacityError(RuntimeError):
     """The input exceeds the supported desk-scale bounds."""
 
 
-def as_int(v, what: str, decimal: bool = False) -> int:
-    """v as an int, or a decimal string's value if ``decimal``; DomainError for floats, bools and the rest."""
+def as_int(v, what: str) -> int:
+    """v as an int; DomainError for floats, bools and the rest."""
     if not isinstance(v, bool):
         try:
-            return int(v) if decimal and isinstance(v, str) else operator.index(v)
-        except (TypeError, ValueError):
+            return operator.index(v)
+        except TypeError:
             pass
     raise DomainError(f"{what} must be an integer, got {v!r}")
 

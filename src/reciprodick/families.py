@@ -92,12 +92,6 @@ class FamilySpec:
         if row.fixed_k is None:
             _check_k_range(self.ring, self.k)
 
-    def to_json_dict(self) -> dict:
-        d = {"family": self.family, "n": self.n, "k": self.k, "ring": self.ring.to_json_dict()}
-        if self.family == "dickson":
-            d["a"] = self.a
-        return d
-
     def to_flat_dict(self) -> dict:
         """The spec as flat record fields: family, n, k, then p over GF(p) and a for dickson."""
         d = {"family": self.family, "n": self.n, "k": self.k}
@@ -106,15 +100,6 @@ class FamilySpec:
         if self.family == "dickson":
             d["a"] = self.a
         return d
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "FamilySpec":
-        try:
-            family, ring = d["family"], d.get("ring", {"ring": "Z"})
-            n, k, a = (as_int(v, "n, k and a", decimal=True) for v in (d["n"], d.get("k", 0), d.get("a", 1)))
-        except (AttributeError, KeyError, TypeError, DomainError):
-            raise DomainError(f"malformed family spec {d!r}") from None
-        return FamilySpec(family, n, k, Ring.from_json_dict(ring), a)
 
 
 # --------------------------------------------------------------- summation forms
@@ -143,9 +128,9 @@ def _f(s: FamilySpec, rows) -> Poly:
     return Poly(s.ring, _f_int_coeffs(s.n, s.k, rows))
 
 
-def f_family(n: int, k: int, ring: Ring = Z, rows=binomial_row) -> Poly:
-    """The generating family: its summation form over the rows ``rows``, reduced into the ring."""
-    return build(FamilySpec("f", n, k, ring), rows)
+def f_family(n: int, k: int, ring: Ring = Z) -> Poly:
+    """The generating family: its summation form over Z, reduced into the ring."""
+    return build(FamilySpec("f", n, k, ring))
 
 
 def _low_end(n: int, k: int) -> int:
@@ -181,11 +166,11 @@ def f_expanded_odd(n: int, k: int, ring: Ring = Z) -> Poly:
     return _end_variant(n, k, ring, _low_end, _high_end, binomial_row)
 
 
-def f_kind(n: int, kind: int, rows=binomial_row) -> Poly:
+def f_kind(n: int, kind: int) -> Poly:
     """Kind specializations over Z: kind 1 picks even binomials, 2 and 3 odd."""
     if as_int(kind, "f_kind kind") not in (1, 2, 3):
         raise DomainError(f"kind must be 1, 2 or 3, got {kind}")
-    return build(FamilySpec(f"kind{kind}", n), rows)
+    return build(FamilySpec(f"kind{kind}", n))
 
 
 # ------------------------------------------------------------ reversed Dickson

@@ -24,56 +24,36 @@ from .errors import DomainError, as_int, require_type
 
 @dataclass(frozen=True, slots=True)
 class Ring:
-    """Coefficient domain: the integers ("Z") or a prime field ("Fp")."""
+    """Coefficient domain: the integers (p is None) or the prime field GF(p)."""
 
-    kind: str
     p: int | None = None
 
     def __post_init__(self):
-        if self.kind == "Z":
-            if self.p is not None:
-                raise DomainError("ring Z carries no modulus")
-        elif self.kind == "Fp":
-            if self.p is None or not is_prime(as_int(self.p, "field order")):
-                raise DomainError(f"field order must be prime, got {self.p!r}")
-        else:
-            raise DomainError(f"unknown ring kind {self.kind!r}")
+        if self.p is not None and not is_prime(as_int(self.p, "field order")):
+            raise DomainError(f"field order must be prime, got {self.p!r}")
 
     @property
     def is_field(self) -> bool:
-        return self.kind == "Fp"
+        return self.p is not None
 
     def normalize(self, c: int) -> int:
-        return c % self.p if self.kind == "Fp" else c
+        return c if self.p is None else c % self.p
 
     def __str__(self):
-        return "Z" if self.kind == "Z" else f"F{self.p}"
+        return "Z" if self.p is None else f"F{self.p}"
 
     def to_json_dict(self) -> dict:
-        if self.kind == "Z":
+        if self.p is None:
             return {"ring": "Z"}
         return {"ring": "Fp", "p": self.p}
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "Ring":
-        kind = d.get("ring") if isinstance(d, dict) else None
-        if kind == "Z":
-            return Z
-        if kind == "Fp":
-            try:
-                p = as_int(d["p"], "p", decimal=True)
-            except (KeyError, DomainError):
-                raise DomainError(f"ring descriptor {d!r} needs an integer p") from None
-            return Ring("Fp", p)
-        raise DomainError(f"unknown ring descriptor {d!r}")
 
-
-Z = Ring("Z")
+Z = Ring()
 
 
 def GF(p: int) -> Ring:
     """The prime field with p elements."""
-    return Ring("Fp", p)
+    return Ring(as_int(p, "field order"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -287,18 +267,6 @@ class Poly:
         d = self.ring.to_json_dict()
         d["coeffs"] = [str(c) for c in self.coeffs]
         return d
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "Poly":
-        ring = Ring.from_json_dict(d)
-        coeffs = d.get("coeffs", [])
-        if not isinstance(coeffs, list):
-            raise DomainError(f"coeffs must be a list, not {type(coeffs).__name__}")
-        try:
-            values = tuple(int(s) if isinstance(s, str) else s for s in coeffs)
-        except ValueError as e:
-            raise DomainError(f"coeffs must be integers or decimal strings: {e}") from None
-        return Poly(ring, values)
 
     def __str__(self):
         if not self.coeffs:

@@ -212,6 +212,31 @@ class TestScan:
                  "    assert time.perf_counter() - start < 1, args\n")
         subprocess.run([sys.executable, "-c", probe, SRC_DIR], check=True, timeout=60)
 
+    def test_reads_at_most_the_cap_of_an_iterable(self):
+        # each used to list its whole iterable first: count() never returned and range(10**10) ran out
+        # of memory; with no k to take, n up to 10^12 was listed all the same.  The child's address
+        # space is limited to about 2 GB, so an unbounded listing fails there instead of swapping
+        probe = ("import itertools, resource, sys, time\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                 "sys.path.insert(0, sys.argv[1]); import reciprodick as R\n"
+                 "for t, kwargs in (('T2_1', {'k_values': itertools.count()}),\n"
+                 "                  ('T3_1', {'p_list': itertools.count(2)}),\n"
+                 "                  ('T2_1', {'k_values': range(10**10)}),\n"
+                 "                  ('T4_1', {'k_values': range(10**6 + 1)})):\n"
+                 "    start = time.perf_counter()\n"
+                 "    try: R.scan(t, 2, 2, **kwargs)\n"
+                 "    except R.CapacityError as exc: assert 'more entries than the cap 1000000' in str(exc), exc\n"
+                 "    else: raise AssertionError(kwargs)\n"
+                 "    assert time.perf_counter() - start < 2, kwargs\n"
+                 "for t, kwargs in (('T2_1', {'k_values': []}), ('T3_1', {'k_values': [9], 'p_list': [3]})):\n"
+                 "    start = time.perf_counter()\n"
+                 "    assert R.scan(t, 2, 10**12, **kwargs) == [], kwargs\n"
+                 "    assert time.perf_counter() - start < 2, kwargs\n"
+                 "start = time.perf_counter()\n"
+                 "assert len(R.scan('T3_1', 2, 2, k_values=range(10**6), p_list=[3])) == 3\n"
+                 "assert time.perf_counter() - start < 2\n")
+        subprocess.run([sys.executable, "-c", probe, SRC_DIR], check=True, timeout=60)
+
     def test_verdict_json_shape(self):
         v = scan("T3_1", n_min=6, n_max=6, k_values=(2,), p_list=(3,))[0]
         assert v.to_json_dict() == {

@@ -6,8 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import reciprodick
-from reciprodick import Poly
 from reciprodick.cli import main
 
 K_WINDOW = tuple(range(-5, 7))
@@ -28,7 +29,7 @@ class TestGen:
     def test_round_trip_through_poly(self, capsys):
         rc, out, _ = run(capsys, "gen", "--family", "f", "--n", "5", "--k", "3")
         assert rc == 0
-        assert Poly.from_json_dict(json.loads(out)).coeffs == (14, 20, -2)
+        assert json.loads(out) == {"ring": "Z", "coeffs": ["14", "20", "-2"]}
 
     def test_fp_generation(self, capsys):
         rc, out, _ = run(capsys, "gen", "--family", "f", "--n", "6", "--k", "2", "--ring", "fp", "--p", "3")
@@ -348,3 +349,40 @@ def test_scan_over_a_huge_prime_is_refused():
     assert rc == 1 and out == ""
     assert [line for line in err.splitlines() if line.startswith("error: ")] == [err.rstrip("\n")]
     assert "above the cap" in err
+
+
+_K_CAP = "error: k_values lists more entries than the cap 1000000"
+
+
+def _built(count: int) -> str:
+    return f"error: the selection would build {count} members, above the cap 1000000"
+
+
+_LONG_SWEEPS = [
+    ("gen --family f --n 1 --k-min 0 --k-max 100000000", _built(100000001)),
+    ("classify --family f --n 1 --k-min 0 --k-max 100000000", _built(100000001)),
+    ("gen --family f --n-max 1000000000000 --k 0", _built(1000000000001)),
+    ("classify --family g --n-max 1000000000000 --k-min -1000000000000000000000 --k-max 0",
+     _built(500000000000 * 1000000000000000000001)),
+    # a family's parity halves its n range: even n from 2 to 2000002, odd n from -3 to 2000001
+    ("gen --family g --n-max 2000002 --k 0", _built(1000001)),
+    ("gen --family hstar --n-min -4 --n-max 2000001 --k 1", _built(1000003)),
+    ("classify --family f --n-min 0 --n-max 1000 --k-min 0 --k-max 999", _built(1001000)),
+    ("verify --theorem t2.1 --n-max 2 --k-min 0 --k-max 100000000", _K_CAP),
+    ("table --theorem t3.1 --n-max 2 --p 3 --k-min 0 --k-max 100000000", _K_CAP),
+]
+
+
+@pytest.mark.parametrize("argv, error", _LONG_SWEEPS, ids=[argv for argv, _ in _LONG_SWEEPS])
+def test_long_sweeps_are_refused_before_listing(argv, error):
+    # each used to list every n and k, and build every member, first: a MemoryError traceback, or hours.
+    # The child's address space is limited, so an unbounded listing fails there instead of swapping
+    probe = ("import resource, sys, time; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+             "sys.path.insert(0, sys.argv[1]); from reciprodick.cli import main\n"
+             "start = time.perf_counter(); rc = main(sys.argv[2:])\n"
+             "sys.stdout.write(f'{time.perf_counter() - start:.3f}'); sys.exit(rc)\n")
+    src_dir = str(Path(reciprodick.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", probe, src_dir, *argv.split()], capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (1, error + "\n")
+    assert float(proc.stdout) < 2

@@ -288,36 +288,6 @@ class TestFamilySpec:
         with pytest.raises(DomainError):
             FamilySpec("nope", 4, 0)
 
-    def test_json_round_trip(self):
-        for spec in (
-            FamilySpec("f", 5, 1),
-            FamilySpec("g", 6, -2),
-            FamilySpec("f", 6, 2, GF(3)),
-            FamilySpec("dickson", 4, 1, Z, a=3),
-            FamilySpec("fchar2", 8, 1, GF(2)),
-        ):
-            assert FamilySpec.from_json_dict(spec.to_json_dict()) == spec
-        d = FamilySpec("f", 5, 1).to_json_dict()
-        assert d == {"family": "f", "n": 5, "k": 1, "ring": {"ring": "Z"}}
-
-    def test_json_rejects_malformed(self):
-        for d in ({}, {"family": "f"}, {"family": "f", "n": "x"}, {"family": "f", "n": 4, "k": None},
-                  {"family": "f", "n": 4, "ring": {"ring": "Fp"}}, [1, 2]):
-            with pytest.raises(DomainError):
-                FamilySpec.from_json_dict(d)
-
-    def test_json_rejects_float_and_bool_fields(self):
-        # {"n": 4.7, "k": true} used to load as n = 4, k = 1
-        base = {"family": "dickson", "n": 4, "k": 1, "a": 2, "ring": {"ring": "Fp", "p": 5}}
-        for field in ("n", "k", "a"):
-            for bad in (4.7, 4.0, True, False):
-                with pytest.raises(DomainError):
-                    FamilySpec.from_json_dict({**base, field: bad})
-        with pytest.raises(DomainError):
-            FamilySpec.from_json_dict({**base, "ring": {"ring": "Fp", "p": 5.0}})
-        assert FamilySpec.from_json_dict({**base, "n": "4", "k": "1", "a": "2"}) == \
-            FamilySpec("dickson", 4, 1, GF(5), 2)
-
     def test_rejects_float_and_bool_fields(self):
         # FamilySpec("f", 4.7, 0) used to raise a bare TypeError in build, ("f", 4, True) built k = 1
         for bad in (4.7, 4.0, True, "4"):
