@@ -11,7 +11,7 @@ Commands:
 
 Output is deterministic: records are emitted in sorted parameter order with
 a fixed field order and no timestamps, as JSON lines (default) or CSV.  Any
-coefficient that could exceed 53 bits is carried as a decimal string.
+coefficient that could exceed 53 bits is carried as a string of base-10 digits.
 
 Exit codes: 0 success, 1 usage or domain errors, 2 when a scan found
 predicate/oracle disagreements (the records are still emitted).

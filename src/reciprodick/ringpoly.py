@@ -6,8 +6,8 @@ empty tuple and has no degree (``degree`` is None).  Over GF(p) every stored
 coefficient lies in [0, p-1].  Ring and Poly values are immutable and every
 operation is a pure function, so values are safe to share between threads.
 
-The canonical JSON form keeps coefficients as decimal strings so that
-arbitrary-precision integers survive any JSON reader:
+The canonical JSON form (output only) keeps coefficients as base-10
+strings so arbitrary-precision integers survive any JSON reader:
 
     {"ring": "Z", "coeffs": ["2", "12", "2"]}
     {"ring": "Fp", "p": 5, "coeffs": ["2", "1"]}
