@@ -191,6 +191,10 @@ def _selected_members(args) -> list[tuple[FamilySpec, Poly]]:
 
     Over SCAN_CAP of them (n values x k values) raise CapacityError before any spec is made.
     """
+    if args.n is not None and args.n_min is not None:
+        raise DomainError("--n and --n-min are mutually exclusive")
+    if args.k is not None and (args.k_min is not None or args.k_max is not None):
+        raise DomainError("--k and --k-min/--k-max are mutually exclusive")
     ring = _resolve_ring(args)
     family = args.family
     row = FAMILY_TABLE[family]

@@ -8,10 +8,10 @@ Wire names (shared by the CLI, the JSON forms, and the classifiers):
   f         k * sum_j C(n-1, 2j+1) * (x^j - x^(j+1)) + 2 * sum_j C(n, 2j) * x^j
             for n >= 1, with the constant 2-k at n = 0.  The composition
             f(1 - 4x) equals 2^n * D_{n,k}(1, x) coefficientwise over Z.
-  g, h      even-n closed form of f with both end coefficients replaced by
-            2-k (g) or by k(n-1)+2 (h); interior coefficients unchanged.
-  gstar,    odd-n analogues with both ends -k(n-1)+2n (gstar) or k(n-1)+2
-  hstar     (hstar).
+  g, h      f for even n with one end copied onto the other: its x^(n/2) end
+            2-k at both ends (g), or its x^0 end k(n-1)+2 at both (h).
+  gstar,    the odd-n analogues: f's x^((n-1)/2) end 2n-k(n-1) at both ends
+  hstar     (gstar), or its x^0 end k(n-1)+2 at both (hstar).
   kind1     sum_j C(n, 2j) * x^j          (first-kind specialization)
   kind2/3   sum_j C(n, 2j+1) * x^j        (second- and third-kind; identical)
   fchar2    f at k = 1 over GF(2), where the even-binomial part vanishes:
@@ -28,24 +28,24 @@ The builders use only sums and products of row entries, so rows read mod p
 give the same member over GF(p).  A caller building many members shares one
 new ``row_cache(ring)`` per ring among the builds of one call only; over
 GF(p) it reads the rows mod p (``binomial_row_mod_p``), with no big integers.
-A member's n, k, a and ring are checked once, by ``FamilySpec``: the public
+Each table builder returns its family's coefficient list, read from
+``rows``, and ``build`` makes the member's one Poly from it; g, h, gstar and
+hstar are f's list with one end copied.  A member's n, k, a and ring are
+checked once, by ``FamilySpec`` (a != 1 belongs to dickson alone): the public
 builders build through it, and the table's builders are unchecked cores.
+``f_expanded_even/odd`` are the closed-form reference for f's ends: f's
+interior between the ends k(n-1)+2 and 2-k (even n) or 2n-k(n-1) (odd n).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable
+from typing import Callable, Sequence
 
-from .binomics import binomial, binomial_row, binomial_row_mod_p
-from .errors import DomainError, as_int, require_type
+from .binomics import ROW_CAP, binomial, binomial_row, binomial_row_mod_p
+from .errors import CapacityError, DomainError, as_int, require_type
 from .ringpoly import GF, Poly, Ring, Z
-
-
-def _check_k_range(ring: Ring, k: int) -> None:
-    if require_type(ring, Ring, "ring").is_field and not 0 <= k <= ring.p - 1:
-        raise DomainError(f"over {ring} the kind parameter k must lie in [0, {ring.p - 1}], got {k}")
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class Family:
     A family without ``fixed_k`` takes any k over Z and k in [0, p-1] over GF(p).
     """
 
-    build: Callable[["FamilySpec", Callable[[int], tuple[int, ...]]], Poly]  # of (spec, rows)
+    build: Callable[["FamilySpec", Callable[[int], tuple[int, ...]]], Sequence[int]]  # coefficients of (spec, rows)
     parity: int | None = None  # required n % 2, for a family stated for n > 1 only
     n_min: int = 0  # least admitted n; the CLI starts its sweeps there
     fixed_k: tuple[int, str] | None = None  # the only k, and how errors state it
@@ -79,9 +79,11 @@ class FamilySpec:
             as_int(getattr(self, field), f"family {field}")
         if self.n < 0:
             raise DomainError("family index n must be >= 0")
-        require_type(self.ring, Ring, "ring")
+        ring = require_type(self.ring, Ring, "ring")
         row = FAMILY_TABLE[self.family]
         name = f"family {self.family!r}"
+        if self.a != 1 and self.family != "dickson":
+            raise DomainError(f"{name} takes no parameter a")
         if row.ring is not None and self.ring != row.ring:
             raise DomainError(f"{name} lives over {row.ring}")
         if row.fixed_k is not None and self.k != row.fixed_k[0]:
@@ -89,8 +91,8 @@ class FamilySpec:
         if self.n < row.n_min or (row.parity is not None and self.n % 2 != row.parity):
             n_text = f"n >= {row.n_min}" if row.parity is None else f"{('even', 'odd')[row.parity]} n > 1"
             raise DomainError(f"{name} requires {n_text}")
-        if row.fixed_k is None:
-            _check_k_range(self.ring, self.k)
+        if row.fixed_k is None and ring.is_field and not 0 <= self.k < ring.p:
+            raise DomainError(f"over {ring} the kind parameter k must lie in [0, {ring.p - 1}], got {self.k}")
 
     def to_flat_dict(self) -> dict:
         """The spec as flat record fields: family, n, k, then p over GF(p) and a for dickson."""
@@ -114,18 +116,25 @@ def row_cache(ring: Ring = Z) -> Callable[[int], tuple[int, ...]]:
     return lru_cache(maxsize=2)(source)
 
 
-def _f_int_coeffs(n: int, k: int, rows) -> list[int]:
-    # the defining sums collected by power, n >= 1:
-    # x^j has k * (C(n-1, 2j+1) - C(n-1, 2j-1)) + 2 * C(n, 2j)
+def _f(s: FamilySpec, rows) -> list[int]:
+    # the summation form of f, and of fchar2, whose spec fixes k = 1: the constant 2-k at n = 0,
+    # else the defining sums collected by power, x^j having k * (C(n-1, 2j+1) - C(n-1, 2j-1)) + 2 * C(n, 2j)
+    n, k = s.n, s.k
+    if n == 0:
+        return [2 - k]
     odd = rows(n - 1)[1::2]
     return [k * (b1 - b1_before) + 2 * b0 for b1, b1_before, b0 in zip(odd + (0,), (0,) + odd, rows(n)[::2])]
 
 
-def _f(s: FamilySpec, rows) -> Poly:
-    # the summation form of f, and of fchar2, whose spec fixes k = 1
-    if s.n == 0:
-        return Poly.constant(s.ring, 2 - s.k)
-    return Poly(s.ring, _f_int_coeffs(s.n, s.k, rows))
+def _copied_end(end: int):
+    # f's coefficients with its end ``end`` at both ends: the x^(n//2) end (-1) for g and gstar,
+    # the x^0 end (0) for h and hstar; the interior is f's
+    def coeffs(s: FamilySpec, rows) -> list[int]:
+        c = _f(s, rows)
+        c[0] = c[-1] = c[end]
+        return c
+
+    return coeffs
 
 
 def f_family(n: int, k: int, ring: Ring = Z) -> Poly:
@@ -133,37 +142,24 @@ def f_family(n: int, k: int, ring: Ring = Z) -> Poly:
     return build(FamilySpec("f", n, k, ring))
 
 
-def _low_end(n: int, k: int) -> int:
-    return k * (n - 1) + 2
-
-
-def _high_end(n: int, k: int) -> int:
-    return 2 - k if n % 2 == 0 else 2 * n - k * (n - 1)
-
-
-def _end_variant(n: int, k: int, ring: Ring, lo, hi, rows) -> Poly:
-    """The closed coefficient form of f_{n,k}, n > 1, with its two ends chosen by a rule.
-
-    ``lo`` and ``hi`` map (n, k) to the x^0 and the x^(n//2) coefficient;
-    the interior coefficients are those of f.
-    """
-    return Poly(ring, [lo(n, k)] + _f_int_coeffs(n, k, rows)[1 : n // 2] + [hi(n, k)])
+def _f_expanded(n: int, k: int, ring: Ring, parity: int) -> Poly:
+    """The closed coefficient form of f_{n,k}, n > 1 of the given parity: f's interior between closed-form ends."""
+    s = FamilySpec("f", n, k, ring)
+    n, k, word = s.n, s.k, ("even", "odd")[parity]
+    if n <= 1 or n % 2 != parity:
+        raise DomainError(f"f_expanded_{word} requires {word} n > 1")
+    high = 2 - k if parity == 0 else 2 * n - k * (n - 1)
+    return Poly(ring, [k * (n - 1) + 2] + _f(s, binomial_row)[1 : n // 2] + [high])
 
 
 def f_expanded_even(n: int, k: int, ring: Ring = Z) -> Poly:
     """Closed coefficient form for even n > 1: ends k(n-1)+2 and 2-k."""
-    if n <= 1 or n % 2:
-        raise DomainError("f_expanded_even requires even n > 1")
-    _check_k_range(ring, k)
-    return _end_variant(n, k, ring, _low_end, _high_end, binomial_row)
+    return _f_expanded(n, k, ring, 0)
 
 
 def f_expanded_odd(n: int, k: int, ring: Ring = Z) -> Poly:
     """Closed coefficient form for odd n > 1: ends k(n-1)+2 and -k(n-1)+2n."""
-    if n <= 1 or n % 2 == 0:
-        raise DomainError("f_expanded_odd requires odd n > 1")
-    _check_k_range(ring, k)
-    return _end_variant(n, k, ring, _low_end, _high_end, binomial_row)
+    return _f_expanded(n, k, ring, 1)
 
 
 def f_kind(n: int, kind: int) -> Poly:
@@ -186,11 +182,13 @@ def reversed_dickson(n: int, k: int, a: int = 1, ring: Ring = Z) -> Poly:
     return build(FamilySpec("dickson", n, k, ring, a))
 
 
-def _dickson(s: FamilySpec, rows) -> Poly:
-    n, k, ring = s.n, s.k, s.ring
+def _dickson(s: FamilySpec, rows) -> list[int]:
+    n, k = s.n, s.k
     if n == 0:
-        return Poly.constant(ring, 2 - k)
-    a = ring.normalize(s.a)
+        return [2 - k]
+    if n > ROW_CAP:
+        raise CapacityError(f"the reversed Dickson member of n = {n} reads binomials above ROW_CAP = {ROW_CAP}")
+    a = s.ring.normalize(s.a)
     coeffs = []
     for i in range(n // 2 + 1):
         num = (n - k * i) * binomial(n - i, i)
@@ -201,7 +199,7 @@ def _dickson(s: FamilySpec, rows) -> Poly:
                 f"{num} is not divisible by {n - i}"
             )
         coeffs.append((-1) ** i * q * a ** (n - 2 * i))
-    return Poly(ring, coeffs)
+    return coeffs
 
 
 def check_dickson_f_identity(n: int, k: int) -> bool:
@@ -217,21 +215,16 @@ def check_dickson_f_identity(n: int, k: int) -> bool:
 # ----------------------------------------------------------------- the table
 
 
-def _ends(lo, hi):
-    # g and gstar take f's x^(n//2) end at both ends, h and hstar its x^0 end
-    return lambda s, rows: _end_variant(s.n, s.k, s.ring, lo, hi, rows)
-
-
-_KIND2 = Family(lambda s, rows: Poly(s.ring, rows(s.n)[1::2]), fixed_k=(0, "takes no kind parameter k"))
+_KIND2 = Family(lambda s, rows: rows(s.n)[1::2], fixed_k=(0, "takes no kind parameter k"))
 
 FAMILY_TABLE = {
     "dickson": Family(_dickson),
     "f": Family(_f),
-    "g": Family(_ends(_high_end, _high_end), parity=0, n_min=2),
-    "h": Family(_ends(_low_end, _low_end), parity=0, n_min=2),
-    "gstar": Family(_ends(_high_end, _high_end), parity=1, n_min=3),
-    "hstar": Family(_ends(_low_end, _low_end), parity=1, n_min=3),
-    "kind1": Family(lambda s, rows: Poly(s.ring, rows(s.n)[::2]), fixed_k=(0, "takes no kind parameter k")),
+    "g": Family(_copied_end(-1), parity=0, n_min=2),
+    "h": Family(_copied_end(0), parity=0, n_min=2),
+    "gstar": Family(_copied_end(-1), parity=1, n_min=3),
+    "hstar": Family(_copied_end(0), parity=1, n_min=3),
+    "kind1": Family(lambda s, rows: rows(s.n)[::2], fixed_k=(0, "takes no kind parameter k")),
     "kind2": _KIND2,
     "kind3": _KIND2,  # the third kind coincides with the second
     "fchar2": Family(_f, n_min=1, fixed_k=(1, "fixes k = 1"), ring=GF(2)),
@@ -241,5 +234,6 @@ FAMILIES = tuple(FAMILY_TABLE)
 
 
 def build(spec: FamilySpec, rows=binomial_row) -> Poly:
-    """Construct a FamilySpec's polynomial from the binomial rows ``rows``, shared within one call only."""
-    return FAMILY_TABLE[require_type(spec, FamilySpec, "spec").family].build(spec, rows)
+    """A FamilySpec's polynomial, from its family's coefficients in the rows ``rows``, shared within one call only."""
+    row = FAMILY_TABLE[require_type(spec, FamilySpec, "spec").family]
+    return Poly(spec.ring, row.build(spec, rows))

@@ -122,6 +122,7 @@ class Poly:
 
     def __getitem__(self, i: int) -> int:
         """Coefficient of x**i (0 beyond the stored degree)."""
+        i = as_int(i, "coefficient index")
         if i < 0:
             raise DomainError("negative coefficient index")
         return self.coeffs[i] if i < len(self.coeffs) else 0

@@ -80,6 +80,17 @@ class TestGen:
         rc, _, err = run(capsys, "gen", "--family", "f", "--n", "4", "--p", "5")
         assert rc == 1  # --p without --ring fp
 
+    def test_selectors_that_would_be_dropped_are_refused(self, capsys):
+        # each used to exit 0 and drop one selector
+        cases = ((("--n", "4", "--n-min", "7"), "error: --n and --n-min are mutually exclusive"),
+                 (("--n", "4", "--k", "1", "--k-min", "0", "--k-max", "2"),
+                  "error: --k and --k-min/--k-max are mutually exclusive"),
+                 (("--n", "4", "--k", "1", "--k-max", "2"), "error: --k and --k-min/--k-max are mutually exclusive"),
+                 (("--n", "4", "--k", "0", "--a", "5"), "error: family 'f' takes no parameter a"))
+        for command in ("gen", "classify"):
+            for extra, error in cases:
+                assert run(capsys, command, "--family", "f", *extra) == (1, "", error + "\n"), (command, extra)
+
     def test_ring_contradicting_the_family_exits_1(self, capsys):
         # an explicit --ring z, or a --p other than 2, used to print the F2 member
         for command in ("gen", "classify"):
@@ -370,12 +381,22 @@ _LONG_SWEEPS = [
     ("classify --family f --n-min 0 --n-max 1000 --k-min 0 --k-max 999", _built(1001000)),
     ("verify --theorem t2.1 --n-max 2 --k-min 0 --k-max 100000000", _K_CAP),
     ("table --theorem t3.1 --n-max 2 --p 3 --k-min 0 --k-max 100000000", _K_CAP),
+    # one member whose rows are too large to build: f reads the row of n - 1 first
+    ("gen --family f --n 99999999999 --k 0", "error: the binomial row of n = 99999999998 is above ROW_CAP = 10000"),
+    ("gen --family kind1 --n 10001", "error: the binomial row of n = 10001 is above ROW_CAP = 10000"),
+    ("classify --family f --n 99999999999 --k 2 --ring fp --p 3",
+     "error: the binomial row of n = 99999999998 mod 3 is above ROW_MOD_P_CAP = 1000000"),
+    ("gen --family kind2 --n 1000001 --ring fp --p 13",
+     "error: the binomial row of n = 1000001 mod 13 is above ROW_MOD_P_CAP = 1000000"),
+    ("gen --family dickson --n 99999999999 --k 0",
+     "error: the reversed Dickson member of n = 99999999999 reads binomials above ROW_CAP = 10000"),
 ]
 
 
 @pytest.mark.parametrize("argv, error", _LONG_SWEEPS, ids=[argv for argv, _ in _LONG_SWEEPS])
 def test_long_sweeps_are_refused_before_listing(argv, error):
-    # each used to list every n and k, and build every member, first: a MemoryError traceback, or hours.
+    # each used to list every n and k, and build every member, or one member's too large rows, first:
+    # a MemoryError traceback, or hours.
     # The child's address space is limited, so an unbounded listing fails there instead of swapping
     probe = ("import resource, sys, time; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
              "sys.path.insert(0, sys.argv[1]); from reciprodick.cli import main\n"

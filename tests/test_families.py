@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from reciprodick import (
+    DEFAULT_K_WINDOW,
     DomainError,
     FamilySpec,
     GF,
@@ -19,7 +20,7 @@ from reciprodick import (
     reduce_mod_p,
     reversed_dickson,
 )
-from reciprodick import families as families_module
+from reciprodick.families import row_cache
 
 K_WINDOW = range(-5, 7)
 
@@ -88,12 +89,12 @@ class TestExpandedForms:
         assert f_expanded_odd(5, 1) == P(Z, 6, 20, 6)
 
     def test_parity_enforced(self):
-        with pytest.raises(DomainError):
-            f_expanded_even(5, 0)
-        with pytest.raises(DomainError):
-            f_expanded_odd(4, 0)
-        with pytest.raises(DomainError):
-            f_expanded_even(1, 0)
+        for call in (lambda: f_expanded_even(5, 0), lambda: f_expanded_even(1, 0), lambda: f_expanded_even(0, 0)):
+            with pytest.raises(DomainError, match=r"^f_expanded_even requires even n > 1$"):
+                call()
+        for call in (lambda: f_expanded_odd(4, 0), lambda: f_expanded_odd(1, 0)):
+            with pytest.raises(DomainError, match=r"^f_expanded_odd requires odd n > 1$"):
+                call()
 
     def test_agreement_with_summation(self):
         for n in range(2, 121):
@@ -295,6 +296,17 @@ class TestFamilySpec:
                 with pytest.raises(DomainError):
                     FamilySpec(*args)
 
+    def test_a_belongs_to_dickson_alone(self):
+        # FamilySpec("f", 4, 0, Z, 5) used to build f_{4,0} and drop a
+        for family, n, k, ring in (("f", 4, 0, Z), ("g", 4, 0, Z), ("h", 4, 0, GF(3)), ("gstar", 5, 0, Z),
+                                   ("hstar", 5, 1, Z), ("kind1", 4, 0, Z), ("kind2", 4, 0, Z), ("kind3", 4, 0, Z),
+                                   ("fchar2", 4, 1, GF(2))):
+            for a in (5, 0, -1):
+                with pytest.raises(DomainError, match=rf"^family {family!r} takes no parameter a$"):
+                    FamilySpec(family, n, k, ring, a)
+            assert FamilySpec(family, n, k, ring, 1).a == 1
+        assert FamilySpec("dickson", 4, 0, Z, 5).a == 5
+
     def test_rejects_non_ring(self):
         # FamilySpec("f", 4, 0, "Z") used to raise AttributeError
         for bad in ("Z", 5, None, {"ring": "Z"}):
@@ -319,22 +331,41 @@ def test_builders_reject_non_ring():
 
 
 def test_builders_check_each_member_once_through_family_spec(monkeypatch):
-    # the builders hold no checks of their own: a refusal is FamilySpec's, word for word
+    # the builders hold no checks of their own: a refusal is FamilySpec's, word for word.
+    # f_expanded_even("4", 0) used to raise a bare TypeError, (4.0, 0) named n - 1, f_expanded_odd(5, True) built k = 1
     cases = ((lambda: f_family(-1, 0), ("f", -1, 0)), (lambda: f_family(4, 3, GF(3)), ("f", 4, 3, GF(3))),
              (lambda: f_family(4.0, 0), ("f", 4.0, 0)), (lambda: reversed_dickson(-1, 0), ("dickson", -1, 0)),
              (lambda: reversed_dickson(4, 0, 1.5), ("dickson", 4, 0, Z, 1.5)),
              (lambda: reversed_dickson(4, -1, 1, GF(5)), ("dickson", 4, -1, GF(5))),
-             (lambda: f_kind(-1, 1), ("kind1", -1)), (lambda: f_kind("4", 2), ("kind2", "4")))
+             (lambda: f_kind(-1, 1), ("kind1", -1)), (lambda: f_kind("4", 2), ("kind2", "4")),
+             (lambda: f_expanded_even("4", 0), ("f", "4", 0)), (lambda: f_expanded_even(4.0, 0), ("f", 4.0, 0)),
+             (lambda: f_expanded_odd(5, True), ("f", 5, True)), (lambda: f_expanded_odd(5, 1.0), ("f", 5, 1.0)),
+             (lambda: f_expanded_even(-2, 0), ("f", -2, 0)), (lambda: f_expanded_odd(5, 5, GF(5)), ("f", 5, 5, GF(5))))
     for call, spec_args in cases:
         with pytest.raises(DomainError) as expected:
             FamilySpec(*spec_args)
         with pytest.raises(DomainError, match=rf"^{re.escape(str(expected.value))}$"):
             call()
-    # and the k range of an f or dickson member is checked once, not again by its builder
-    calls = []
-    check = families_module._check_k_range
-    monkeypatch.setattr(families_module, "_check_k_range", lambda *a: calls.append(a) or check(*a))
-    f_family(6, 2, GF(3))
-    reversed_dickson(6, 2, 1, GF(3))
-    build(FamilySpec("f", 6, 2, GF(3)))
-    assert len(calls) == 3
+    # and each member is checked once, by the FamilySpec it is built from, not again by its builder
+    checks = []
+    check = FamilySpec.__post_init__
+    monkeypatch.setattr(FamilySpec, "__post_init__", lambda spec: checks.append(spec) or check(spec))
+    calls = (lambda: f_family(6, 2, GF(3)), lambda: reversed_dickson(6, 2, 1, GF(3)),
+             lambda: build(FamilySpec("f", 6, 2, GF(3))), lambda: f_expanded_even(6, 2, GF(3)))
+    for call in calls:
+        checks.clear()
+        call()
+        assert len(checks) == 1
+
+
+def test_end_variants_carry_one_closed_form_end_of_f_at_both_ends():
+    # g and gstar carry f's top end, 2-k for even n and 2n-k(n-1) for odd n; h and hstar its low end k(n-1)+2
+    for ring, ks in [(Z, DEFAULT_K_WINDOW)] + [(GF(p), range(p)) for p in (2, 3, 5, 7, 11, 13)]:
+        rows = row_cache(ring)
+        for n in range(2, 201):
+            top_family, low_family = ("g", "h") if n % 2 == 0 else ("gstar", "hstar")
+            for k in ks:
+                top = 2 - k if n % 2 == 0 else 2 * n - k * (n - 1)
+                for family, end in ((top_family, top), (low_family, k * (n - 1) + 2)):
+                    member = build(FamilySpec(family, n, k, ring), rows)
+                    assert member[0] == member[n // 2] == ring.normalize(end), (family, n, k, ring)

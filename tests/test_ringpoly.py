@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -114,6 +115,16 @@ class TestArithmetic:
         for v in (2.9, 2.0, True, "2", None):
             with pytest.raises(DomainError):
                 P(Z, 0, 1).evaluate(v)
+
+    def test_coefficient_index_is_an_integer(self):
+        # [1.5] and ["a"] used to raise a bare TypeError, and [True] returned a_1
+        f = P(Z, 1, 2, 3)
+        for i in (1.5, 1.0, "a", True, None):
+            with pytest.raises(DomainError, match=rf"^coefficient index must be an integer, got {re.escape(repr(i))}$"):
+                f[i]
+        with pytest.raises(DomainError, match="^negative coefficient index$"):
+            f[-1]
+        assert (f[0], f[2], f[3], f[10**30]) == (1, 3, 0, 0)
 
     def test_compose_linear(self):
         x2 = P(Z, 0, 0, 1)
