@@ -17,6 +17,7 @@ from .classifier import (
     DEFAULT_K_WINDOW,
     DEFAULT_ODD_PRIMES,
     THEOREM_IDS,
+    KSet,
     Verdict,
     check_corollary,
     is_irreducible,
@@ -24,6 +25,7 @@ from .classifier import (
     mismatches,
     normalize_theorem_id,
     oracle_self_reciprocal,
+    palindromic_ks,
     predicate,
     scan,
 )
@@ -67,9 +69,9 @@ __all__ = [
     "divisibility_by_digit_dominance", "is_power_of", "is_prime", "weight_base_p",
     "FAMILIES", "FamilySpec", "build", "check_dickson_f_identity",
     "f_expanded_even", "f_expanded_odd", "f_family", "f_kind", "reversed_dickson",
-    "DEFAULT_K_WINDOW", "DEFAULT_ODD_PRIMES", "THEOREM_IDS", "Verdict",
+    "DEFAULT_K_WINDOW", "DEFAULT_ODD_PRIMES", "THEOREM_IDS", "KSet", "Verdict",
     "check_corollary", "is_irreducible", "lemma_l1", "mismatches",
-    "normalize_theorem_id", "oracle_self_reciprocal", "predicate", "scan",
+    "normalize_theorem_id", "oracle_self_reciprocal", "palindromic_ks", "predicate", "scan",
     "COTERM_RULES", "CotermConstruction", "CotermContext", "CyclicCode",
     "build_cyclic_code", "coterm_construct", "coterm_from_self_reciprocal",
     "factor_xm_minus_1", "generates_reversible_code", "is_coterm",

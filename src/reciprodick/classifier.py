@@ -21,20 +21,26 @@ default scan range and its prediction; in summary:
         degree
 
 The oracle is definition-based: build the polynomial and compare its
-coefficient tuple with its own reversal.  ``scan`` evaluates predicate and
-oracle over finite ranges and reports one Verdict per in-hypothesis spec;
+coefficient tuple with its own reversal; it is the reference.  Each member
+with a free k is affine in k, so ``palindromic_ks`` decides every k of a
+(family, n, ring) from the members at k = 0 and k = 1: still the definition,
+a coefficient list tested against its reversal, never a rule.  ``scan``
+evaluates predicate and oracle over finite ranges and reports one Verdict
+per in-hypothesis spec, reading a classification's observations from one
+``palindromic_ks`` per (family, n, ring) with two or more requested k;
 disagreements are data (findings), never errors.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable
 
 from .binomics import binomial_row, is_power_of, require_prime
 from .errors import CapacityError, DomainError, HypothesisError, as_int, require_type
-from .families import FAMILY_TABLE, FamilySpec, build, row_cache
+from .families import FAMILIES, FAMILY_TABLE, FamilySpec, build, row_cache
 from .ringpoly import GF, Poly, Ring, Z, gcd, pow_mod
 
 DEFAULT_ODD_PRIMES = (3, 5, 7, 11, 13)
@@ -176,8 +182,87 @@ class Verdict:
 
 
 def oracle_self_reciprocal(spec: FamilySpec, rows=binomial_row) -> bool:
-    """Definition-based oracle: build the polynomial and test the palindrome."""
+    """Definition-based oracle: build the polynomial and test the palindrome.
+
+    It is the reference for one member; ``palindromic_ks`` decides every k
+    of a member at once and is tested against it.
+    """
     return build(spec, rows).is_self_reciprocal()
+
+
+@dataclass(frozen=True)
+class KSet:
+    """A set of kind parameters k: those in ``ks``, or, when ``cofinite``, every k but those.
+
+    Over GF(p) its members are the residues in [0, p-1], and one set of
+    residues can take either form, so compare two of them by membership.
+    """
+
+    ks: frozenset[int] = frozenset()
+    cofinite: bool = False
+
+    def __contains__(self, k: int) -> bool:
+        return (k in self.ks) != self.cofinite
+
+
+def palindromic_ks(family: str, n: int, ring: Ring, rows=binomial_row) -> KSet:
+    """Every k at which the member (family, n, k, ring) is self-reciprocal, from two builds.
+
+    A member's coefficient list is affine in k: c(k) = v + k*u, with v = c(0)
+    and u = c(1) - c(0), padded to one length D + 1 and read over the ring.
+    Both lists are trimmed, so (v_D, u_D) != (0, 0), and for every k but the
+    one k* = -v_D/u_D that zeroes the top coefficient the member has degree D.
+    Away from k* it is a palindrome exactly when (u_j - u_{D-j})*k +
+    (v_j - v_{D-j}) = 0 for every j < D/2: every k solves that when u and v
+    are palindromes; else the first unequal pair's equation admits at most
+    one k (an integer over Z, a residue over GF(p)), and the padded list at
+    that k is tested against its reversal.  k* itself is decided by testing
+    the trimmed list v + k*·u against its reversal.  The two builds go
+    through ``build``, so ``FamilySpec`` checks them; a family with a fixed k
+    raises DomainError.
+    """
+    if family in FAMILIES and FAMILY_TABLE[family].fixed_k is not None:
+        raise DomainError(f"family {family!r} {FAMILY_TABLE[family].fixed_k[1]}: there is no k to solve for")
+    c0, c1 = (build(FamilySpec(family, n, k, ring), rows).coeffs for k in (0, 1))
+    size = max(len(c0), len(c1))
+    if not size:
+        return KSet()  # the zero polynomial at every k
+    p = ring.p
+
+    def over_ring(c: list[int]) -> list[int]:
+        return c if p is None else [x % p for x in c]
+
+    v = c0 + (0,) * (size - len(c0))
+    u = over_ring([y - x for x, y in zip(v, c1 + (0,) * (size - len(c1)))])
+
+    def root(slope: int, offset: int) -> int | None:
+        # the k with slope*k + offset = 0 for slope != 0; None when over Z it is not an integer
+        if p is not None:
+            return -offset * pow(slope, -1, p) % p
+        k, r = divmod(-offset, slope)
+        return None if r else k
+
+    def at(k: int) -> list[int]:
+        return over_ring([x + k * y for x, y in zip(v, u)])
+
+    d = size - 1
+    j = next((j for j in range(size // 2) if u[j] != u[d - j] or v[j] != v[d - j]), None)
+    cofinite = j is None  # then every k solves the system
+    ks = set()
+    if not cofinite and u[j] != u[d - j]:
+        k = root(u[j] - u[d - j], v[j] - v[d - j])
+        if k is not None:
+            c = at(k)
+            if c == c[::-1]:
+                ks.add(k)
+    star = root(u[d], v[d]) if u[d] else None
+    if star is not None:
+        c = at(star)
+        while c and not c[-1]:
+            c.pop()
+        if ((star in ks) != cofinite) != (bool(c) and c == c[::-1]):
+            ks ^= {star}  # k* is in the set exactly when its own member is a palindrome
+    return KSet(frozenset(ks), cofinite)
 
 
 # ------------------------------------------------------------------ predicates
@@ -294,11 +379,32 @@ def check_corollary(corollary: str, spec: FamilySpec) -> bool:
 
 # ------------------------------------------------------------------- scanning
 
-# per kind of rule: how scan observes it, and the note a disagreement carries
+def _solved(specs: list[FamilySpec]) -> Callable[[FamilySpec, Callable], bool]:
+    """Scan's classification observer: one palindromic_ks per (family, n, ring) of two or more distinct k.
+
+    A (family, n, ring) with one k builds that member alone, by the oracle.
+    """
+    ks = defaultdict(set)
+    for s in specs:
+        ks[s.family, s.n, s.ring].add(s.k)
+    solved = {}
+
+    def observe(s: FamilySpec, rows) -> bool:
+        key = (s.family, s.n, s.ring)
+        if len(ks[key]) < 2:
+            return oracle_self_reciprocal(s, rows)
+        if key not in solved:
+            solved[key] = palindromic_ks(*key, rows)
+        return s.k in solved[key]
+
+    return observe
+
+
+# per kind of rule: how scan observes it, given the specs it lists, and the note a disagreement carries
 _OBSERVERS = {
-    "classification": (lambda s, rows: oracle_self_reciprocal(s, rows), "predicate and oracle disagree"),
-    "corollary": (lambda s, rows: _not_srim(build(s, rows)), "corollary violated"),
-    "lemma": (lambda s, rows: lemma_l1(build(s, rows)), "odd-degree srim found"),
+    "classification": (_solved, "predicate and oracle disagree"),
+    "corollary": (lambda specs: lambda s, rows: _not_srim(build(s, rows)), "corollary violated"),
+    "lemma": (lambda specs: lambda s, rows: lemma_l1(build(s, rows)), "odd-degree srim found"),
 }
 
 
@@ -341,7 +447,11 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
     [0, p-1] in increasing order (default all of them).  Rules with a fixed
     k ignore ``k_values``.  ``k_values`` and ``p_list`` may be any iterables
     of at most SCAN_CAP integers; at most SCAN_CAP + 1 entries of each are
-    read.  Mismatches are reported as data, not raised.  The members come
+    read.  Mismatches are reported as data, not raised.  A classification's
+    observation of a (family, n, ring) scanned at two or more distinct k is
+    read from one ``palindromic_ks``, which builds two members; one scanned
+    at a single k is built alone and read by ``oracle_self_reciprocal``.
+    Corollaries and L1 build each member.  The members come
     from the row's own conditions, its hypotheses, so none is checked
     again; over SCAN_CAP candidates (n range x k values x ring and member
     family pairs) raise CapacityError before any is listed.
@@ -375,7 +485,8 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
     specs = [FamilySpec(fam, n, k, r) for n in ns for k in ks for r, fams in members for fam, fixed in fams
              if (k == fixed if fixed is not None else r.p is None or k < r.p)
              and (not rule.sides or all(side.holds(n, r.p) for side in rule.sides))]
-    observe, note = _OBSERVERS[rule.kind]
+    observer, note = _OBSERVERS[rule.kind]
+    observe = observer(specs)
     # one cache per ring: rows mod p serve only their own p, and the specs interleave the primes
     rows = {r: row_cache(r) for r in rings}
     out = []

@@ -1,0 +1,182 @@
+"""Every k of a member at once: ``palindromic_ks`` against the per-k oracle.
+
+The solver assumes one thing, that a member's coefficient list is affine in
+k; ``test_members_are_affine_in_k`` checks that from ``build`` alone.  The
+oracle (``oracle_self_reciprocal``, one build per k) stays the reference
+that the solver and the scans that use it are compared with.
+"""
+
+import sys
+
+import pytest
+
+from reciprodick import (
+    DEFAULT_K_WINDOW,
+    DomainError,
+    FamilySpec,
+    GF,
+    KSet,
+    Poly,
+    Z,
+    build,
+    oracle_self_reciprocal,
+    palindromic_ks,
+    scan,
+)
+from reciprodick.families import row_cache
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def _free_k_members(n, dickson_as):
+    # (family, a) of every family with a free k that admits n
+    yield "f", 1
+    if n >= 2 and n % 2 == 0:
+        yield from (("g", 1), ("h", 1))
+    if n >= 3 and n % 2 == 1:
+        yield from (("gstar", 1), ("hstar", 1))
+    for a in dickson_as:
+        yield "dickson", a
+
+
+def _rings_and_ks(z_ks):
+    yield Z, z_ks
+    for p in SMALL_PRIMES:
+        yield GF(p), range(p)
+
+
+@pytest.mark.parametrize("ring, ks", list(_rings_and_ks(DEFAULT_K_WINDOW)), ids=str)
+def test_members_are_affine_in_k(ring, ks):
+    # c(k) = c(0) + k*(c(1) - c(0)) coefficientwise, read over the ring
+    rows = row_cache(ring)
+    for n in range(201):
+        for family, a in _free_k_members(n, (1, 2, -3)):
+            c0, c1 = (build(FamilySpec(family, n, k, ring, a), rows).coeffs for k in (0, 1))
+            size = max(len(c0), len(c1))
+            v, w = (c + (0,) * (size - len(c)) for c in (c0, c1))
+            for k in ks:
+                affine = Poly(ring, [x + k * (y - x) for x, y in zip(v, w)])
+                assert build(FamilySpec(family, n, k, ring, a), rows) == affine, (family, n, k, ring, a)
+
+
+@pytest.mark.parametrize("ring, ks", list(_rings_and_ks(range(-8, 13))), ids=str)
+def test_solver_agrees_with_the_oracle_at_every_k(ring, ks):
+    rows = row_cache(ring)
+    for n in range(301):
+        for family, _ in _free_k_members(n, (1,)):
+            solved = palindromic_ks(family, n, ring, rows)
+            for k in ks:
+                spec = FamilySpec(family, n, k, ring)
+                assert (k in solved) == oracle_self_reciprocal(spec, rows), spec
+
+
+def _every_k_but(*ks):
+    return KSet(frozenset(ks), cofinite=True)
+
+
+def test_the_paper_s_sets_over_every_integer_k():
+    rows = row_cache(Z)
+    for n in range(2, 201):
+        f = palindromic_ks("f", n, Z, rows)
+        if n % 2 == 0:
+            assert f == KSet(frozenset({0, 2})), n  # T2_1
+            if n >= 6:
+                for family in ("g", "h"):  # T2_3
+                    assert palindromic_ks(family, n, Z, rows) == KSet(frozenset({0})), (family, n)
+        else:
+            if n >= 5:
+                assert f == KSet(frozenset({1})), n  # T2_4
+            if n >= 7:
+                for family in ("gstar", "hstar"):  # T2_7
+                    assert palindromic_ks(family, n, Z, rows) == KSet(frozenset({1})), (family, n)
+
+
+@pytest.mark.parametrize("family, n, expected", [
+    ("f", 3, KSet(frozenset({1, 3}))),
+    ("g", 2, _every_k_but(2)),
+    ("g", 4, _every_k_but(2)),
+    ("h", 2, _every_k_but(-2)),
+    ("h", 4, _every_k_but()),
+    ("gstar", 3, _every_k_but(3)),
+    ("hstar", 3, _every_k_but(-1)),
+    ("gstar", 5, _every_k_but()),
+    ("hstar", 5, _every_k_but()),
+])
+def test_short_interiors_in_closed_form(family, n, expected):
+    assert palindromic_ks(family, n, Z) == expected
+
+
+def test_a_huge_prime_solves_by_modular_inverses():
+    p = 2**61 - 1
+    assert palindromic_ks("f", 4, GF(p)) == KSet(frozenset({0, 2}))
+    assert palindromic_ks("f", 3, GF(p)) == KSet(frozenset({1, 3}))
+    assert palindromic_ks("g", 2, GF(p)) == _every_k_but(2)
+
+
+@pytest.mark.parametrize("family, n, ring, text", [
+    ("kind1", 4, Z, "takes no kind parameter k"),
+    ("kind3", 4, Z, "takes no kind parameter k"),
+    ("fchar2", 4, GF(2), "fixes k = 1"),
+    ("e", 4, Z, "unknown family"),
+    ("g", 5, Z, "requires even n > 1"),
+    ("f", -1, Z, "n must be >= 0"),
+    ("f", 4, "Z", "ring must be"),
+])
+def test_refusals(family, n, ring, text):
+    with pytest.raises(DomainError, match=text):
+        palindromic_ks(family, n, ring)
+
+
+# ------------------------------------------------------------ scan's use of it
+
+
+def _count_builds(monkeypatch):
+    # records every build's (family, n, ring), wherever the package binds build
+    built = []
+
+    def counting(spec, *args):
+        built.append((spec.family, spec.n, spec.ring))
+        return build(spec, *args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "reciprodick" and vars(module).get("build") is build:
+            monkeypatch.setattr(module, "build", counting)
+    return built
+
+
+@pytest.mark.parametrize("rule, kwargs", [
+    ("T2_1", {"k_values": DEFAULT_K_WINDOW}),
+    ("T2_3", {"k_values": DEFAULT_K_WINDOW}),
+    ("T3_1", {"p_list": [3, 13]}),
+])
+def test_scan_builds_at_most_two_members_per_family_n_and_ring(monkeypatch, rule, kwargs):
+    built = _count_builds(monkeypatch)
+    verdicts = scan(rule, n_max=40, **kwargs)
+    members = {(v.spec.family, v.spec.n, v.spec.ring) for v in verdicts}
+    assert set(built) == members
+    assert all(built.count(m) <= 2 for m in members)
+    assert len(verdicts) > 2 * len(members)
+
+
+def test_scan_of_one_k_builds_one_member(monkeypatch):
+    built = _count_builds(monkeypatch)
+    scan("T2_1", n_min=4, n_max=4, k_values=[0])
+    assert built == [("f", 4, Z)]
+
+
+@pytest.mark.parametrize("rule, kwargs", [
+    (rule, {"k_values": ks})
+    for rule in ("T2_1", "T2_3", "T2_4", "T2_7")
+    for ks in ([1, 1], [4, -1, 1, 4, 0, 12], [3, 7], [7, 3], [2, 5], [3, 0, 3])
+] + [
+    (rule, {"k_values": [0, 2], "p_list": [2**61 - 1]}) for rule in ("T3_1", "T3_4")
+] + [
+    (rule, {"k_values": [2, 0, 2, 1], "p_list": [13, 3]}) for rule in ("T3_1", "T3_4")
+])
+def test_scan_observations_equal_the_oracle(rule, kwargs):
+    # repeated and unsorted k, a window without 0 or 1, the k* that zeroes the top
+    # coefficient (2 for f at even n, 3 at n = 3), and a prime near 2^61
+    verdicts = scan(rule, n_max=30, **kwargs)
+    assert verdicts
+    for v in verdicts:
+        assert v.observed == oracle_self_reciprocal(v.spec), v
