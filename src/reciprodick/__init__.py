@@ -44,6 +44,7 @@ from .coterm_codes import (
     monic_reciprocal,
     self_reciprocal_divisors,
     verify_reversibility_by_enumeration,
+    verify_reversibility_by_rank,
 )
 from .errors import CapacityError, DomainError, HypothesisError
 from .families import (
@@ -76,5 +77,5 @@ __all__ = [
     "build_cyclic_code", "coterm_construct", "coterm_from_self_reciprocal",
     "factor_xm_minus_1", "generates_reversible_code", "is_coterm",
     "monic_divisors", "monic_reciprocal", "self_reciprocal_divisors",
-    "verify_reversibility_by_enumeration",
+    "verify_reversibility_by_enumeration", "verify_reversibility_by_rank",
 ]

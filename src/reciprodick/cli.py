@@ -37,7 +37,7 @@ from .coterm_codes import (
     coterm_rule,
     monic_divisors,
     self_reciprocal_divisors,
-    verify_reversibility_by_enumeration,
+    verify_reversibility_by_rank,
 )
 from .errors import CapacityError, DomainError
 from .families import FAMILIES, FAMILY_TABLE, FamilySpec, build, row_cache
@@ -117,7 +117,7 @@ def _build_parser() -> _Parser:
     p_code.add_argument("--sr-only", action="store_true",
                         help="only self-reciprocal (palindromic) generators")
     p_code.add_argument("--enum-cap", type=int, default=_DEFAULT_ENUM_CAP,
-                        help="enumerate codewords when p^dim is at most this")
+                        help="check reversibility by rank when p^dim is at most this")
     add_output(p_code)
 
     return parser
@@ -321,8 +321,8 @@ def _cmd_code(args) -> int:
         code = build_cyclic_code(args.p, args.m, g)
         checked = args.p**code.dimension <= cap
         record = code.to_json_dict(enumeration_checked=checked)
-        if checked and verify_reversibility_by_enumeration(code) != code.reversible:
-            record["note"] = "enumeration disagrees with the generator criterion"
+        if checked and verify_reversibility_by_rank(code) != code.reversible:
+            record["note"] = "the rank check disagrees with the generator criterion"
             disagreements += 1
         records.append(record)
     _emit(args, ["p", "m", "generator", "dimension", "reversible", "enumeration_checked"], records)

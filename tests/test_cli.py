@@ -282,6 +282,29 @@ class TestCode:
     def test_bad_p(self, capsys):
         assert run(capsys, "code", "--p", "6", "--m", "4")[0] == 1
 
+    def test_disagreement_is_noted_and_exits_2(self, capsys, monkeypatch):
+        # the rank check is made to flip the verdict of x^3 + x + 1's code only
+        from reciprodick import cli
+
+        rank = cli.verify_reversibility_by_rank
+        flipped = ("1", "1", "0", "1")
+        calls = []
+
+        def flipping(code):
+            calls.append(code)
+            return rank(code) != (tuple(map(str, code.generator.coeffs)) == flipped)
+
+        monkeypatch.setattr(cli, "verify_reversibility_by_rank", flipping)
+        rc, out, _ = run(capsys, "code", "--p", "2", "--m", "7")
+        assert rc == 2
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == len(calls) == 8
+        noted = [r for r in records if "note" in r]
+        assert [r["generator"] for r in noted] == [list(flipped)]
+        assert noted[0]["note"] == "the rank check disagrees with the generator criterion"
+        assert list(noted[0])[-1] == "note" and noted[0]["reversible"] is False
+        assert run(capsys, "code", "--p", "2", "--m", "7", "--format", "csv")[0] == 2
+
 
 class TestHelp:
     def test_help_exits_0(self, capsys):

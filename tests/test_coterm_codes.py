@@ -30,8 +30,10 @@ from reciprodick import (
     monic_reciprocal,
     self_reciprocal_divisors,
     verify_reversibility_by_enumeration,
+    verify_reversibility_by_rank,
 )
-from reciprodick.coterm_codes import ENUMERATION_CAP, _codeword_lanes
+from reciprodick import coterm_codes
+from reciprodick.coterm_codes import ENUMERATION_CAP, RANK_STEP_CAP, _codeword_lanes
 
 
 def P(ring, *coeffs):
@@ -487,6 +489,18 @@ class TestCyclicCodes:
             verify_reversibility_by_enumeration(CyclicCode(191, 1, P(GF(191), -1, 1)))
         assert verify_reversibility_by_enumeration(CyclicCode(181, 1, P(GF(181), -1, 1))) is True
 
+    def test_ring_check_reads_p_without_a_second_primality_test(self, monkeypatch):
+        from reciprodick import binomics, ringpoly
+
+        g = P(GF(13), -1, 1)
+        tests = []
+        for module in (binomics, ringpoly):
+            monkeypatch.setattr(module, "is_prime", lambda n, test=module.is_prime: tests.append(n) or test(n))
+        assert CyclicCode(13, 32, g).reversible and tests == [13]  # p is proved prime once, by the length check
+        for bad, text in ((P(GF(3), 1, 1), "F3"), (P(Z, -1, 1), "Z")):
+            with pytest.raises(DomainError, match=rf"^generator ring {text} does not match GF\(13\)$"):
+                CyclicCode(13, 32, bad)
+
     def test_enumeration_checks_before_numpy(self):
         # a malformed code is refused as it is made, and a non-code by the
         # enumeration, before numpy is imported, let alone an array made
@@ -520,6 +534,7 @@ class TestCyclicCodes:
             code = build_cyclic_code(3, 40, x40 // h)
             assert code.reversible is reversible
             assert verify_reversibility_by_enumeration(code) is reversible
+            assert verify_reversibility_by_rank(code) is reversible
 
     def test_enumeration_matches_reference(self):
         # every code of these lengths; the pure-Python reference takes a few
@@ -610,11 +625,141 @@ class TestCyclicCodes:
                     assert generates_reversible_code(g)
 
 
+def rank_mod_p(rows, p):
+    # textbook elimination, column by column over the whole matrix; shares no code with the library
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pick = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pick is None:
+            continue
+        rows[rank], rows[pick] = rows[pick], rows[rank]
+        inverse = pow(rows[rank][col], -1, p)
+        top = rows[rank] = [a * inverse % p for a in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            if c := rows[i][col]:
+                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def generator_rows(code):
+    # G: the shifts x^i * g, i < dim
+    g, dim = list(code.generator.coeffs), code.dimension
+    return [[0] * i + g + [0] * (dim - 1 - i) for i in range(dim)]
+
+
+def parity_rows(code):
+    # H: the shifts of the reciprocal of h = (x^m - 1) / g, which span the dual code
+    h = list((xm_minus_1(code.p, code.m) // code.generator).coeffs)
+    r = code.m - code.dimension
+    return [[0] * i + h[::-1] + [0] * (r - 1 - i) for i in range(r)]
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    # every code with p <= 13 and m <= 32 whose x^m - 1 has at most DIVISOR_CAP monic divisors
+    codes = []
+    for p in (2, 3, 5, 7, 11, 13):
+        for m in range(1, 33):
+            try:
+                divisors = monic_divisors(p, m)
+            except CapacityError:
+                continue
+            codes += [build_cyclic_code(p, m, g) for g in divisors]
+    return codes
+
+
+class TestRankOracle:
+    def test_examples(self):
+        hamming = build_cyclic_code(2, 7, P(GF(2), 1, 1, 0, 1))
+        assert verify_reversibility_by_rank(hamming) is False
+        # x - 1 over GF(3) is not palindromic, yet its code is reversible
+        assert verify_reversibility_by_rank(build_cyclic_code(3, 4, P(GF(3), -1, 1))) is True
+        for p, m in ((2, 1), (2, 7), (3, 8), (13, 32), (191, 5)):
+            zero, full = build_cyclic_code(p, m, xm_minus_1(p, m)), build_cyclic_code(p, m, Poly.one(GF(p)))
+            assert (zero.dimension, full.dimension) == (0, m)
+            assert verify_reversibility_by_rank(zero) is True and verify_reversibility_by_rank(full) is True
+
+    def test_refuses_what_the_enumeration_refuses_as_a_non_code(self):
+        x1 = P(GF(2), 1, 1)
+        for bad in ("x", None, (2, 3, x1), x1):
+            messages = []
+            for oracle in (verify_reversibility_by_rank, verify_reversibility_by_enumeration):
+                with pytest.raises(DomainError, match=r"^code must be a CyclicCode") as info:
+                    oracle(bad)
+                messages.append(str(info.value))
+            assert messages[0] == messages[1]
+
+    def test_step_cap(self):
+        # 2 * dim * m entries of [G; rev G]: 2 * 2235 * 2236 is within 10^7, 2 * 2236 * 2237 is not
+        assert RANK_STEP_CAP == 10**7 and 2 * 2235 * 2236 <= RANK_STEP_CAP < 2 * 2236 * 2237
+        code = build_cyclic_code(3, 2237, P(GF(3), -1, 1))
+        with pytest.raises(CapacityError, match=r"dimension 2236 has 10003864 matrix entries, above the cap"):
+            verify_reversibility_by_rank(code)
+
+    def test_uses_neither_the_criterion_nor_numpy(self, monkeypatch):
+        codes = [build_cyclic_code(p, m, g) for p, m in ((2, 7), (3, 8), (5, 6)) for g in monic_divisors(p, m)]
+
+        def forbidden(*_):
+            raise AssertionError("the rank oracle must not call the criterion")
+
+        monkeypatch.setattr(coterm_codes, "monic_reciprocal", forbidden)
+        monkeypatch.setattr(coterm_codes, "generates_reversible_code", forbidden)
+        monkeypatch.setitem(sys.modules, "numpy", None)  # any import of numpy now raises ImportError
+        assert [verify_reversibility_by_rank(code) for code in codes] == [code.reversible for code in codes]
+
+    def test_agrees_with_the_criterion_on_the_sweep(self, sweep):
+        assert len(sweep) == 40160
+        verdicts = [verify_reversibility_by_rank(code) for code in sweep]
+        assert [code for code, v in zip(sweep, verdicts) if v != code.reversible] == []
+        assert sum(verdicts) == 8076
+
+    def test_agrees_with_the_enumeration(self, sweep):
+        # the sweep's codes of at most 10^4 words, the code command's default, and GF(181) up to the cap
+        codes = [code for code in sweep if code.p**code.dimension <= 10**4]
+        codes += [code for m in (2, 5) for g in split_divisors(181, m)
+                  if 181 ** (code := build_cyclic_code(181, m, g)).dimension <= ENUMERATION_CAP]
+        assert len(codes) == 3875 + 20
+        for code in codes:
+            assert verify_reversibility_by_rank(code) == verify_reversibility_by_enumeration(code), code
+
+    @pytest.mark.parametrize("p", [181, 191])
+    def test_large_primes(self, p):
+        # the enumeration refuses GF(191); the rank has no bound on p or p^dim
+        seen = {True: 0, False: 0}
+        for m in (2, 5):
+            for g in split_divisors(p, m):
+                code = build_cyclic_code(p, m, g)
+                result = verify_reversibility_by_rank(code)
+                assert result == code.reversible, (p, m, g)
+                seen[result] += 1
+        assert seen[True] and seen[False]
+
+    def test_lcd_second_witness(self, sweep):
+        # for p not dividing m a cyclic code is reversible exactly when it meets its dual only
+        # in 0 (Yang and Massey 1994), that is when rank [G; H] = m
+        codes = [code for code in sweep if code.p <= 7 and code.m <= 20 and code.m % code.p]
+        assert len(codes) == 3764
+        seen = {True: 0, False: 0}
+        for code in codes:
+            lcd = rank_mod_p(generator_rows(code) + parity_rows(code), code.p) == code.m
+            assert lcd == code.reversible == verify_reversibility_by_rank(code), code
+            seen[lcd] += 1
+        assert seen[True] and seen[False]
+        # for p | m the witness does not hold: x + 1 generates {00, 11}, reversible and its own dual
+        code = build_cyclic_code(2, 2, P(GF(2), 1, 1))
+        assert code.reversible and rank_mod_p(generator_rows(code) + parity_rows(code), 2) == 1
+
+
 def test_import_loads_no_numpy():
-    # numpy is imported only when codewords are enumerated
+    # numpy is imported only when codewords are enumerated; the code command checks by rank
     src_dir = str(Path(reciprodick.__file__).resolve().parents[1])
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import reciprodick, reciprodick.cli; "
              "assert 'numpy' not in sys.modules; "
+             "assert reciprodick.cli.main(['code', '--p', '3', '--m', '8']) == 0; "
+             "assert reciprodick.cli.main(['code', '--p', '5', '--m', '6', '--enum-cap', '30']) == 0; "
+             "assert 'numpy' not in sys.modules; "
              "reciprodick.verify_reversibility_by_enumeration(reciprodick.build_cyclic_code("
              "2, 3, reciprodick.Poly(reciprodick.GF(2), (1, 1)))); assert 'numpy' in sys.modules")
-    subprocess.run([sys.executable, "-c", probe, src_dir], check=True)
+    subprocess.run([sys.executable, "-c", probe, src_dir], check=True, capture_output=True)
