@@ -324,6 +324,9 @@ def _cmd_code(args) -> int:
         if checked and verify_reversibility_by_rank(code) != code.reversible:
             record["note"] = "the rank check disagrees with the generator criterion"
             disagreements += 1
+            if args.format == "csv":  # the CSV columns are fixed, so the note goes to stderr
+                generator = " ".join(record["generator"])
+                print(f"note: p={args.p} m={args.m} generator {generator}: {record['note']}", file=sys.stderr)
         records.append(record)
     _emit(args, ["p", "m", "generator", "dimension", "reversible", "enumeration_checked"], records)
     return EXIT_MISMATCH if disagreements else EXIT_OK

@@ -17,8 +17,12 @@ Wire names (shared by the CLI, the JSON forms, and the classifiers):
   fchar2    f at k = 1 over GF(2), where the even-binomial part vanishes:
             sum_j C(n-1, 2j+1) * (x^j - x^(j+1)).
 
-All but dickson read C(n, .) and C(n-1, .) from a row source ``rows``, n ->
-(C(n, 0), ..., C(n, n)), by default ``binomial_row``.  With it every family
+All but dickson read one binomial row from a row source ``rows``, n ->
+(C(n, 0), ..., C(n, n)), by default ``binomial_row``: f, fchar2, g, h, gstar
+and hstar read the row of n-1 alone, C(n, 2j) coming from it by Pascal's
+rule C(n, 2j) = C(n-1, 2j) + C(n-1, 2j-1), and kind1/kind2/kind3 read the
+row of n.  So f and its end copies reach one n further under the row caps
+than the kinds.  With the default source every family
 is constructed exactly over Z and then reduced coefficientwise when the
 target ring is a prime field; this is the reference path.  Characteristic-p
 degree drops are handled by the ordinary trimming rules of Poly.  Over GF(p)
@@ -73,26 +77,31 @@ class FamilySpec:
     a: int = 1
 
     def __post_init__(self):
+        # scan makes one spec per verdict, so plain ints and an exact Ring skip the conversions
         if self.family not in FAMILIES:
             raise DomainError(f"unknown family {self.family!r}")
-        for field in ("n", "k", "a"):
-            as_int(getattr(self, field), f"family {field}")
-        if self.n < 0:
+        n, k, a, ring = self.n, self.k, self.a, self.ring
+        if type(n) is not int or type(k) is not int or type(a) is not int:
+            n, k, a = (as_int(getattr(self, field), f"family {field}") for field in ("n", "k", "a"))
+            object.__setattr__(self, "n", n)
+            object.__setattr__(self, "k", k)
+            object.__setattr__(self, "a", a)
+        if n < 0:
             raise DomainError("family index n must be >= 0")
-        ring = require_type(self.ring, Ring, "ring")
+        if type(ring) is not Ring:
+            require_type(ring, Ring, "ring")
         row = FAMILY_TABLE[self.family]
-        name = f"family {self.family!r}"
-        if self.a != 1 and self.family != "dickson":
-            raise DomainError(f"{name} takes no parameter a")
-        if row.ring is not None and self.ring != row.ring:
-            raise DomainError(f"{name} lives over {row.ring}")
-        if row.fixed_k is not None and self.k != row.fixed_k[0]:
-            raise DomainError(f"{name} {row.fixed_k[1]}")
-        if self.n < row.n_min or (row.parity is not None and self.n % 2 != row.parity):
+        if a != 1 and self.family != "dickson":
+            raise DomainError(f"family {self.family!r} takes no parameter a")
+        if row.ring is not None and ring != row.ring:
+            raise DomainError(f"family {self.family!r} lives over {row.ring}")
+        if row.fixed_k is not None and k != row.fixed_k[0]:
+            raise DomainError(f"family {self.family!r} {row.fixed_k[1]}")
+        if n < row.n_min or (row.parity is not None and n % 2 != row.parity):
             n_text = f"n >= {row.n_min}" if row.parity is None else f"{('even', 'odd')[row.parity]} n > 1"
-            raise DomainError(f"{name} requires {n_text}")
-        if row.fixed_k is None and ring.is_field and not 0 <= self.k < ring.p:
-            raise DomainError(f"over {ring} the kind parameter k must lie in [0, {ring.p - 1}], got {self.k}")
+            raise DomainError(f"family {self.family!r} requires {n_text}")
+        if row.fixed_k is None and ring.p is not None and not 0 <= k < ring.p:
+            raise DomainError(f"over {ring} the kind parameter k must lie in [0, {ring.p - 1}], got {k}")
 
     def to_flat_dict(self) -> dict:
         """The spec as flat record fields: family, n, k, then p over GF(p) and a for dickson."""
@@ -117,13 +126,17 @@ def row_cache(ring: Ring = Z) -> Callable[[int], tuple[int, ...]]:
 
 
 def _f(s: FamilySpec, rows) -> list[int]:
-    # the summation form of f, and of fchar2, whose spec fixes k = 1: the constant 2-k at n = 0,
-    # else the defining sums collected by power, x^j having k * (C(n-1, 2j+1) - C(n-1, 2j-1)) + 2 * C(n, 2j)
+    # the summation form of f, and of fchar2, whose spec fixes k = 1: the constant 2-k at n = 0, else
+    # the defining sums collected by power, read from the one row r of n-1 by Pascal's rule
+    # C(n, 2j) = C(n-1, 2j) + C(n-1, 2j-1): x^j has k * (r[2j+1] - r[2j-1]) + 2 * (r[2j] + r[2j-1]),
+    # entries outside the row being 0
     n, k = s.n, s.k
     if n == 0:
         return [2 - k]
-    odd = rows(n - 1)[1::2]
-    return [k * (b1 - b1_before) + 2 * b0 for b1, b1_before, b0 in zip(odd + (0,), (0,) + odd, rows(n)[::2])]
+    r = rows(n - 1)
+    odd = r[1::2]
+    return [k * (b1 - b1_before) + 2 * (b0 + b1_before)
+            for b1, b1_before, b0 in zip(odd + (0,), (0,) + odd, r[::2] + (0,))]
 
 
 def _copied_end(end: int):

@@ -303,7 +303,12 @@ class TestCode:
         assert [r["generator"] for r in noted] == [list(flipped)]
         assert noted[0]["note"] == "the rank check disagrees with the generator criterion"
         assert list(noted[0])[-1] == "note" and noted[0]["reversible"] is False
-        assert run(capsys, "code", "--p", "2", "--m", "7", "--format", "csv")[0] == 2
+        # CSV has no note column: the note goes to stderr, one line per disagreeing code, and stdout is unchanged
+        rc, out, err = run(capsys, "code", "--p", "2", "--m", "7", "--format", "csv")
+        assert rc == 2
+        assert err == "note: p=2 m=7 generator 1 1 0 1: the rank check disagrees with the generator criterion\n"
+        monkeypatch.setattr(cli, "verify_reversibility_by_rank", rank)
+        assert run(capsys, "code", "--p", "2", "--m", "7", "--format", "csv") == (0, out, "")
 
 
 class TestHelp:

@@ -1,3 +1,4 @@
+import json
 import re
 from fractions import Fraction
 from math import comb
@@ -20,6 +21,7 @@ from reciprodick import (
     reduce_mod_p,
     reversed_dickson,
 )
+from reciprodick.classifier import Verdict
 from reciprodick.families import row_cache
 
 K_WINDOW = range(-5, 7)
@@ -313,6 +315,22 @@ class TestFamilySpec:
             with pytest.raises(DomainError, match="Ring"):
                 FamilySpec("f", 4, 0, bad)
 
+    def test_stores_the_converted_integers(self):
+        # FamilySpec("f", numpy.int64(6), numpy.int64(2)) used to keep the int64 values, which json.dumps refuses
+        class Index:
+            def __init__(self, v):
+                self.v = v
+
+            def __index__(self):
+                return self.v
+
+        for spec in (FamilySpec("f", Index(6), Index(2)), FamilySpec("dickson", Index(5), Index(4), GF(7), Index(3))):
+            assert all(type(getattr(spec, field)) is int for field in ("n", "k", "a"))
+            assert spec == FamilySpec(spec.family, int(spec.n), int(spec.k), spec.ring, int(spec.a))
+            json.dumps(spec.to_flat_dict())
+            json.dumps(Verdict("T2_1", spec, True, True).to_json_dict())
+        assert FamilySpec("f", Index(6), Index(2)).to_flat_dict() == {"family": "f", "n": 6, "k": 2}
+
     def test_build_rejects_non_spec(self):
         # build(3) used to raise a bare AttributeError
         for bad in (3, "f", None, ("f", 4, 0)):
@@ -369,3 +387,43 @@ def test_end_variants_carry_one_closed_form_end_of_f_at_both_ends():
                 for family, end in ((top_family, top), (low_family, k * (n - 1) + 2)):
                     member = build(FamilySpec(family, n, k, ring), rows)
                     assert member[0] == member[n // 2] == ring.normalize(end), (family, n, k, ring)
+
+
+def _f_sums(n):
+    # f_{n,k} = k*u + v straight from the defining sums with math.comb, never from the library's rows:
+    # u_j = C(n-1, 2j+1) - C(n-1, 2j-1) and v_j = 2*C(n, 2j), the constant 2-k at n = 0
+    if n == 0:
+        return [-1], [2]
+    odd = [comb(n - 1, 2 * j + 1) for j in range(n // 2)] + [0]  # C(n-1, 2j+1), j = 0..n//2
+    return [b - a for a, b in zip([0] + odd, odd)], [2 * comb(n, 2 * j) for j in range(n // 2 + 1)]
+
+
+def _trimmed(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def test_one_row_builder_matches_defining_sums():
+    # every free-k family and fchar2, over Z for n <= 600 and over GF(p), p <= 13, for n <= 300 and every k < p;
+    # g and gstar copy f's x^(n//2) end onto its x^0 end, h and hstar the x^0 end onto the other
+    fields = {p: GF(p) for p in (2, 3, 5, 7, 11, 13)}
+    rows = {ring: row_cache(ring) for ring in (Z, *fields.values())}
+    for n in range(601):
+        u, v = _f_sums(n)
+        variants = {"f": None} if n < 2 else {"f": None, ("g", "gstar")[n % 2]: -1, ("h", "hstar")[n % 2]: 0}
+        cases = [(Z, k, None) for k in (-3, 0, 1, 2, 5)]
+        if n <= 300:
+            cases += [(ring, k, p) for p, ring in fields.items() for k in range(p)]
+        for ring, k, p in cases:
+            c = [k * a + b for a, b in zip(u, v)]
+            if p is not None:
+                c = [x % p for x in c]
+            for family, end in variants.items():
+                expected = list(c)
+                if end is not None:
+                    expected[0] = expected[-1] = c[end]
+                got = build(FamilySpec(family, n, k, ring), rows[ring])
+                assert got.coeffs == _trimmed(expected), (family, n, k, ring)
+            if p == 2 and k == 1 and n >= 1:
+                assert build(FamilySpec("fchar2", n, 1, ring), rows[ring]).coeffs == _trimmed(c), n

@@ -14,6 +14,7 @@ import pytest
 
 from reciprodick import (
     FAMILIES,
+    CapacityError,
     DomainError,
     FamilySpec,
     GF,
@@ -24,6 +25,7 @@ from reciprodick import (
     build,
     scan,
 )
+from reciprodick.binomics import ROW_MOD_P_CAP
 from reciprodick.classifier import RULE_TABLE
 from reciprodick.families import row_cache
 
@@ -76,10 +78,10 @@ def test_scan_computes_each_row_once_per_call(monkeypatch):
         if name.split(".")[0] == "reciprodick" and vars(module).get("binomial") is binomial:
             monkeypatch.setattr(module, "binomial", counting)
     ns = range(100, 105, 2)  # T2_1 scans even n only
-    two_rows = sum((n // 2 + 1) + ((n - 1) // 2 + 1) for n in ns)
     scan("T2_1", n_min=100, n_max=104, k_values=K_WINDOW)
+    # f reads the one row of n - 1, whose lower half binomial_row computes, once each
+    assert Counter(calls) == {(n - 1, m): 1 for n in ns for m in range((n - 1) // 2 + 1)}
     first = len(calls)
-    assert 0 < first <= two_rows
     calls.clear()
     scan("T2_1", n_min=100, n_max=104, k_values=K_WINDOW)
     assert len(calls) == first  # no row survives from the first call
@@ -138,12 +140,21 @@ def test_fp_scan_computes_each_row_once_per_call(monkeypatch):
     primes = [3, 5, 7]
     ns = range(100, 105, 2)  # T3_1 scans even n only, every k < p per prime
     scan("T3_1", n_min=100, n_max=104, p_list=primes)
-    per_pair = Counter((n, p) for n, p in rows)
-    assert 0 < len(rows) <= 2 * len(ns) * len(primes)
-    assert max(per_pair.values()) == 1
-    assert {p for _, p in rows} == set(primes)
+    # one mod-p row per (n, p), the row of n - 1
+    assert Counter(rows) == {(n - 1, p): 1 for n in ns for p in primes}
     assert entries == []  # no member over GF(p) reads a row over Z
     first = len(rows)
     rows.clear()
     scan("T3_1", n_min=100, n_max=104, p_list=primes)
     assert len(rows) == first  # no row survives from the first call
+
+
+def test_row_caps_admit_f_one_n_further_than_the_kinds():
+    # f and its end copies read the row of n - 1 alone, the kinds the row of n
+    n, ring = ROW_MOD_P_CAP + 1, GF(3)
+    rows = row_cache(ring)
+    for family in ("f", "gstar", "hstar"):
+        assert build(FamilySpec(family, n, 1, ring), rows).degree <= n // 2
+    for family in ("kind1", "kind2"):
+        with pytest.raises(CapacityError, match=f"^the binomial row of n = {n} mod 3 is above ROW_MOD_P_CAP"):
+            build(FamilySpec(family, n, 0, ring), rows)
