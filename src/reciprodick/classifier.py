@@ -26,15 +26,15 @@ with a free k is affine in k, so ``palindromic_ks`` decides every k of a
 (family, n, ring) from the members at k = 0 and k = 1: still the definition,
 a coefficient list tested against its reversal, never a rule.  ``scan``
 evaluates predicate and oracle over finite ranges and reports one Verdict
-per in-hypothesis spec, reading a classification's observations from one
-``palindromic_ks`` per (family, n, ring) with two or more requested k;
-disagreements are data (findings), never errors.
+per in-hypothesis spec; it walks n by n, one (ring, member family) group at
+a time, and reads a classification's observations of a group with two or
+more requested k from one ``palindromic_ks``; disagreements are data
+(findings), never errors.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -205,35 +205,40 @@ class KSet:
         return (k in self.ks) != self.cofinite
 
 
-def palindromic_ks(family: str, n: int, ring: Ring, rows=binomial_row) -> KSet:
-    """Every k at which the member (family, n, k, ring) is self-reciprocal, from two builds.
+def palindromic_ks(family: str, n: int, ring: Ring, rows=binomial_row, a: int = 1) -> KSet:
+    """Every k at which the member (family, n, k, ring, a) is self-reciprocal, from two coefficient lists.
 
     A member's coefficient list is affine in k: c(k) = v + k*u, with v = c(0)
-    and u = c(1) - c(0), padded to one length D + 1 and read over the ring.
-    Both lists are trimmed, so (v_D, u_D) != (0, 0), and for every k but the
-    one k* = -v_D/u_D that zeroes the top coefficient the member has degree D.
-    Away from k* it is a palindrome exactly when (u_j - u_{D-j})*k +
-    (v_j - v_{D-j}) = 0 for every j < D/2: every k solves that when u and v
-    are palindromes; else the first unequal pair's equation admits at most
-    one k (an integer over Z, a residue over GF(p)), and the padded list at
-    that k is tested against its reversal.  k* itself is decided by testing
-    the trimmed list v + k*·u against its reversal.  The two builds go
-    through ``build``, so ``FamilySpec`` checks them; a family with a fixed k
-    raises DomainError.
+    and u = c(1) - c(0), read over the ring.  Both come from the family's
+    table builder, the lists ``build`` makes its Polys from, which have one
+    length at every k; they are trimmed together to length D + 1, so
+    (v_D, u_D) != (0, 0), and for every k but the one k* = -v_D/u_D that
+    zeroes the top coefficient the member has degree D.  Away from k* it is
+    a palindrome exactly when (u_j - u_{D-j})*k + (v_j - v_{D-j}) = 0 for
+    every j < D/2: every k solves that when u and v are palindromes; else the
+    first unequal pair's equation admits at most one k (an integer over Z, a
+    residue over GF(p)), and the list at that k is tested against its
+    reversal.  k* itself is decided by testing the trimmed list v + k*·u
+    against its reversal.  Both specs (k = 0, then k = 1, with dickson's
+    ``a``) are checked by ``FamilySpec`` before either list is read; a family
+    with a fixed k raises DomainError.
     """
     if family in FAMILIES and FAMILY_TABLE[family].fixed_k is not None:
         raise DomainError(f"family {family!r} {FAMILY_TABLE[family].fixed_k[1]}: there is no k to solve for")
-    c0, c1 = (build(FamilySpec(family, n, k, ring), rows).coeffs for k in (0, 1))
-    size = max(len(c0), len(c1))
+    s0, s1 = (FamilySpec(family, n, k, ring, a) for k in (0, 1))
+    coeffs = FAMILY_TABLE[family].build
+    c0, c1 = coeffs(s0, rows), coeffs(s1, rows)
+    p = s0.ring.p
+    if p is None:
+        v, u = list(c0), [y - x for x, y in zip(c0, c1, strict=True)]
+    else:
+        v, u = [x % p for x in c0], [(y - x) % p for x, y in zip(c0, c1, strict=True)]
+    while v and not v[-1] and not u[-1]:
+        v.pop()
+        u.pop()
+    size = len(v)
     if not size:
         return KSet()  # the zero polynomial at every k
-    p = ring.p
-
-    def over_ring(c: list[int]) -> list[int]:
-        return c if p is None else [x % p for x in c]
-
-    v = c0 + (0,) * (size - len(c0))
-    u = over_ring([y - x for x, y in zip(v, c1 + (0,) * (size - len(c1)))])
 
     def root(slope: int, offset: int) -> int | None:
         # the k with slope*k + offset = 0 for slope != 0; None when over Z it is not an integer
@@ -243,7 +248,10 @@ def palindromic_ks(family: str, n: int, ring: Ring, rows=binomial_row) -> KSet:
         return None if r else k
 
     def at(k: int) -> list[int]:
-        return over_ring([x + k * y for x, y in zip(v, u)])
+        # the list v + k*u, read over the ring
+        if p is None:
+            return [x + k * y for x, y in zip(v, u)]
+        return [(x + k * y) % p for x, y in zip(v, u)]
 
     d = size - 1
     j = next((j for j in range(size // 2) if u[j] != u[d - j] or v[j] != v[d - j]), None)
@@ -379,32 +387,12 @@ def check_corollary(corollary: str, spec: FamilySpec) -> bool:
 
 # ------------------------------------------------------------------- scanning
 
-def _solved(specs: list[FamilySpec]) -> Callable[[FamilySpec, Callable], bool]:
-    """Scan's classification observer: one palindromic_ks per (family, n, ring) of two or more distinct k.
-
-    A (family, n, ring) with one k builds that member alone, by the oracle.
-    """
-    ks = defaultdict(set)
-    for s in specs:
-        ks[s.family, s.n, s.ring].add(s.k)
-    solved = {}
-
-    def observe(s: FamilySpec, rows) -> bool:
-        key = (s.family, s.n, s.ring)
-        if len(ks[key]) < 2:
-            return oracle_self_reciprocal(s, rows)
-        if key not in solved:
-            solved[key] = palindromic_ks(*key, rows)
-        return s.k in solved[key]
-
-    return observe
-
-
-# per kind of rule: how scan observes it, given the specs it lists, and the note a disagreement carries
+# per kind of rule: how scan observes one member it builds, and the note a disagreement carries; each
+# names the module's functions at call time, so a wrapper set on the module sees scan's calls
 _OBSERVERS = {
-    "classification": (_solved, "predicate and oracle disagree"),
-    "corollary": (lambda specs: lambda s, rows: _not_srim(build(s, rows)), "corollary violated"),
-    "lemma": (lambda specs: lambda s, rows: lemma_l1(build(s, rows)), "odd-degree srim found"),
+    "classification": (lambda s, rows: oracle_self_reciprocal(s, rows), "predicate and oracle disagree"),
+    "corollary": (lambda s, rows: _not_srim(build(s, rows)), "corollary violated"),
+    "lemma": (lambda s, rows: lemma_l1(build(s, rows)), "odd-degree srim found"),
 }
 
 
@@ -412,12 +400,13 @@ def _rings(over: Condition, p_list) -> list[Ring]:
     """The ring a condition pins, else GF(p) for the distinct p of p_list (default its rings), increasing."""
     if len(over.rings) == 1 or not p_list:
         return list(over.rings)
-    ps = sorted(set(p_list))
-    for p in ps:
+    rings = []
+    for p in sorted(set(p_list)):
         require_prime(p)
-        if not over.holds(GF(p)):
+        rings.append(GF(p))
+        if not over.holds(rings[-1]):
             raise DomainError("this rule is stated for odd primes")
-    return [GF(p) for p in ps]
+    return rings
 
 
 def _members(rule: Rule, ring: Ring) -> list[tuple[str, int | None]]:
@@ -447,15 +436,18 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
     [0, p-1] in increasing order (default all of them).  Rules with a fixed
     k ignore ``k_values``.  ``k_values`` and ``p_list`` may be any iterables
     of at most SCAN_CAP integers; at most SCAN_CAP + 1 entries of each are
-    read.  Mismatches are reported as data, not raised.  A classification's
-    observation of a (family, n, ring) scanned at two or more distinct k is
-    read from one ``palindromic_ks``, which builds two members; one scanned
-    at a single k is built alone and read by ``oracle_self_reciprocal``.
-    Corollaries and L1 build each member.  The members come
-    from the row's own conditions, its hypotheses, so none is checked
-    again; over SCAN_CAP candidates (n range x k values x ring and member
-    family pairs) raise CapacityError before any is listed.
-    All members of one call over one ring read their binomial rows from one
+    read.  Mismatches are reported as data, not raised.  Scan walks n by n,
+    and at each n takes each (ring, member family) group once: it lists the
+    distinct k the group admits, evaluates the side conditions once, and
+    observes the group's members together.  A classification group of two or
+    more distinct k reads every observation from one ``palindromic_ks``,
+    which reads the family's coefficient lists at k = 0 and k = 1 and builds
+    no member; a group of one k builds its member through ``build`` and reads
+    it by ``oracle_self_reciprocal``.  Corollaries and L1 build each member.
+    The members come from the row's own conditions, its hypotheses, so none
+    is checked again; over SCAN_CAP candidates (n range x k values x ring and
+    member family pairs) raise CapacityError before any is listed.  All
+    members of one call over one ring read their binomial rows from one
     ``row_cache(ring)``, made for this call.
     """
     t = normalize_theorem_id(theorem)
@@ -481,19 +473,35 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
         raise CapacityError(f"{t} would scan {count} candidate members, above the cap {SCAN_CAP}")
     # with no candidate the n range is not listed: n_max alone may make it as long as it likes
     ns = [n for n in range(lo, hi + 1) if rule.n.holds(n)] if count else []
-    # a pinned member takes only its fixed k, an unpinned one every k, below p over GF(p)
-    specs = [FamilySpec(fam, n, k, r) for n in ns for k in ks for r, fams in members for fam, fixed in fams
-             if (k == fixed if fixed is not None else r.p is None or k < r.p)
-             and (not rule.sides or all(side.holds(n, r.p) for side in rule.sides))]
-    observer, note = _OBSERVERS[rule.kind]
-    observe = observer(specs)
-    # one cache per ring: rows mod p serve only their own p, and the specs interleave the primes
-    rows = {r: row_cache(r) for r in rings}
+    observe, note = _OBSERVERS[rule.kind]
+    solve = rule.kind == "classification"
+    # one group per (ring, member family), with its distinct k: a pinned member takes only its fixed k,
+    # an unpinned one every k, below p over GF(p); one row cache per ring, since rows mod p serve only their p
+    groups = []
+    for r, fams in members:
+        rows = row_cache(r)
+        for fam, fixed in fams:
+            gks = list(dict.fromkeys(k for k in ks if (k == fixed if fixed is not None else r.p is None or k < r.p)))
+            groups.append((r, fam, gks, rows))
     out = []
-    for spec in specs:
-        pred = True if rule.predict is None else rule.predict(spec.n, spec.k, spec.ring.p)
-        obs = observe(spec, rows[spec.ring])
-        out.append(Verdict(t, spec, pred, obs, "" if pred == obs else note))
+    for n in ns:
+        seen = []  # per group admitted at this n, its Verdicts by k
+        for r, fam, gks, rows in groups:
+            if rule.sides and not all(side.holds(n, r.p) for side in rule.sides):
+                continue
+            specs = [FamilySpec(fam, n, k, r) for k in gks]
+            if solve and len(gks) > 1:
+                solved = palindromic_ks(fam, n, r, rows)
+                observed = [k in solved for k in gks]
+            else:
+                observed = [observe(s, rows) for s in specs]
+            verdicts = {}
+            for spec, obs in zip(specs, observed):
+                pred = True if rule.predict is None else rule.predict(n, spec.k, r.p)
+                verdicts[spec.k] = Verdict(t, spec, pred, obs, "" if pred == obs else note)
+            seen.append(verdicts)
+        # in (n, k, ring, family) order, a repeated k repeating its Verdicts
+        out.extend(v[k] for k in ks for v in seen if k in v)
     return out
 
 

@@ -29,8 +29,11 @@ class Ring:
     p: int | None = None
 
     def __post_init__(self):
-        if self.p is not None and not is_prime(as_int(self.p, "field order")):
-            raise DomainError(f"field order must be prime, got {self.p!r}")
+        if self.p is not None:
+            p = as_int(self.p, "field order")
+            if not is_prime(p):
+                raise DomainError(f"field order must be prime, got {self.p!r}")
+            object.__setattr__(self, "p", p)  # an __index__ value is stored as the int it stands for
 
     @property
     def is_field(self) -> bool:
@@ -72,13 +75,16 @@ class Poly:
         try:
             if not isinstance(coeffs, (tuple, list)):
                 coeffs = tuple(coeffs)  # a one-shot iterator must survive both passes
-            if p is None:
+            types = set(map(type, coeffs))
+            if types <= {int}:  # plain ints, as every builder makes them: no conversion to do
+                c = list(coeffs) if p is None else [v % p for v in coeffs]
+            elif p is None:
                 c = list(map(operator.index, coeffs))
             else:
                 c = [operator.index(v) % p for v in coeffs]
         except TypeError as e:
             raise DomainError(f"polynomial coefficients must be integers: {e}") from None
-        if bool in map(type, coeffs):
+        if bool in types:
             raise DomainError("polynomial coefficients must be integers, not bool")
         while c and c[-1] == 0:
             c.pop()

@@ -6,6 +6,7 @@ oracle (``oracle_self_reciprocal``, one build per k) stays the reference
 that the solver and the scans that use it are compared with.
 """
 
+import dataclasses
 import sys
 
 import pytest
@@ -17,13 +18,16 @@ from reciprodick import (
     GF,
     KSet,
     Poly,
+    Verdict,
     Z,
     build,
+    lemma_l1,
     oracle_self_reciprocal,
     palindromic_ks,
     scan,
 )
-from reciprodick.families import row_cache
+from reciprodick.classifier import RULE_TABLE, _not_srim, check_hypotheses
+from reciprodick.families import FAMILY_TABLE, row_cache
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -113,6 +117,26 @@ def test_a_huge_prime_solves_by_modular_inverses():
     assert palindromic_ks("g", 2, GF(p)) == _every_k_but(2)
 
 
+@pytest.mark.parametrize("ring, ks", list(_rings_and_ks(range(-8, 13))), ids=str)
+def test_solver_takes_dickson_s_a(ring, ks):
+    rows = row_cache(ring)
+    for n in range(80):
+        for a in (2, -3):
+            solved = palindromic_ks("dickson", n, ring, rows, a)
+            for k in ks:
+                spec = FamilySpec("dickson", n, k, ring, a)
+                assert (k in solved) == oracle_self_reciprocal(spec, rows), spec
+            if ring.p is not None and a % ring.p == 0 and n % 2:
+                # every coefficient carries a power of a: v and u are all zeros, trimmed together to nothing
+                assert solved == KSet(), (n, ring, a)
+
+
+def test_a_belongs_to_dickson_alone():
+    assert palindromic_ks("dickson", 4, Z, a=1) == palindromic_ks("dickson", 4, Z)
+    with pytest.raises(DomainError, match="family 'f' takes no parameter a"):
+        palindromic_ks("f", 4, Z, a=2)
+
+
 @pytest.mark.parametrize("family, n, ring, text", [
     ("kind1", 4, Z, "takes no kind parameter k"),
     ("kind3", 4, Z, "takes no kind parameter k"),
@@ -131,17 +155,32 @@ def test_refusals(family, n, ring, text):
 
 
 def _count_builds(monkeypatch):
-    # records every build's (family, n, ring), wherever the package binds build
-    built = []
+    # records every build's (family, n, ring), wherever the package binds build, and every read of a
+    # family's coefficient list from FAMILY_TABLE as (family, n, k, ring, whether a build made it)
+    built, reads, building = [], [], []
 
     def counting(spec, *args):
         built.append((spec.family, spec.n, spec.ring))
-        return build(spec, *args)
+        building.append(spec)
+        try:
+            return build(spec, *args)
+        finally:
+            building.pop()
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "reciprodick" and vars(module).get("build") is build:
             monkeypatch.setattr(module, "build", counting)
-    return built
+
+    def reader(coeffs):
+        def reading(spec, rows):
+            reads.append((spec.family, spec.n, spec.k, spec.ring, bool(building)))
+            return coeffs(spec, rows)
+
+        return reading
+
+    for family, row in list(FAMILY_TABLE.items()):
+        monkeypatch.setitem(FAMILY_TABLE, family, dataclasses.replace(row, build=reader(row.build)))
+    return built, reads
 
 
 @pytest.mark.parametrize("rule, kwargs", [
@@ -150,18 +189,23 @@ def _count_builds(monkeypatch):
     ("T3_1", {"p_list": [3, 13]}),
 ])
 def test_scan_builds_at_most_two_members_per_family_n_and_ring(monkeypatch, rule, kwargs):
-    built = _count_builds(monkeypatch)
+    # every (family, n, ring) here is scanned at two or more distinct k: its list is read at k = 0 and
+    # k = 1 and at no other k, and no member is built
+    built, reads = _count_builds(monkeypatch)
     verdicts = scan(rule, n_max=40, **kwargs)
     members = {(v.spec.family, v.spec.n, v.spec.ring) for v in verdicts}
-    assert set(built) == members
-    assert all(built.count(m) <= 2 for m in members)
+    assert built == []
+    assert {(family, n, ring) for family, n, _, ring, _ in reads} == members
+    for member in members:
+        assert [(k, via_build) for f, n, k, r, via_build in reads if (f, n, r) == member] == [(0, False), (1, False)]
     assert len(verdicts) > 2 * len(members)
 
 
 def test_scan_of_one_k_builds_one_member(monkeypatch):
-    built = _count_builds(monkeypatch)
+    built, reads = _count_builds(monkeypatch)
     scan("T2_1", n_min=4, n_max=4, k_values=[0])
     assert built == [("f", 4, Z)]
+    assert reads == [("f", 4, 0, Z, True)]
 
 
 @pytest.mark.parametrize("rule, kwargs", [
@@ -180,3 +224,59 @@ def test_scan_observations_equal_the_oracle(rule, kwargs):
     assert verdicts
     for v in verdicts:
         assert v.observed == oracle_self_reciprocal(v.spec), v
+
+
+# scan restated one spec at a time, straight from the rows: the specs in (n, k, ring, family) order, each
+# admitted when FamilySpec and the row's hypotheses both take it, each observed alone
+_REFERENCE_OBSERVERS = {
+    "classification": (oracle_self_reciprocal, "predicate and oracle disagree"),
+    "corollary": (lambda spec: _not_srim(build(spec)), "corollary violated"),
+    "lemma": (lambda spec: lemma_l1(build(spec)), "odd-degree srim found"),
+}
+
+
+def _reference_scan(t, n_max, k_values=None, p_list=None):
+    row = RULE_TABLE[t]
+    lo, _ = row.scan_n
+    pinned = len(row.ring.rings) == 1
+    rings = row.ring.rings if pinned or p_list is None else tuple(GF(p) for p in sorted(set(p_list)))
+    if row.fixed_k is not None:
+        ks = [row.fixed_k]
+    elif rings[-1] == Z:
+        ks = list(DEFAULT_K_WINDOW if k_values is None else k_values)
+    else:
+        ks = sorted(set(range(rings[-1].p) if k_values is None else k_values))
+    observe, note = _REFERENCE_OBSERVERS[row.kind]
+    out = []
+    for n in range(lo, n_max + 1):
+        for k in ks:
+            for ring in rings:
+                # the families the table pins to this ring, else those it does not pin to any
+                families = [f for f in row.families if FAMILY_TABLE[f].ring == ring]
+                for family in families or [f for f in row.families if FAMILY_TABLE[f].ring is None]:
+                    try:
+                        spec = FamilySpec(family, n, k, ring)
+                        check_hypotheses(t, row, family, n, k, ring)
+                    except DomainError:
+                        continue
+                    predicted = True if row.predict is None else row.predict(n, k, ring.p)
+                    observed = observe(spec)
+                    out.append(Verdict(t, spec, predicted, observed, "" if predicted == observed else note))
+    return out
+
+
+@pytest.mark.parametrize("rule, kwargs", [
+    (rule, {"n_max": 60}) for rule in RULE_TABLE
+] + [
+    (rule, {"n_max": 40, "k_values": ks})
+    for rule in ("T2_1", "T2_3", "T2_4", "T2_7") for ks in ([3, 0, 3], [7, 3], [4], [1, 1])
+] + [
+    (rule, {"n_max": 40, "p_list": [13, 3]}) for rule in ("T3_1", "T3_4", "C3_3", "C3_5", "L1")
+] + [
+    # a window that leaves GF(3) one k and GF(7) two
+    (rule, {"n_max": 40, "k_values": [5, 0, 5], "p_list": [3, 7]}) for rule in ("T3_1", "T3_4", "L1")
+])
+def test_grouped_scan_equals_the_per_spec_reference(rule, kwargs):
+    expected = _reference_scan(rule, **kwargs)
+    assert expected
+    assert scan(rule, **kwargs) == expected

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from reciprodick import DomainError, GF, Poly, Ring, Z, gcd, pow_mod, reduce_mod_p
+from reciprodick import DomainError, FamilySpec, GF, Poly, Ring, Z, build, gcd, pow_mod, reduce_mod_p
 
 
 def P(ring, *coeffs):
@@ -28,6 +28,19 @@ class TestRing:
         for bad in (4, 5.0, True):
             with pytest.raises(DomainError):
                 Ring(bad)
+
+    def test_stores_an_index_value_as_its_int(self):
+        # Ring(x) used to keep x: unequal to GF(5), and FamilySpec's k-range check raised a bare TypeError
+        class Five:
+            def __index__(self):
+                return 5
+
+        ring = Ring(Five())
+        assert type(ring.p) is int and ring.p == 5
+        assert ring == GF(5) and hash(ring) == hash(GF(5)) and {GF(5): "F5"}[ring] == "F5"
+        spec = FamilySpec("f", 4, 1, ring)
+        assert spec.ring == GF(5) and spec.to_flat_dict()["p"] == 5
+        assert build(spec) == build(FamilySpec("f", 4, 1, GF(5)))
 
 
 class TestArithmetic:
@@ -92,6 +105,38 @@ class TestArithmetic:
         assert Poly(Z, (v for v in (1, -7, 0, 12, 0))) == P(Z, 1, -7, 0, 12)
         assert Poly(GF(5), (v for v in (1, -7, 0, 12, 0))) == P(GF(5), 1, 3, 0, 2)
         assert Poly(GF(5), iter([5, 10])) == Poly.zero(GF(5))
+
+    def test_inputs_other_than_plain_ints_keep_their_conversions_and_messages(self):
+        # lists of plain ints skip the per-coefficient conversion; everything else reads as it always did
+        class Three:
+            def __index__(self):
+                return 3
+
+        class Small(int):
+            pass
+
+        for ring, expected in ((Z, (3, -1, 3)), (GF(5), (3, 4, 3))):
+            for coeffs in ([Three(), -1, Three()], [Small(3), -1, 3], (3, Small(-1), Three())):
+                for given in (coeffs, iter(coeffs)):
+                    c = Poly(ring, given).coeffs
+                    assert c == expected and all(type(x) is int for x in c), (ring, coeffs)
+            assert Poly(ring, iter([3, -1, 3])).coeffs == expected
+            assert Poly(ring, (v for v in [3, -1, 3, 0])).coeffs == expected
+            not_bool = "polynomial coefficients must be integers, not bool"
+            not_int = "polynomial coefficients must be integers: '{}' object cannot be interpreted as an integer"
+            for coeffs, text in (
+                ([1, True], not_bool),
+                ([False], not_bool),
+                ([Three(), True], not_bool),
+                ([1, 2.5], not_int.format("float")),
+                ([True, 2.5], not_int.format("float")),  # the conversion pass fails before the bool check
+                ((1.0,), not_int.format("float")),
+                (["1"], not_int.format("str")),
+                ([None], not_int.format("NoneType")),
+            ):
+                for given in (coeffs, iter(coeffs)):
+                    with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+                        Poly(ring, given)
 
     def test_trimming_and_degree(self):
         assert P(Z, 1, 2, 0, 0).coeffs == (1, 2)
