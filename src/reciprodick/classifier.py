@@ -38,7 +38,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
-from .binomics import binomial_row, is_power_of, require_prime
+from .binomics import is_power_of, require_prime
 from .errors import CapacityError, DomainError, HypothesisError, as_int, require_type
 from .families import FAMILIES, FAMILY_TABLE, FamilySpec, build, row_cache
 from .ringpoly import GF, Poly, Ring, Z, gcd, pow_mod
@@ -181,11 +181,12 @@ class Verdict:
         return d
 
 
-def oracle_self_reciprocal(spec: FamilySpec, rows=binomial_row) -> bool:
+def oracle_self_reciprocal(spec: FamilySpec, rows=None) -> bool:
     """Definition-based oracle: build the polynomial and test the palindrome.
 
     It is the reference for one member; ``palindromic_ks`` decides every k
-    of a member at once and is tested against it.
+    of a member at once and is tested against it.  The member is built from
+    ``rows``, by default a new ``row_cache`` of the spec's ring.
     """
     return build(spec, rows).is_self_reciprocal()
 
@@ -205,7 +206,7 @@ class KSet:
         return (k in self.ks) != self.cofinite
 
 
-def palindromic_ks(family: str, n: int, ring: Ring, rows=binomial_row, a: int = 1) -> KSet:
+def palindromic_ks(family: str, n: int, ring: Ring, rows=None, a: int = 1) -> KSet:
     """Every k at which the member (family, n, k, ring, a) is self-reciprocal, from two coefficient lists.
 
     A member's coefficient list is affine in k: c(k) = v + k*u, with v = c(0)
@@ -221,12 +222,14 @@ def palindromic_ks(family: str, n: int, ring: Ring, rows=binomial_row, a: int = 
     reversal.  k* itself is decided by testing the trimmed list v + k*·u
     against its reversal.  Both specs (k = 0, then k = 1, with dickson's
     ``a``) are checked by ``FamilySpec`` before either list is read; a family
-    with a fixed k raises DomainError.
+    with a fixed k raises DomainError.  Both lists read ``rows``, by default
+    one new ``row_cache`` of the ring.
     """
     if family in FAMILIES and FAMILY_TABLE[family].fixed_k is not None:
         raise DomainError(f"family {family!r} {FAMILY_TABLE[family].fixed_k[1]}: there is no k to solve for")
     s0, s1 = (FamilySpec(family, n, k, ring, a) for k in (0, 1))
     coeffs = FAMILY_TABLE[family].build
+    rows = row_cache(s0.ring) if rows is None else rows
     c0, c1 = coeffs(s0, rows), coeffs(s1, rows)
     p = s0.ring.p
     if p is None:
@@ -415,6 +418,11 @@ def _members(rule: Rule, ring: Ring) -> list[tuple[str, int | None]]:
     return pinned or [(fam, None) for fam in rule.families if FAMILY_TABLE[fam].ring is None]
 
 
+def entry_count(values) -> int:
+    """The number of entries of a list, tuple or range; a range's without len(), which overflows past sys.maxsize."""
+    return max(-((values.start - values.stop) // values.step), 0) if isinstance(values, range) else len(values)
+
+
 def _int_list(values, what: str) -> list[int]:
     """The integers of an iterable, reading at most SCAN_CAP + 1 of them (CapacityError past SCAN_CAP)."""
     try:
@@ -466,9 +474,7 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
     else:
         ks = range(top) if k_values is None else sorted(k for k in set(k_values) if 0 <= k < top)
     members = [(r, _members(rule, r)) for r in rings]
-    # counted, not listed: len() of a range overflows past sys.maxsize
-    n_ks = ks.stop if isinstance(ks, range) else len(ks)
-    count = max(hi - lo + 1, 0) * n_ks * sum(len(fams) for _, fams in members)
+    count = entry_count(range(lo, hi + 1)) * entry_count(ks) * sum(len(fams) for _, fams in members)
     if count > SCAN_CAP:
         raise CapacityError(f"{t} would scan {count} candidate members, above the cap {SCAN_CAP}")
     # with no candidate the n range is not listed: n_max alone may make it as long as it likes

@@ -29,7 +29,7 @@ import io
 import json
 import sys
 
-from .classifier import SCAN_CAP, THEOREM_IDS, mismatches, normalize_theorem_id, scan
+from .classifier import SCAN_CAP, THEOREM_IDS, entry_count, mismatches, normalize_theorem_id, scan
 from .coterm_codes import (
     ENUMERATION_CAP,
     build_cyclic_code,
@@ -181,11 +181,6 @@ def _resolve_ring(args) -> Ring:
     return Z
 
 
-def _count(values) -> int:
-    # len() of a range overflows past sys.maxsize
-    return max(-((values.start - values.stop) // values.step), 0) if isinstance(values, range) else len(values)
-
-
 def _selected_members(args) -> list[tuple[FamilySpec, Poly]]:
     """The selected specs over the resolved ring, each with its member built from one row_cache.
 
@@ -211,7 +206,7 @@ def _selected_members(args) -> list[tuple[FamilySpec, Poly]]:
     ks = [args.k] if args.k is not None else _k_range(args)
     if ks is None:
         ks = [row.fixed_k[0] if row.fixed_k else 0]
-    count = _count(ns) * _count(ks)
+    count = entry_count(ns) * entry_count(ks)
     if count > SCAN_CAP:
         raise CapacityError(f"the selection would build {count} members, above the cap {SCAN_CAP}")
     specs = [FamilySpec(family, n, k, ring, args.a) for n in ns for k in ks]

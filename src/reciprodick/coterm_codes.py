@@ -62,9 +62,11 @@ class CotermContext:
     ring: Ring
 
     def __post_init__(self):
-        if as_int(self.m, "coterm modulus m") < 1:
+        m = as_int(self.m, "coterm modulus m")
+        if m < 1:
             raise DomainError("coterm modulus m must be >= 1")
         require_type(self.ring, Ring, "coterm ring")
+        object.__setattr__(self, "m", m)
 
 
 def is_coterm(a: Poly, ctx: CotermContext) -> bool:
@@ -160,13 +162,13 @@ def _xm_minus_1(ring: Ring, m: int) -> Poly:
     return Poly(ring, (-1,) + (0,) * (m - 1) + (1,))
 
 
-def _prime_and_length(p: int, m: int) -> int:
-    """m as an int, once p is prime and m is an integer >= 1."""
+def _prime_and_length(p: int, m: int) -> tuple[int, int]:
+    """p and m as ints, once p is prime and m is an integer >= 1."""
     require_prime(p)
     m = as_int(m, "length m")
     if m < 1:
         raise DomainError("length m must be >= 1")
-    return m
+    return as_int(p, "prime p"), m
 
 
 def _factor_squarefree_core(p: int, m: int) -> list[Poly]:
@@ -198,7 +200,7 @@ def factor_xm_minus_1(p: int, m: int) -> list[tuple[Poly, int]]:
     (x^m' - 1)^(p^a), so every irreducible factor of the squarefree core
     carries multiplicity p^a.
     """
-    m = _prime_and_length(p, m)
+    p, m = _prime_and_length(p, m)
     if p > _FACTOR_P_CAP or m > _FACTOR_M_CAP:
         raise CapacityError(f"factor_xm_minus_1 supports p <= {_FACTOR_P_CAP}, m <= {_FACTOR_M_CAP}")
     mult = 1
@@ -255,14 +257,15 @@ class CyclicCode:
     reversible: bool = field(init=False)
 
     def __post_init__(self):
-        m = _prime_and_length(self.p, self.m)
+        p, m = _prime_and_length(self.p, self.m)
         g = require_type(self.generator, Poly, "generator")
-        if g.ring.p != self.p:
-            raise DomainError(f"generator ring {g.ring} does not match GF({self.p})")
+        if g.ring.p != p:
+            raise DomainError(f"generator ring {g.ring} does not match GF({p})")
         if not g.is_monic():
             raise DomainError("generator must be monic")
         if _xm_minus_1(g.ring, m) % g:
             raise DomainError(f"generator does not divide x^{m} - 1")
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "dimension", m - g.degree)
         object.__setattr__(self, "reversible", generates_reversible_code(g))

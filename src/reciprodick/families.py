@@ -18,20 +18,19 @@ Wire names (shared by the CLI, the JSON forms, and the classifiers):
             sum_j C(n-1, 2j+1) * (x^j - x^(j+1)).
 
 All but dickson read one binomial row from a row source ``rows``, n ->
-(C(n, 0), ..., C(n, n)), by default ``binomial_row``: f, fchar2, g, h, gstar
-and hstar read the row of n-1 alone, C(n, 2j) coming from it by Pascal's
-rule C(n, 2j) = C(n-1, 2j) + C(n-1, 2j-1), and kind1/kind2/kind3 read the
-row of n.  So f and its end copies reach one n further under the row caps
-than the kinds.  With the default source every family
-is constructed exactly over Z and then reduced coefficientwise when the
-target ring is a prime field; this is the reference path.  Characteristic-p
-degree drops are handled by the ordinary trimming rules of Poly.  Over GF(p)
-the kind parameter k is restricted to [0, p-1].
+(C(n, 0), ..., C(n, n)): f, fchar2, g, h, gstar and hstar read the row of n-1
+alone, C(n, 2j) coming from it by Pascal's rule C(n, 2j) = C(n-1, 2j) +
+C(n-1, 2j-1), and kind1/kind2/kind3 read the row of n.  So f and its end
+copies reach one n further under the row caps than the kinds.  The ring picks
+the rows: ``row_cache(ring)``, the default source of every ``rows`` argument,
+reads them over Z under ROW_CAP, or mod p under ROW_MOD_P_CAP with no big
+integers.  The builders use only sums and products of row entries, so a GF(p)
+member is the Z member reduced, whichever entry point builds it; Poly trims
+its degree drops.  A caller building many members passes one ``row_cache``
+per ring to the builds of one call only.  Dickson reads its Z binomials
+directly, under ROW_CAP, over either ring.  Over GF(p) the kind parameter k
+is restricted to [0, p-1].
 
-The builders use only sums and products of row entries, so rows read mod p
-give the same member over GF(p).  A caller building many members shares one
-new ``row_cache(ring)`` per ring among the builds of one call only; over
-GF(p) it reads the rows mod p (``binomial_row_mod_p``), with no big integers.
 Each table builder returns its family's coefficient list, read from
 ``rows``, and ``build`` makes the member's one Poly from it; g, h, gstar and
 hstar are f's list with one end copied.  A member's n, k, a and ring are
@@ -151,7 +150,7 @@ def _copied_end(end: int):
 
 
 def f_family(n: int, k: int, ring: Ring = Z) -> Poly:
-    """The generating family: its summation form over Z, reduced into the ring."""
+    """The generating family: its summation form, from the ring's binomial rows."""
     return build(FamilySpec("f", n, k, ring))
 
 
@@ -162,7 +161,7 @@ def _f_expanded(n: int, k: int, ring: Ring, parity: int) -> Poly:
     if n <= 1 or n % 2 != parity:
         raise DomainError(f"f_expanded_{word} requires {word} n > 1")
     high = 2 - k if parity == 0 else 2 * n - k * (n - 1)
-    return Poly(ring, [k * (n - 1) + 2] + _f(s, binomial_row)[1 : n // 2] + [high])
+    return Poly(ring, [k * (n - 1) + 2] + _f(s, row_cache(ring))[1 : n // 2] + [high])
 
 
 def f_expanded_even(n: int, k: int, ring: Ring = Z) -> Poly:
@@ -246,7 +245,7 @@ FAMILY_TABLE = {
 FAMILIES = tuple(FAMILY_TABLE)
 
 
-def build(spec: FamilySpec, rows=binomial_row) -> Poly:
-    """A FamilySpec's polynomial, from its family's coefficients in the rows ``rows``, shared within one call only."""
+def build(spec: FamilySpec, rows=None) -> Poly:
+    """A FamilySpec's polynomial from its family's coefficients in ``rows``, by default a new row_cache(spec.ring)."""
     row = FAMILY_TABLE[require_type(spec, FamilySpec, "spec").family]
-    return Poly(spec.ring, row.build(spec, rows))
+    return Poly(spec.ring, row.build(spec, row_cache(spec.ring) if rows is None else rows))

@@ -418,13 +418,17 @@ _LONG_SWEEPS = [
      "error: the binomial row of n = 1000001 mod 13 is above ROW_MOD_P_CAP = 1000000"),
     ("gen --family dickson --n 99999999999 --k 0",
      "error: the reversed Dickson member of n = 99999999999 reads binomials above ROW_CAP = 10000"),
+    # a coterm over GF(p) reads its row mod p, as gen does, so ROW_MOD_P_CAP bounds it and ROW_CAP does not
+    ("coterm --theorem T5_7 --n 20002 --p 3", None),
+    ("coterm --theorem T5_7 --n 1000002 --p 3",
+     "error: the binomial row of n = 1000001 mod 3 is above ROW_MOD_P_CAP = 1000000"),
 ]
 
 
 @pytest.mark.parametrize("argv, error", _LONG_SWEEPS, ids=[argv for argv, _ in _LONG_SWEEPS])
 def test_long_sweeps_are_refused_before_listing(argv, error):
     # each used to list every n and k, and build every member, or one member's too large rows, first:
-    # a MemoryError traceback, or hours.
+    # a MemoryError traceback, or hours.  A case with no error runs to completion within the same bounds.
     # The child's address space is limited, so an unbounded listing fails there instead of swapping
     probe = ("import resource, sys, time; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
              "sys.path.insert(0, sys.argv[1]); from reciprodick.cli import main\n"
@@ -433,5 +437,7 @@ def test_long_sweeps_are_refused_before_listing(argv, error):
     src_dir = str(Path(reciprodick.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", probe, src_dir, *argv.split()], capture_output=True,
                           text=True, timeout=60)
-    assert (proc.returncode, proc.stderr) == (1, error + "\n")
-    assert float(proc.stdout) < 2
+    assert (proc.returncode, proc.stderr) == ((0, "") if error is None else (1, error + "\n"))
+    output, seconds = proc.stdout.rpartition("\n")[::2]
+    assert (output == "") == (error is not None)
+    assert float(seconds) < 2

@@ -90,6 +90,15 @@ def split_divisors(p, m):
             for k in range(m + 1) for subset in itertools.combinations(roots, k)]
 
 
+class _Index:
+    # an integer-like value that defines __index__ alone
+    def __init__(self, v):
+        self.v = v
+
+    def __index__(self):
+        return self.v
+
+
 class TestIsCoterm:
     def test_examples(self):
         assert is_coterm(P(Z, 2, 12), CotermContext(2, Z)) is True
@@ -120,6 +129,12 @@ class TestIsCoterm:
         for bad in (2.5, 2.0, True, "4", None):
             with pytest.raises(DomainError, match="must be an integer"):
                 is_coterm(P(Z, 1), CotermContext(bad, Z))
+
+    def test_context_stores_the_converted_modulus(self):
+        # an m defining only __index__ used to be kept as given, so is_coterm raised a bare TypeError
+        ctx = CotermContext(_Index(5), GF(3))
+        assert type(ctx.m) is int and ctx == CotermContext(5, GF(3))
+        assert is_coterm(P(GF(3), 1, 2, 0, 0, 2), ctx) is True
 
     def test_context_rejects_non_ring(self):
         # CotermContext(4, "Z") used to fail later with "ring mismatch: Z vs Z"
@@ -426,6 +441,13 @@ class TestCyclicCodes:
         for m in (3.0, 3.5, True):  # a float length used to raise a bare TypeError
             with pytest.raises(DomainError):
                 build_cyclic_code(2, m, P(GF(2), 1, 1))
+
+    def test_stores_the_converted_prime(self):
+        # a p defining only __index__ used to be kept as given, so its own generator ring was refused
+        code = CyclicCode(_Index(3), 4, P(GF(3), 2, 1))
+        assert type(code.p) is int and code == CyclicCode(3, 4, P(GF(3), 2, 1))
+        assert code.to_json_dict()["p"] == 3
+        assert factor_xm_minus_1(_Index(3), 4) == factor_xm_minus_1(3, 4)
 
     def test_json_shape(self):
         code = build_cyclic_code(2, 7, P(GF(2), 1, 1, 0, 1))

@@ -3,7 +3,9 @@
 Members built from one ``row_cache()`` must equal members built with fresh
 rows, whatever order the specs come in, and no row may outlive its call.
 Over GF(p) the rows of ``row_cache(GF(p))`` are read mod p; the members built
-from them must equal the members built over Z and then reduced.
+from them, through every entry point that builds a GF(p) member, must equal
+the members built over Z and then reduced, and none of them may read a row
+over Z.
 """
 
 import sys
@@ -18,16 +20,27 @@ from reciprodick import (
     DomainError,
     FamilySpec,
     GF,
+    HypothesisError,
     THEOREM_IDS,
     Z,
     binomial,
     binomial_row,
     build,
+    check_corollary,
+    coterm_construct,
+    coterm_from_self_reciprocal,
+    f_expanded_even,
+    f_expanded_odd,
+    f_family,
+    oracle_self_reciprocal,
+    palindromic_ks,
+    reduce_mod_p,
     scan,
 )
 from reciprodick.binomics import ROW_MOD_P_CAP
-from reciprodick.classifier import RULE_TABLE
-from reciprodick.families import row_cache
+from reciprodick.classifier import RULE_TABLE, _not_srim
+from reciprodick.coterm_codes import COTERM_TABLE
+from reciprodick.families import FAMILY_TABLE, row_cache
 
 K_WINDOW = range(-5, 7)
 RINGS = (Z, GF(2), GF(3), GF(13))
@@ -57,12 +70,19 @@ def test_build_with_shared_rows_equals_fresh_build():
     assert checked == set(FAMILIES) - {"dickson"}
 
 
+def _z_reference(spec: FamilySpec, z_rows=binomial_row):
+    # the spec's member built over Z from rows over Z, then reduced mod p over GF(p); fchar2 is f at k = 1
+    family = "f" if spec.family == "fchar2" else spec.family
+    member = build(FamilySpec(family, spec.n, spec.k, Z, spec.a), z_rows)
+    return member if spec.ring == Z else reduce_mod_p(member, spec.ring.p)
+
+
 @pytest.mark.parametrize("rule", [t for t in THEOREM_IDS if RULE_TABLE[t].kind == "classification"])
 def test_scan_observations_equal_fresh_builds(rule):
     verdicts = scan(rule, n_max=60)
     assert verdicts
     for v in verdicts:
-        assert v.observed == build(v.spec).is_self_reciprocal(), v
+        assert v.observed == _z_reference(v.spec).is_self_reciprocal(), v
 
 
 def test_scan_computes_each_row_once_per_call(monkeypatch):
@@ -99,17 +119,63 @@ def _fp_specs(p, n_max):
                     pass
 
 
+def _refusing_binomial(monkeypatch):
+    # makes binomial raise wherever the package binds it, so that any row over Z, or entry of one, fails
+    def refused(n, m):
+        raise AssertionError(f"a GF(p) member read C({n}, {m}) over Z")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "reciprodick" and vars(module).get("binomial") is binomial:
+            monkeypatch.setattr(module, "binomial", refused)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
-def test_fp_rows_build_the_reduced_members(p):
-    # the reference is build(spec): rows over Z, reduced after the build;
-    # memoizing binomial_row only saves recomputing the same Z rows
+def test_fp_rows_build_the_reduced_members(p, monkeypatch):
+    # the reference is the member built over Z and reduced mod p; memoizing
+    # binomial_row only saves recomputing the same Z rows
+    ring = GF(p)
     z_rows = lru_cache(maxsize=None)(binomial_row)
-    fp_rows = row_cache(GF(p))
+    fp_rows = row_cache(ring)
     checked = set()
     for spec in _fp_specs(p, 300):
-        assert build(spec, fp_rows) == build(spec, z_rows), spec
+        assert build(spec, fp_rows) == _z_reference(spec, z_rows), spec
         checked.add(spec.family)
     assert checked == set(FAMILIES) - {"dickson"} - ({"fchar2"} if p > 2 else set())
+    # every entry point that builds a GF(p) member, dickson's aside, reads its rows mod p alone
+    specs = list(_fp_specs(p, 200))
+    reference = {(s.family, s.n, s.k): _z_reference(s, z_rows) for s in specs}
+    _refusing_binomial(monkeypatch)
+    for spec in specs:
+        member = reference[spec.family, spec.n, spec.k]
+        assert build(spec) == member, spec
+        assert oracle_self_reciprocal(spec) == member.is_self_reciprocal(), spec
+        if spec.family == "f":
+            assert f_family(spec.n, spec.k, ring) == member, spec
+            if spec.n > 1:
+                expanded = (f_expanded_even, f_expanded_odd)[spec.n % 2]
+                assert expanded(spec.n, spec.k, ring) == member, spec
+        if spec.k == 0 and FAMILY_TABLE[spec.family].fixed_k is None:
+            solved = palindromic_ks(spec.family, spec.n, ring)
+            assert [k in solved for k in range(p)] == [
+                reference[spec.family, spec.n, k].is_self_reciprocal() for k in range(p)], spec
+    # the corollaries and coterm constructions over this ring, at every n their hypotheses admit
+    checks = {"corollary": lambda t, spec, member: check_corollary(t, spec) == _not_srim(member),
+              "coterm": lambda t, spec, member: (coterm_construct(t, spec.n, spec.k, ring)[:2]
+                                                 == coterm_from_self_reciprocal(member))}
+    ruled = set()
+    for t, row in [*RULE_TABLE.items(), *COTERM_TABLE.items()]:
+        if row.kind not in checks or not row.ring.holds(ring):
+            continue
+        family = row.families[0]
+        for n in range(FAMILY_TABLE[family].n_min, 201):
+            spec = FamilySpec(family, n, row.fixed_k, ring)
+            try:
+                agrees = checks[row.kind](t, spec, reference[family, n, row.fixed_k])
+            except HypothesisError:
+                continue
+            assert agrees, (t, spec)
+            ruled.add(t)
+    assert ruled == ({"C4_2", "CHAR2"} if p == 2 else {"C3_2", "C3_3", "C3_5", "T5_7", "T5_8", "T5_9"})
 
 
 def _count_rows(monkeypatch):
