@@ -40,7 +40,7 @@ from typing import Callable
 
 from .binomics import is_power_of, require_prime
 from .errors import CapacityError, DomainError, HypothesisError, as_int, require_type
-from .families import FAMILIES, FAMILY_TABLE, FamilySpec, build, row_cache
+from .families import FAMILIES, FAMILY_TABLE, FamilySpec, build, require_rows, row_cache
 from .ringpoly import GF, Poly, Ring, Z, gcd, pow_mod
 
 DEFAULT_ODD_PRIMES = (3, 5, 7, 11, 13)
@@ -454,9 +454,13 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
     it by ``oracle_self_reciprocal``.  Corollaries and L1 build each member.
     The members come from the row's own conditions, its hypotheses, so none
     is checked again; over SCAN_CAP candidates (n range x k values x ring and
-    member family pairs) raise CapacityError before any is listed.  All
-    members of one call over one ring read their binomial rows from one
-    ``row_cache(ring)``, made for this call.
+    member family pairs) raise CapacityError before any is listed, and so
+    does, with the text it raises when built alone, a group's largest member
+    whose binomial row is above its cap (``require_rows``).  All members of
+    one call over one ring read their binomial rows from one
+    ``row_cache(ring)``, made for this call: over Z, as n walks upward, each
+    row after the call's first is built from the one before by Pascal's
+    rule.
     """
     t = normalize_theorem_id(theorem)
     rule = RULE_TABLE[t]
@@ -486,8 +490,11 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
     groups = []
     for r, fams in members:
         rows = row_cache(r)
+        top = next((n for n in reversed(ns) if all(side.holds(n, r.p) for side in rule.sides)), None)
         for fam, fixed in fams:
             gks = list(dict.fromkeys(k for k in ks if (k == fixed if fixed is not None else r.p is None or k < r.p)))
+            if gks and top is not None:
+                require_rows(fam, top, r)  # the group's largest member reads its largest row
             groups.append((r, fam, gks, rows))
     out = []
     for n in ns:

@@ -40,7 +40,7 @@ from .coterm_codes import (
     verify_reversibility_by_rank,
 )
 from .errors import CapacityError, DomainError
-from .families import FAMILIES, FAMILY_TABLE, FamilySpec, build, row_cache
+from .families import FAMILIES, FAMILY_TABLE, FamilySpec, build, require_rows, row_cache
 from .ringpoly import GF, Poly, Ring, Z
 
 EXIT_OK = 0
@@ -184,7 +184,8 @@ def _resolve_ring(args) -> Ring:
 def _selected_members(args) -> list[tuple[FamilySpec, Poly]]:
     """The selected specs over the resolved ring, each with its member built from one row_cache.
 
-    Over SCAN_CAP of them (n values x k values) raise CapacityError before any spec is made.
+    Over SCAN_CAP of them (n values x k values), or a largest member whose binomial row is above
+    its cap (with the text it raises when built alone), raise CapacityError before any spec is listed.
     """
     if args.n is not None and args.n_min is not None:
         raise DomainError("--n and --n-min are mutually exclusive")
@@ -209,6 +210,8 @@ def _selected_members(args) -> list[tuple[FamilySpec, Poly]]:
     count = entry_count(ns) * entry_count(ks)
     if count > SCAN_CAP:
         raise CapacityError(f"the selection would build {count} members, above the cap {SCAN_CAP}")
+    if count:
+        require_rows(family, ns[-1], ring)
     specs = [FamilySpec(family, n, k, ring, args.a) for n in ns for k in ks]
     rows = row_cache(ring)
     return [(spec, build(spec, rows)) for spec in specs]

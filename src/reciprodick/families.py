@@ -20,16 +20,20 @@ Wire names (shared by the CLI, the JSON forms, and the classifiers):
 All but dickson read one binomial row from a row source ``rows``, n ->
 (C(n, 0), ..., C(n, n)): f, fchar2, g, h, gstar and hstar read the row of n-1
 alone, C(n, 2j) coming from it by Pascal's rule C(n, 2j) = C(n-1, 2j) +
-C(n-1, 2j-1), and kind1/kind2/kind3 read the row of n.  So f and its end
-copies reach one n further under the row caps than the kinds.  The ring picks
-the rows: ``row_cache(ring)``, the default source of every ``rows`` argument,
-reads them over Z under ROW_CAP, or mod p under ROW_MOD_P_CAP with no big
-integers.  The builders use only sums and products of row entries, so a GF(p)
-member is the Z member reduced, whichever entry point builds it; Poly trims
-its degree drops.  A caller building many members passes one ``row_cache``
-per ring to the builds of one call only.  Dickson reads its Z binomials
-directly, under ROW_CAP, over either ring.  Over GF(p) the kind parameter k
-is restricted to [0, p-1].
+C(n-1, 2j-1), and kind1/kind2/kind3 read the row of n; each table row states
+which (``row_lag``), so ``require_rows`` refuses a member whose row is above
+its cap without reading any row.  So f and its end copies reach one n further
+under the row caps than the kinds.  The ring picks the rows:
+``row_cache(ring)``, the default source of every ``rows`` argument, reads them
+over Z under ROW_CAP, or mod p under ROW_MOD_P_CAP with no big integers.  It
+keeps the last row it returned, and over Z it builds a row one or two above
+that one from it by Pascal's rule, so a walk of n upward computes only its
+first Z row entry by entry.  The builders use only sums and products of row
+entries, so a GF(p) member is the Z member reduced, whichever entry point
+builds it; Poly trims its degree drops.  A caller building many members passes
+one ``row_cache`` per ring to the builds of one call only.  Dickson reads its
+Z binomials directly, under ROW_CAP, over either ring.  Over GF(p) the kind
+parameter k is restricted to [0, p-1].
 
 Each table builder returns its family's coefficient list, read from
 ``rows``, and ``build`` makes the member's one Poly from it; g, h, gstar and
@@ -43,10 +47,9 @@ interior between the ends k(n-1)+2 and 2-k (even n) or 2n-k(n-1) (odd n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
 from typing import Callable, Sequence
 
-from .binomics import ROW_CAP, binomial, binomial_row, binomial_row_mod_p
+from .binomics import ROW_CAP, binomial, binomial_row, binomial_row_mod_p, next_binomial_row, require_row
 from .errors import CapacityError, DomainError, as_int, require_type
 from .ringpoly import GF, Poly, Ring, Z
 
@@ -63,6 +66,7 @@ class Family:
     n_min: int = 0  # least admitted n; the CLI starts its sweeps there
     fixed_k: tuple[int, str] | None = None  # the only k, and how errors state it
     ring: Ring | None = None  # the only ring, for a family that has one
+    row_lag: int | None = 1  # the builder reads the row of n - row_lag; None: Z binomials read directly
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,12 +120,40 @@ class FamilySpec:
 
 
 def row_cache(ring: Ring = Z) -> Callable[[int], tuple[int, ...]]:
-    """A new row source for members over ``ring`` that keeps the rows of the last two n it was asked for.
+    """A new row source for members over ``ring`` that keeps the last row it returned.
 
-    Over Z it gives the rows over Z; over GF(p) it gives them mod p.
+    Over GF(p) it makes each row it does not keep by ``binomial_row_mod_p``.
+    Over Z it builds the row one or two above the kept one from it by Pascal's
+    rule (``next_binomial_row``), and any other row by ``binomial_row``.
     """
-    source = partial(binomial_row_mod_p, p=ring.p) if ring.is_field else binomial_row
-    return lru_cache(maxsize=2)(source)
+    p = ring.p
+    kept_n, kept = None, ()
+
+    def rows(n: int) -> tuple[int, ...]:
+        nonlocal kept_n, kept
+        if n != kept_n:
+            if p is not None:
+                row = binomial_row_mod_p(n, p)
+            elif kept_n is not None and 0 < n - kept_n <= 2:
+                row = next_binomial_row(kept)
+                if n - kept_n == 2:
+                    row = next_binomial_row(row)
+            else:
+                row = binomial_row(n)
+            kept_n, kept = n, row
+        return kept
+
+    return rows
+
+
+def require_rows(family: str, n: int, ring: Ring) -> None:
+    """The CapacityError that building a member (family, n, ring) raises for a row above its cap, reading no row."""
+    lag = FAMILY_TABLE[family].row_lag
+    if lag is None:
+        if n > ROW_CAP:
+            raise CapacityError(f"the reversed Dickson member of n = {n} reads binomials above ROW_CAP = {ROW_CAP}")
+    elif n >= lag:
+        require_row(n - lag, ring.p)
 
 
 def _f(s: FamilySpec, rows) -> list[int]:
@@ -198,8 +230,7 @@ def _dickson(s: FamilySpec, rows) -> list[int]:
     n, k = s.n, s.k
     if n == 0:
         return [2 - k]
-    if n > ROW_CAP:
-        raise CapacityError(f"the reversed Dickson member of n = {n} reads binomials above ROW_CAP = {ROW_CAP}")
+    require_rows("dickson", n, s.ring)
     a = s.ring.normalize(s.a)
     coeffs = []
     for i in range(n // 2 + 1):
@@ -227,16 +258,16 @@ def check_dickson_f_identity(n: int, k: int) -> bool:
 # ----------------------------------------------------------------- the table
 
 
-_KIND2 = Family(lambda s, rows: rows(s.n)[1::2], fixed_k=(0, "takes no kind parameter k"))
+_KIND2 = Family(lambda s, rows: rows(s.n)[1::2], fixed_k=(0, "takes no kind parameter k"), row_lag=0)
 
 FAMILY_TABLE = {
-    "dickson": Family(_dickson),
+    "dickson": Family(_dickson, row_lag=None),
     "f": Family(_f),
     "g": Family(_copied_end(-1), parity=0, n_min=2),
     "h": Family(_copied_end(0), parity=0, n_min=2),
     "gstar": Family(_copied_end(-1), parity=1, n_min=3),
     "hstar": Family(_copied_end(0), parity=1, n_min=3),
-    "kind1": Family(lambda s, rows: rows(s.n)[::2], fixed_k=(0, "takes no kind parameter k")),
+    "kind1": Family(lambda s, rows: rows(s.n)[::2], fixed_k=(0, "takes no kind parameter k"), row_lag=0),
     "kind2": _KIND2,
     "kind3": _KIND2,  # the third kind coincides with the second
     "fchar2": Family(_f, n_min=1, fixed_k=(1, "fixes k = 1"), ring=GF(2)),

@@ -422,6 +422,9 @@ _LONG_SWEEPS = [
     ("coterm --theorem T5_7 --n 20002 --p 3", None),
     ("coterm --theorem T5_7 --n 1000002 --p 3",
      "error: the binomial row of n = 1000001 mod 3 is above ROW_MOD_P_CAP = 1000000"),
+    # sweeps inside SCAN_CAP whose largest member's row is above its cap: refused before any member is built
+    ("classify --family g --n-max 2000000 --k 0", "error: the binomial row of n = 1999999 is above ROW_CAP = 10000"),
+    ("verify --theorem t2.1 --n-max 80000", "error: the binomial row of n = 79999 is above ROW_CAP = 10000"),
 ]
 
 

@@ -1,13 +1,18 @@
 """Shared binomial rows: a scan or CLI call computes each row once and reuses it.
 
-Members built from one ``row_cache()`` must equal members built with fresh
-rows, whatever order the specs come in, and no row may outlive its call.
+Over Z a call computes its first row entry by entry and builds each row one
+or two above the last from it by Pascal's rule; the stepped rows must equal
+the fresh ones on any walk of n, and refuse a row above ROW_CAP as the fresh
+ones do.  Members built from one ``row_cache()`` must equal members built
+with fresh rows, whatever order the specs come in, and no row may outlive
+its call.  A scan past a row cap is refused before any row is read.
 Over GF(p) the rows of ``row_cache(GF(p))`` are read mod p; the members built
 from them, through every entry point that builds a GF(p) member, must equal
 the members built over Z and then reduced, and none of them may read a row
 over Z.
 """
 
+import random
 import sys
 from collections import Counter
 from functools import lru_cache
@@ -37,7 +42,8 @@ from reciprodick import (
     reduce_mod_p,
     scan,
 )
-from reciprodick.binomics import ROW_MOD_P_CAP
+from reciprodick import binomics, families
+from reciprodick.binomics import ROW_MOD_P_CAP, next_binomial_row
 from reciprodick.classifier import RULE_TABLE, _not_srim
 from reciprodick.coterm_codes import COTERM_TABLE
 from reciprodick.families import FAMILY_TABLE, row_cache
@@ -97,14 +103,94 @@ def test_scan_computes_each_row_once_per_call(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "reciprodick" and vars(module).get("binomial") is binomial:
             monkeypatch.setattr(module, "binomial", counting)
-    ns = range(100, 105, 2)  # T2_1 scans even n only
+    steps = []
+
+    def counting_step(row):
+        steps.append(len(row))  # the n of the row it builds
+        return next_binomial_row(row)
+
+    monkeypatch.setattr(families, "next_binomial_row", counting_step)
+    # T2_1 scans even n only, and f reads the one row of n - 1: binomial_row computes the lower half of the
+    # call's first row, 99, once each, and the rows 101 and 103 are stepped from it by Pascal's rule
     scan("T2_1", n_min=100, n_max=104, k_values=K_WINDOW)
-    # f reads the one row of n - 1, whose lower half binomial_row computes, once each
-    assert Counter(calls) == {(n - 1, m): 1 for n in ns for m in range((n - 1) // 2 + 1)}
-    first = len(calls)
+    assert Counter(calls) == {(99, m): 1 for m in range(50)}
+    assert steps == [100, 101, 102, 103]
     calls.clear()
+    steps.clear()
     scan("T2_1", n_min=100, n_max=104, k_values=K_WINDOW)
-    assert len(calls) == first  # no row survives from the first call
+    # no row survives from the first call: the second computes row 99 afresh
+    assert Counter(calls) == {(99, m): 1 for m in range(50)}
+    assert steps == [100, 101, 102, 103]
+
+
+def _mixed_walk(n_max):
+    # a seeded walk from 0 up to n_max that repeats, steps by 1 and 2, descends and jumps
+    rng = random.Random(2016)
+    walk = [0]
+    while walk[-1] < n_max:
+        walk.append(min(max(walk[-1] + rng.choice((-40, -3, -1, 0, 0, 1, 1, 1, 2, 2, 2, 3, 97)), 0), n_max))
+    return walk
+
+
+def _is_binomial_row(row, n):
+    # the identities that fix the row of n: C(n, 0) = 1 and (m + 1) C(n, m + 1) = (n - m) C(n, m)
+    return (len(row) == n + 1 and row[0] == 1
+            and all(b * (m + 1) == a * (n - m) for m, (a, b) in enumerate(zip(row, row[1:]))))
+
+
+_WALKS = {"+1": range(2001), "+2 even": range(0, 2001, 2), "+2 odd": range(1, 2001, 2), "mixed": _mixed_walk(2000)}
+
+
+@pytest.mark.parametrize("walk", _WALKS)
+def test_stepped_rows_equal_fresh_rows(walk):
+    # rows up to 700 against binomial_row itself; above it, where fresh rows would take 35 s on a 2-core
+    # Xeon for every n <= 2000, by the identities that fix the row, which binomial_row's rows satisfy too
+    rows = row_cache(Z)
+    for n in _WALKS[walk]:
+        row = rows(n)
+        assert row == binomial_row(n) if n <= 700 else _is_binomial_row(row, n), n
+    if walk == "mixed":
+        moves = {b - a for a, b in zip(_WALKS[walk], _WALKS[walk][1:])}
+        assert {-40, -3, -1, 0, 1, 2, 3, 97} <= moves  # every kind of move the cache tells apart
+
+
+def test_the_identities_accept_binomial_rows_and_refuse_a_changed_entry():
+    for n in (*range(60), 1999, 2000):
+        assert _is_binomial_row(binomial_row(n), n)
+        assert not _is_binomial_row(binomial_row(n)[:-1] + (2,), n)
+
+
+def test_a_stepped_row_above_the_cap_is_refused(monkeypatch):
+    # ROW_CAP is read at call time, and the refused step leaves the kept row as it was
+    monkeypatch.setattr(binomics, "ROW_CAP", 50)
+    with pytest.raises(CapacityError, match="^the binomial row of n = 51 is above ROW_CAP = 50$"):
+        next_binomial_row(binomial_row(50))
+    for start in (49, 50):
+        rows = row_cache(Z)
+        assert rows(start) == binomial_row(start)
+        with pytest.raises(CapacityError, match="^the binomial row of n = 51 is above ROW_CAP = 50$"):
+            rows(51)
+        assert rows(50) == binomial_row(50)
+
+
+def test_a_scan_past_the_row_cap_is_refused_before_any_row(monkeypatch):
+    # the largest member's row is checked first, with the text that member raises when built alone
+    monkeypatch.setattr(binomics, "ROW_CAP", 100)
+    calls = []
+    monkeypatch.setattr(binomics, "binomial", lambda n, m: calls.append((n, m)))
+    text = "^the binomial row of n = 109 is above ROW_CAP = 100$"
+    with pytest.raises(CapacityError, match=text):
+        build(FamilySpec("f", 110, 0))
+    with pytest.raises(CapacityError, match=text):
+        scan("T2_1", n_min=90, n_max=111)
+    with pytest.raises(CapacityError, match="^the binomial row of n = 1000001 mod 3 is above ROW_MOD_P_CAP"):
+        scan("T3_1", n_min=10**6 - 4, n_max=10**6 + 2, p_list=[3])
+    with pytest.raises(CapacityError, match="^the binomial row of n = 1000001 mod 3 is above ROW_MOD_P_CAP"):
+        scan("L1", n_min=10**6 - 4, n_max=10**6 + 2, p_list=[3])
+    assert calls == []
+    # a rule with side conditions checks the largest member they admit: p = 3 divides 1000008
+    with pytest.raises(CapacityError, match="^the binomial row of n = 1000003 mod 3 is above ROW_MOD_P_CAP"):
+        scan("C3_3", n_min=10**6 - 4, n_max=10**6 + 8, p_list=[3, 5])
 
 
 def _fp_specs(p, n_max):
