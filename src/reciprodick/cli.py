@@ -12,9 +12,12 @@ Commands:
 Output is deterministic: records are emitted in sorted parameter order with
 a fixed field order and no timestamps, as JSON lines (default) or CSV.  Any
 coefficient that could exceed 53 bits is carried as a string of base-10 digits.
+Each record is written as soon as it is made, so a ``gen`` or ``classify``
+sweep holds one member at a time; every refusal comes before the first record,
+so a refused command writes nothing and creates no ``--out`` file.
 
-Exit codes: 0 success, 1 usage or domain errors, 2 when a scan found
-predicate/oracle disagreements (the records are still emitted).
+Exit codes: 0 success, 1 usage or domain errors or a closed stdout (silently),
+2 when a scan found predicate/oracle disagreements (the records are still emitted).
 
 ``main(argv)`` may be called repeatedly in one process: the argument parser
 is built once, on the first call, and every parse makes a fresh namespace.
@@ -23,11 +26,13 @@ is built once, on the first call, and every parse makes a fresh namespace.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
 import json
+import os
 import sys
+from collections.abc import Iterable, Iterator
 
 from .classifier import SCAN_CAP, THEOREM_IDS, entry_count, mismatches, normalize_theorem_id, scan
 from .coterm_codes import (
@@ -138,24 +143,26 @@ def _csv_cell(v):
     return v
 
 
-def _emit(args, fields: list[str], records: list[dict]) -> None:
-    """One JSON line per record, or CSV with the given columns (lists as spaced cells)."""
-    if args.format == "json":
-        text = "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records)
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(fields)
-        writer.writerows([_csv_cell(r.get(f)) for f in fields] for r in records)
-        text = buf.getvalue()
-    if not args.out:
-        sys.stdout.write(text)
-        return
+def _emit(args, fields: list[str], records: Iterable[dict]) -> None:
+    """One JSON line per record, or CSV with the given columns (lists as spaced cells), each written as it is made."""
     try:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+            if args.format == "json":
+                fh.writelines(json.dumps(r, separators=(",", ":")) + "\n" for r in records)
+            else:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(fields)
+                writer.writerows([_csv_cell(r.get(f)) for f in fields] for r in records)
+            fh.flush()
     except OSError as exc:
-        raise DomainError(f"cannot write {args.out}: {exc.strerror}") from None
+        if args.out:
+            raise DomainError(f"cannot write {args.out}: {exc.strerror}") from None
+        if not isinstance(exc, BrokenPipeError):
+            raise
+        # the reader closed stdout (`| head`): as the Python docs advise for SIGPIPE, point stdout
+        # at os.devnull so the flush at exit is silent, and exit 1 with nothing on stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(EXIT_ERROR) from None
 
 
 # ----------------------------------------------------------------- selectors
@@ -181,11 +188,12 @@ def _resolve_ring(args) -> Ring:
     return Z
 
 
-def _selected_members(args) -> list[tuple[FamilySpec, Poly]]:
-    """The selected specs over the resolved ring, each with its member built from one row_cache.
+def _selected_members(args) -> tuple[int, Iterator[tuple[FamilySpec, Poly]]]:
+    """The number of selected specs over the resolved ring, and each spec with its member, built lazily.
 
     Over SCAN_CAP of them (n values x k values), or a largest member whose binomial row is above
     its cap (with the text it raises when built alone), raise CapacityError before any spec is listed.
+    Every spec is checked before this returns; each member is built as the iterator reaches it.
     """
     if args.n is not None and args.n_min is not None:
         raise DomainError("--n and --n-min are mutually exclusive")
@@ -214,7 +222,7 @@ def _selected_members(args) -> list[tuple[FamilySpec, Poly]]:
         require_rows(family, ns[-1], ring)
     specs = [FamilySpec(family, n, k, ring, args.a) for n in ns for k in ks]
     rows = row_cache(ring)
-    return [(spec, build(spec, rows)) for spec in specs]
+    return len(specs), ((spec, build(spec, rows)) for spec in specs)
 
 
 def _k_range(args) -> range | None:
@@ -229,31 +237,22 @@ def _k_range(args) -> range | None:
 
 
 def _cmd_gen(args) -> int:
-    members = _selected_members(args)
-    if args.format == "json" and len(members) == 1:
-        _emit(args, [], [members[0][1].to_json_dict()])
-        return EXIT_OK
-    records = []
-    for spec, poly in members:
-        record = spec.to_flat_dict()
-        if args.format == "csv":
-            record["degree"] = poly.degree
-            record["coeffs"] = [str(c) for c in poly.coeffs]
-        else:
-            record["poly"] = poly.to_json_dict()
-        records.append(record)
+    count, members = _selected_members(args)
+    if args.format == "csv":
+        records = ({**spec.to_flat_dict(), "degree": poly.degree, "coeffs": [str(c) for c in poly.coeffs]}
+                   for spec, poly in members)
+    elif count == 1:  # one member alone is its bare Poly JSON
+        records = (poly.to_json_dict() for _, poly in members)
+    else:
+        records = ({**spec.to_flat_dict(), "poly": poly.to_json_dict()} for spec, poly in members)
     _emit(args, ["family", "n", "k", "p", "a", "degree", "coeffs"], records)
     return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
-    records = []
-    for spec, poly in _selected_members(args):
-        record = spec.to_flat_dict()
-        record["degree"] = poly.degree
-        record["self_reciprocal"] = poly.is_self_reciprocal()
-        record["coeffs"] = [str(c) for c in poly.coeffs]
-        records.append(record)
+    _, members = _selected_members(args)
+    records = ({**spec.to_flat_dict(), "degree": poly.degree, "self_reciprocal": poly.is_self_reciprocal(),
+                "coeffs": [str(c) for c in poly.coeffs]} for spec, poly in members)
     _emit(args, ["family", "n", "k", "p", "degree", "self_reciprocal", "coeffs"], records)
     return EXIT_OK
 
@@ -276,18 +275,18 @@ def _scan_args(args) -> dict:
 def _cmd_verify(args) -> int:
     # `table` is `verify --all-verdicts` without the per-theorem summary lines
     kwargs = _scan_args(args)
-    records = []
-    total_bad = 0
-    every = args.theorem.strip().lower() == "all"
-    for t in THEOREM_IDS if every else [normalize_theorem_id(args.theorem)]:
-        verdicts = scan(t, **kwargs)
-        bad = mismatches(verdicts)
-        total_bad += len(bad)
-        records.extend(v.to_json_dict() for v in (verdicts if args.all_verdicts else bad))
-        if args.command == "verify" and args.format == "json":
-            records.append({"theorem": t, "scanned": len(verdicts), "mismatches": len(bad)})
-    _emit(args, ["theorem", "family", "n", "k", "p", "predicted", "observed", "match", "note"], records)
-    return EXIT_MISMATCH if total_bad else EXIT_OK
+    ids = THEOREM_IDS if args.theorem.strip().lower() == "all" else [normalize_theorem_id(args.theorem)]
+    scans = {t: scan(t, **kwargs) for t in ids}  # every scan runs first, so a refused one writes nothing
+    bad = {t: mismatches(verdicts) for t, verdicts in scans.items()}
+
+    def records():
+        for t, verdicts in scans.items():
+            yield from (v.to_json_dict() for v in (verdicts if args.all_verdicts else bad[t]))
+            if args.command == "verify" and args.format == "json":
+                yield {"theorem": t, "scanned": len(verdicts), "mismatches": len(bad[t])}
+
+    _emit(args, ["theorem", "family", "n", "k", "p", "predicted", "observed", "match", "note"], records())
+    return EXIT_MISMATCH if any(bad.values()) else EXIT_OK
 
 
 def _cmd_coterm(args) -> int:

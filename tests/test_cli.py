@@ -428,19 +428,76 @@ _LONG_SWEEPS = [
 ]
 
 
+def _probe(argv: str, limit: int) -> subprocess.CompletedProcess:
+    """Run the CLI in a child whose address space is limited to ``limit`` bytes; its stdout ends in its seconds."""
+    probe = ("import resource, sys, time; lim = int(sys.argv[2]); resource.setrlimit(resource.RLIMIT_AS, (lim, lim))\n"
+             "sys.path.insert(0, sys.argv[1]); from reciprodick.cli import main\n"
+             "start = time.perf_counter(); rc = main(sys.argv[3:])\n"
+             "sys.stdout.write(f'{time.perf_counter() - start:.3f}'); sys.exit(rc)\n")
+    src_dir = str(Path(reciprodick.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", probe, src_dir, str(limit), *argv.split()], capture_output=True,
+                          text=True, timeout=60)
+
+
 @pytest.mark.parametrize("argv, error", _LONG_SWEEPS, ids=[argv for argv, _ in _LONG_SWEEPS])
 def test_long_sweeps_are_refused_before_listing(argv, error):
     # each used to list every n and k, and build every member, or one member's too large rows, first:
     # a MemoryError traceback, or hours.  A case with no error runs to completion within the same bounds.
     # The child's address space is limited, so an unbounded listing fails there instead of swapping
-    probe = ("import resource, sys, time; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
-             "sys.path.insert(0, sys.argv[1]); from reciprodick.cli import main\n"
-             "start = time.perf_counter(); rc = main(sys.argv[2:])\n"
-             "sys.stdout.write(f'{time.perf_counter() - start:.3f}'); sys.exit(rc)\n")
-    src_dir = str(Path(reciprodick.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", probe, src_dir, *argv.split()], capture_output=True,
-                          text=True, timeout=60)
+    proc = _probe(argv, 2 << 30)
     assert (proc.returncode, proc.stderr) == ((0, "") if error is None else (1, error + "\n"))
     output, seconds = proc.stdout.rpartition("\n")[::2]
     assert (output == "") == (error is not None)
     assert float(seconds) < 2
+
+
+@pytest.mark.parametrize("argv", ["gen --family f --ring fp --p 3 --n-max 3000 --k 1",
+                                  "classify --family f --n-max 1000 --k-min 0 --k-max 1 --format csv"])
+def test_a_sweep_holds_one_member_at_a_time(argv):
+    # each used to keep every member and its whole text until the end: over 200 MB of RSS, a MemoryError
+    # under this limit.  Written as they are made, they run in a few tens of MB
+    proc = _probe(f"{argv} --out {os.devnull}", 128 << 20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert float(proc.stdout) < 20
+
+
+_REFUSED = [
+    ("gen --family f --n 99999999999 --k 0", "error: the binomial row of n = 99999999998 is above ROW_CAP = 10000"),
+    # FamilySpec refuses k = 5 at the first n, before any member of the sweep is written
+    ("gen --family f --ring fp --p 5 --n-max 3 --k-min 0 --k-max 5",
+     "error: over F5 the kind parameter k must lie in [0, 4], got 5"),
+    ("gen --family g --n-min 0 --n-max 6 --k 0", "error: family 'g' requires even n > 1"),
+    # T2_1 to T2_7 scan before T3_1 refuses p = 9: no verdict of theirs is written
+    ("verify --theorem all --p 9", "error: 9 is not prime"),
+]
+
+
+@pytest.mark.parametrize("argv, error", _REFUSED, ids=[argv for argv, _ in _REFUSED])
+def test_refusals_come_before_the_first_byte(capsys, tmp_path, argv, error):
+    assert run(capsys, *argv.split()) == (1, "", error + "\n")
+    target = tmp_path / "out"
+    assert run(capsys, *argv.split(), "--out", str(target)) == (1, "", error + "\n")
+    assert not target.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", ["gen --family f --n 4 --k 0", "gen --family f --n 4 --k 0 --format csv",
+                                  "gen --family f --n-max 300 --k 0", "gen --family f --n-max 300 --k 0 --format csv"])
+def test_a_failed_write_to_out_exits_1(capsys, argv):
+    expected = (1, "", "error: cannot write /dev/full: No space left on device\n")
+    assert run(capsys, *argv.split(), "--out", "/dev/full") == expected
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_closed_stdout_exits_1_silently(fmt):
+    # a reader that stops early (`| head -c 10`) closes the pipe while records are still being written
+    src_dir = str(Path(reciprodick.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src_dir, os.environ.get("PYTHONPATH"))))
+    argv = ["gen", "--family", "f", "--n-max", "300", "--k", "0", "--format", fmt]
+    with subprocess.Popen([sys.executable, "-m", "reciprodick", *argv], env={**os.environ, "PYTHONPATH": path},
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        rc = proc.wait(timeout=60)
+    assert (head, rc, err) == (b'{"family":' if fmt == "json" else b"family,n,k", 1, b"")
