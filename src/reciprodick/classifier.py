@@ -23,8 +23,9 @@ default scan range and its prediction; in summary:
 The oracle is definition-based: build the polynomial and compare its
 coefficient tuple with its own reversal; it is the reference.  Each member
 with a free k is affine in k, so ``palindromic_ks`` decides every k of a
-(family, n, ring) from the members at k = 0 and k = 1: still the definition,
-a coefficient list tested against its reversal, never a rule.  ``scan``
+(family, n, ring) from its pair (v, u), the member at k being v + k*u:
+still the definition, a coefficient list tested against its reversal,
+never a rule.  ``scan``
 evaluates predicate and oracle over finite ranges and reports one Verdict
 per in-hypothesis spec; it walks n by n, one (ring, member family) group at
 a time, and reads a classification's observations of a group with two or
@@ -40,7 +41,7 @@ from typing import Callable
 
 from .binomics import is_power_of, require_prime
 from .errors import CapacityError, DomainError, HypothesisError, as_int, require_type
-from .families import FAMILIES, FAMILY_TABLE, FamilySpec, build, require_rows, row_cache
+from .families import FAMILIES, FAMILY_TABLE, FamilySpec, build, build_run, require_rows, row_cache
 from .ringpoly import GF, Poly, Ring, Z, gcd, pow_mod
 
 DEFAULT_ODD_PRIMES = (3, 5, 7, 11, 13)
@@ -207,35 +208,33 @@ class KSet:
 
 
 def palindromic_ks(family: str, n: int, ring: Ring, rows=None, a: int = 1) -> KSet:
-    """Every k at which the member (family, n, k, ring, a) is self-reciprocal, from two coefficient lists.
+    """Every k at which the member (family, n, k, ring, a) is self-reciprocal, from its pair (v, u).
 
-    A member's coefficient list is affine in k: c(k) = v + k*u, with v = c(0)
-    and u = c(1) - c(0), read over the ring.  Both come from the family's
-    table builder, the lists ``build`` makes its Polys from, which have one
-    length at every k; they are trimmed together to length D + 1, so
-    (v_D, u_D) != (0, 0), and for every k but the one k* = -v_D/u_D that
-    zeroes the top coefficient the member has degree D.  Away from k* it is
-    a palindrome exactly when (u_j - u_{D-j})*k + (v_j - v_{D-j}) = 0 for
-    every j < D/2: every k solves that when u and v are palindromes; else the
-    first unequal pair's equation admits at most one k (an integer over Z, a
-    residue over GF(p)), and the list at that k is tested against its
-    reversal.  k* itself is decided by testing the trimmed list v + k*·u
-    against its reversal.  Both specs (k = 0, then k = 1, with dickson's
-    ``a``) are checked by ``FamilySpec`` before either list is read; a family
-    with a fixed k raises DomainError.  Both lists read ``rows``, by default
-    one new ``row_cache`` of the ring.
+    A member's coefficient list is affine in k: c(k) = v + k*u, and the
+    family's table builder, from which ``build`` makes its Polys, returns the
+    pair, read once and reduced over the ring.  v and u are trimmed together
+    to length D + 1, so (v_D, u_D) != (0, 0), and for every k but the one
+    k* = -v_D/u_D that zeroes the top coefficient the member has degree D.
+    Away from k* it is a palindrome exactly when
+    (u_j - u_{D-j})*k + (v_j - v_{D-j}) = 0 for every j < D/2: every k
+    solves that when u and v are palindromes; else the first unequal pair's
+    equation admits at most one k (an integer over Z, a residue over GF(p)),
+    and the list at that k is tested against its reversal.  k* itself is
+    decided by testing the trimmed list v + k*·u against its reversal.  The
+    specs at k = 0, then k = 1, with dickson's ``a``, are checked by
+    ``FamilySpec`` before the pair is read; a family with a fixed k raises
+    DomainError.  The pair reads ``rows``, by default a new ``row_cache`` of
+    the ring.
     """
     if family in FAMILIES and FAMILY_TABLE[family].fixed_k is not None:
         raise DomainError(f"family {family!r} {FAMILY_TABLE[family].fixed_k[1]}: there is no k to solve for")
-    s0, s1 = (FamilySpec(family, n, k, ring, a) for k in (0, 1))
-    coeffs = FAMILY_TABLE[family].build
-    rows = row_cache(s0.ring) if rows is None else rows
-    c0, c1 = coeffs(s0, rows), coeffs(s1, rows)
+    s0, _ = FamilySpec(family, n, 0, ring, a), FamilySpec(family, n, 1, ring, a)
+    v, u = FAMILY_TABLE[family].build(s0, row_cache(s0.ring) if rows is None else rows)
     p = s0.ring.p
     if p is None:
-        v, u = list(c0), [y - x for x, y in zip(c0, c1, strict=True)]
+        v, u = list(v), list(u)
     else:
-        v, u = [x % p for x in c0], [(y - x) % p for x, y in zip(c0, c1, strict=True)]
+        v, u = [x % p for x in v], [x % p for x in u]
     while v and not v[-1] and not u[-1]:
         v.pop()
         u.pop()
@@ -390,12 +389,13 @@ def check_corollary(corollary: str, spec: FamilySpec) -> bool:
 
 # ------------------------------------------------------------------- scanning
 
-# per kind of rule: how scan observes one member it builds, and the note a disagreement carries; each
-# names the module's functions at call time, so a wrapper set on the module sees scan's calls
+# per kind of rule: how scan observes one member it builds (a classification reads palindromic_ks or the
+# oracle instead), and the note a disagreement carries; each names the module's functions at call time, so a
+# wrapper set on the module sees scan's calls
 _OBSERVERS = {
-    "classification": (lambda s, rows: oracle_self_reciprocal(s, rows), "predicate and oracle disagree"),
-    "corollary": (lambda s, rows: _not_srim(build(s, rows)), "corollary violated"),
-    "lemma": (lambda s, rows: lemma_l1(build(s, rows)), "odd-degree srim found"),
+    "classification": (None, "predicate and oracle disagree"),
+    "corollary": (lambda poly: _not_srim(poly), "corollary violated"),
+    "lemma": (lambda poly: lemma_l1(poly), "odd-degree srim found"),
 }
 
 
@@ -449,9 +449,10 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
     distinct k the group admits, evaluates the side conditions once, and
     observes the group's members together.  A classification group of two or
     more distinct k reads every observation from one ``palindromic_ks``,
-    which reads the family's coefficient lists at k = 0 and k = 1 and builds
-    no member; a group of one k builds its member through ``build`` and reads
-    it by ``oracle_self_reciprocal``.  Corollaries and L1 build each member.
+    which reads the family's pair (v, u) once and builds no member; a group
+    of one k builds its member through ``build`` and reads it by
+    ``oracle_self_reciprocal``.  Corollaries and L1 build each member of a
+    group by ``build_run``, from one pair.
     The members come from the row's own conditions, its hypotheses, so none
     is checked again; over SCAN_CAP candidates (n range x k values x ring and
     member family pairs) raise CapacityError before any is listed, and so
@@ -503,11 +504,13 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
             if rule.sides and not all(side.holds(n, r.p) for side in rule.sides):
                 continue
             specs = [FamilySpec(fam, n, k, r) for k in gks]
-            if solve and len(gks) > 1:
+            if not solve:
+                observed = [observe(poly) for poly in build_run(specs, rows)]
+            elif len(gks) > 1:
                 solved = palindromic_ks(fam, n, r, rows)
                 observed = [k in solved for k in gks]
             else:
-                observed = [observe(s, rows) for s in specs]
+                observed = [oracle_self_reciprocal(specs[0], rows)]
             verdicts = {}
             for spec, obs in zip(specs, observed):
                 pred = True if rule.predict is None else rule.predict(n, spec.k, r.p)

@@ -16,7 +16,7 @@ Each record is written as soon as it is made, so a ``gen`` or ``classify``
 sweep holds one member at a time; every refusal comes before the first record,
 so a refused command writes nothing and creates no ``--out`` file.
 
-Exit codes: 0 success, 1 usage or domain errors or a closed stdout (silently),
+Exit codes: 0 success, 1 usage or domain errors or a failed stdout (silently when closed),
 2 when a scan found predicate/oracle disagreements (the records are still emitted).
 
 ``main(argv)`` may be called repeatedly in one process: the argument parser
@@ -45,7 +45,7 @@ from .coterm_codes import (
     verify_reversibility_by_rank,
 )
 from .errors import CapacityError, DomainError
-from .families import FAMILIES, FAMILY_TABLE, FamilySpec, build, require_rows, row_cache
+from .families import FAMILIES, FAMILY_TABLE, FamilySpec, build_run, require_rows, row_cache
 from .ringpoly import GF, Poly, Ring, Z
 
 EXIT_OK = 0
@@ -157,11 +157,11 @@ def _emit(args, fields: list[str], records: Iterable[dict]) -> None:
     except OSError as exc:
         if args.out:
             raise DomainError(f"cannot write {args.out}: {exc.strerror}") from None
-        if not isinstance(exc, BrokenPipeError):
-            raise
-        # the reader closed stdout (`| head`): as the Python docs advise for SIGPIPE, point stdout
-        # at os.devnull so the flush at exit is silent, and exit 1 with nothing on stderr
+        # as the Python docs advise for SIGPIPE, point stdout at os.devnull so the flush at exit is silent;
+        # a closed reader (`| head`) then exits 1 with nothing on stderr, any other failure with its reason
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            raise DomainError(f"cannot write stdout: {exc.strerror}") from None
         raise SystemExit(EXIT_ERROR) from None
 
 
@@ -193,7 +193,8 @@ def _selected_members(args) -> tuple[int, Iterator[tuple[FamilySpec, Poly]]]:
 
     Over SCAN_CAP of them (n values x k values), or a largest member whose binomial row is above
     its cap (with the text it raises when built alone), raise CapacityError before any spec is listed.
-    Every spec is checked before this returns; each member is built as the iterator reaches it.
+    Every spec is checked before this returns; each member is built as the iterator reaches it,
+    the specs of one n from one pair (``build_run``).
     """
     if args.n is not None and args.n_min is not None:
         raise DomainError("--n and --n-min are mutually exclusive")
@@ -221,8 +222,7 @@ def _selected_members(args) -> tuple[int, Iterator[tuple[FamilySpec, Poly]]]:
     if count:
         require_rows(family, ns[-1], ring)
     specs = [FamilySpec(family, n, k, ring, args.a) for n in ns for k in ks]
-    rows = row_cache(ring)
-    return len(specs), ((spec, build(spec, rows)) for spec in specs)
+    return len(specs), zip(specs, build_run(specs, row_cache(ring)))
 
 
 def _k_range(args) -> range | None:

@@ -35,11 +35,15 @@ one ``row_cache`` per ring to the builds of one call only.  Dickson reads its
 Z binomials directly, under ROW_CAP, over either ring.  Over GF(p) the kind
 parameter k is restricted to [0, p-1].
 
-Each table builder returns its family's coefficient list, read from
-``rows``, and ``build`` makes the member's one Poly from it; g, h, gstar and
-hstar are f's list with one end copied.  A member's n, k, a and ring are
-checked once, by ``FamilySpec`` (a != 1 belongs to dickson alone): the public
-builders build through it, and the table's builders are unchecked cores.
+Every member is affine in k (D_{n,k} = k*D_{n,1} + (1-k)*D_{n,0}), and each
+table builder returns its family's pair (v, u), read from ``rows``, the
+member at k being v + k*u; g, h, gstar and hstar are f's pair with one end
+copied, dickson's pair needs no division, and a family with a fixed k
+returns (its list, ()).  ``build_run`` makes each spec's one Poly, one pair
+per run of specs of equal family, n, ring and a; ``build`` is its one-spec
+case.  A member's n, k, a and ring are checked once, by ``FamilySpec``
+(a != 1 belongs to dickson alone): the public builders build through it,
+and the table's builders are unchecked cores.
 ``f_expanded_even/odd`` are the closed-form reference for f's ends: f's
 interior between the ends k(n-1)+2 and 2-k (even n) or 2n-k(n-1) (odd n).
 """
@@ -47,7 +51,7 @@ interior between the ends k(n-1)+2 and 2-k (even n) or 2n-k(n-1) (odd n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .binomics import ROW_CAP, binomial, binomial_row, binomial_row_mod_p, next_binomial_row, require_row
 from .errors import CapacityError, DomainError, as_int, require_type
@@ -61,7 +65,8 @@ class Family:
     A family without ``fixed_k`` takes any k over Z and k in [0, p-1] over GF(p).
     """
 
-    build: Callable[["FamilySpec", Callable[[int], tuple[int, ...]]], Sequence[int]]  # coefficients of (spec, rows)
+    # the pair (v, u) of (spec, rows): the member at k is v + k*u; u is () for a family with a fixed k
+    build: Callable[["FamilySpec", Callable[[int], tuple[int, ...]]], tuple[Sequence[int], Sequence[int]]]
     parity: int | None = None  # required n % 2, for a family stated for n > 1 only
     n_min: int = 0  # least admitted n; the CLI starts its sweeps there
     fixed_k: tuple[int, str] | None = None  # the only k, and how errors state it
@@ -156,27 +161,31 @@ def require_rows(family: str, n: int, ring: Ring) -> None:
         require_row(n - lag, ring.p)
 
 
-def _f(s: FamilySpec, rows) -> list[int]:
-    # the summation form of f, and of fchar2, whose spec fixes k = 1: the constant 2-k at n = 0, else
-    # the defining sums collected by power, read from the one row r of n-1 by Pascal's rule
-    # C(n, 2j) = C(n-1, 2j) + C(n-1, 2j-1): x^j has k * (r[2j+1] - r[2j-1]) + 2 * (r[2j] + r[2j-1]),
-    # entries outside the row being 0
-    n, k = s.n, s.k
-    if n == 0:
-        return [2 - k]
-    r = rows(n - 1)
+def _f_u(r: tuple[int, ...]) -> list[int]:
+    # f's k-part from the row r of n-1: x^j has r[2j+1] - r[2j-1], entries outside the row being 0
     odd = r[1::2]
-    return [k * (b1 - b1_before) + 2 * (b0 + b1_before)
-            for b1, b1_before, b0 in zip(odd + (0,), (0,) + odd, r[::2] + (0,))]
+    return [b1 - b1_before for b1, b1_before in zip(odd + (0,), (0,) + odd)]
+
+
+def _f(s: FamilySpec, rows) -> tuple[list[int], list[int]]:
+    # the summation form of f as its pair (v, u): the constant 2-k at n = 0, else the defining sums
+    # collected by power, read from the one row r of n-1 by Pascal's rule C(n, 2j) = C(n-1, 2j) +
+    # C(n-1, 2j-1): x^j has v_j = 2 * (r[2j] + r[2j-1]) and u_j = r[2j+1] - r[2j-1]
+    n = s.n
+    if n == 0:
+        return [2], [-1]
+    r = rows(n - 1)
+    return [2 * (b0 + b1_before) for b0, b1_before in zip(r[::2] + (0,), (0,) + r[1::2])], _f_u(r)
 
 
 def _copied_end(end: int):
-    # f's coefficients with its end ``end`` at both ends: the x^(n//2) end (-1) for g and gstar,
+    # f's pair with its end ``end`` at both ends: the x^(n//2) end (-1) for g and gstar,
     # the x^0 end (0) for h and hstar; the interior is f's
-    def coeffs(s: FamilySpec, rows) -> list[int]:
-        c = _f(s, rows)
-        c[0] = c[-1] = c[end]
-        return c
+    def coeffs(s: FamilySpec, rows) -> tuple[list[int], list[int]]:
+        v, u = _f(s, rows)
+        v[0] = v[-1] = v[end]
+        u[0] = u[-1] = u[end]
+        return v, u
 
     return coeffs
 
@@ -193,7 +202,8 @@ def _f_expanded(n: int, k: int, ring: Ring, parity: int) -> Poly:
     if n <= 1 or n % 2 != parity:
         raise DomainError(f"f_expanded_{word} requires {word} n > 1")
     high = 2 - k if parity == 0 else 2 * n - k * (n - 1)
-    return Poly(ring, [k * (n - 1) + 2] + _f(s, row_cache(ring))[1 : n // 2] + [high])
+    v, u = _f(s, row_cache(ring))
+    return Poly(ring, [k * (n - 1) + 2] + [x + k * y for x, y in zip(v[1 : n // 2], u[1 : n // 2])] + [high])
 
 
 def f_expanded_even(n: int, k: int, ring: Ring = Z) -> Poly:
@@ -217,32 +227,30 @@ def f_kind(n: int, kind: int) -> Poly:
 
 
 def reversed_dickson(n: int, k: int, a: int = 1, ring: Ring = Z) -> Poly:
-    """D_{n,k}(a, x), computed exactly with a checked integrality division.
+    """D_{n,k}(a, x), computed exactly without division.
 
-    Each x^i coefficient is (-1)^i * (n-ki)/(n-i) * C(n-i, i) * a^(n-2i); the
-    division is exact for every n >= 1, i <= n//2 and any integer k, which the
-    construction verifies instead of assuming.
+    Each x^i coefficient is (-1)^i * (n-ki)/(n-i) * C(n-i, i) * a^(n-2i), which
+    equals (-1)^i * a^(n-2i) * [C(n-i, i) + (1-k) * C(n-i-1, i-1)]: a sum of
+    integers for every n >= 1, i <= n//2 and any integer k.
     """
     return build(FamilySpec("dickson", n, k, ring, a))
 
 
-def _dickson(s: FamilySpec, rows) -> list[int]:
-    n, k = s.n, s.k
+def _dickson(s: FamilySpec, rows) -> tuple[list[int], list[int]]:
+    # the division-free form as its pair (v, u): x^i has v_i = (-1)^i * a^(n-2i) * [C(n-i, i) + C(n-i-1, i-1)]
+    # and u_i = -(-1)^i * a^(n-2i) * C(n-i-1, i-1), C(n-1, -1) being 0
+    n = s.n
     if n == 0:
-        return [2 - k]
+        return [2], [-1]
     require_rows("dickson", n, s.ring)
     a = s.ring.normalize(s.a)
-    coeffs = []
+    v, u = [], []
     for i in range(n // 2 + 1):
-        num = (n - k * i) * binomial(n - i, i)
-        q, r = divmod(num, n - i)
-        if r:
-            raise RuntimeError(
-                f"integrality invariant violated at n={n}, k={k}, i={i}: "
-                f"{num} is not divisible by {n - i}"
-            )
-        coeffs.append((-1) ** i * q * a ** (n - 2 * i))
-    return coeffs
+        sign_power = (-1) ** i * a ** (n - 2 * i)
+        low = binomial(n - i - 1, i - 1) if i else 0
+        v.append(sign_power * (binomial(n - i, i) + low))
+        u.append(-sign_power * low)
+    return v, u
 
 
 def check_dickson_f_identity(n: int, k: int) -> bool:
@@ -258,7 +266,7 @@ def check_dickson_f_identity(n: int, k: int) -> bool:
 # ----------------------------------------------------------------- the table
 
 
-_KIND2 = Family(lambda s, rows: rows(s.n)[1::2], fixed_k=(0, "takes no kind parameter k"), row_lag=0)
+_KIND2 = Family(lambda s, rows: (rows(s.n)[1::2], ()), fixed_k=(0, "takes no kind parameter k"), row_lag=0)
 
 FAMILY_TABLE = {
     "dickson": Family(_dickson, row_lag=None),
@@ -267,16 +275,32 @@ FAMILY_TABLE = {
     "h": Family(_copied_end(0), parity=0, n_min=2),
     "gstar": Family(_copied_end(-1), parity=1, n_min=3),
     "hstar": Family(_copied_end(0), parity=1, n_min=3),
-    "kind1": Family(lambda s, rows: rows(s.n)[::2], fixed_k=(0, "takes no kind parameter k"), row_lag=0),
+    "kind1": Family(lambda s, rows: (rows(s.n)[::2], ()), fixed_k=(0, "takes no kind parameter k"), row_lag=0),
     "kind2": _KIND2,
     "kind3": _KIND2,  # the third kind coincides with the second
-    "fchar2": Family(_f, n_min=1, fixed_k=(1, "fixes k = 1"), ring=GF(2)),
+    # f at k = 1 over GF(2), where v = 2 * (...) vanishes: f's u alone
+    "fchar2": Family(lambda s, rows: (_f_u(rows(s.n - 1)), ()), n_min=1, fixed_k=(1, "fixes k = 1"), ring=GF(2)),
 }
 
 FAMILIES = tuple(FAMILY_TABLE)
 
 
+def build_run(specs: Iterable[FamilySpec], rows=None) -> Iterator[Poly]:
+    """Each spec's Poly in turn, reading its family's pair (v, u) once per run of specs of equal family, n, ring and a.
+
+    The member at k is v + k*u.  The pairs are read from ``rows``, by default a new row_cache of each ring.
+    """
+    caches, key = {}, None
+    for spec in specs:
+        family, n, ring, a = require_type(spec, FamilySpec, "spec").family, spec.n, spec.ring, spec.a
+        if (family, n, ring, a) != key:
+            key = family, n, ring, a
+            source = rows if rows is not None else caches.get(ring) or caches.setdefault(ring, row_cache(ring))
+            v, u = FAMILY_TABLE[family].build(spec, source)
+        k = spec.k
+        yield Poly(ring, [x + k * y for x, y in zip(v, u)] if u and k else v)
+
+
 def build(spec: FamilySpec, rows=None) -> Poly:
-    """A FamilySpec's polynomial from its family's coefficients in ``rows``, by default a new row_cache(spec.ring)."""
-    row = FAMILY_TABLE[require_type(spec, FamilySpec, "spec").family]
-    return Poly(spec.ring, row.build(spec, row_cache(spec.ring) if rows is None else rows))
+    """A FamilySpec's polynomial from its family's pair in ``rows``, by default a new row_cache(spec.ring)."""
+    return next(build_run((spec,), rows))

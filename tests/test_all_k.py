@@ -131,6 +131,22 @@ def test_solver_takes_dickson_s_a(ring, ks):
                 assert solved == KSet(), (n, ring, a)
 
 
+def test_dickson_s_palindromic_set_depends_on_a_squared():
+    # the x^i coefficient carries a^(n-2i), so the member at -a is (-1)^n times the member at a: the
+    # palindromic set at a equals the set at -a, by membership over GF(p) and as equal KSets over Z
+    for p in SMALL_PRIMES:
+        ring = GF(p)
+        rows = row_cache(ring)
+        for n in range(150):
+            for a in range(1, p):
+                at_a, at_minus_a = (palindromic_ks("dickson", n, ring, rows, b) for b in (a, -a))
+                assert [k in at_a for k in range(p)] == [k in at_minus_a for k in range(p)], (n, p, a)
+    rows = row_cache(Z)
+    for n in range(121):
+        for a in range(1, 7):
+            assert palindromic_ks("dickson", n, Z, rows, a) == palindromic_ks("dickson", n, Z, rows, -a), (n, a)
+
+
 def test_a_belongs_to_dickson_alone():
     assert palindromic_ks("dickson", 4, Z, a=1) == palindromic_ks("dickson", 4, Z)
     with pytest.raises(DomainError, match="family 'f' takes no parameter a"):
@@ -156,7 +172,7 @@ def test_refusals(family, n, ring, text):
 
 def _count_builds(monkeypatch):
     # records every build's (family, n, ring), wherever the package binds build, and every read of a
-    # family's coefficient list from FAMILY_TABLE as (family, n, k, ring, whether a build made it)
+    # family's pair from FAMILY_TABLE as (family, n, k of the spec read through, ring, whether a build made it)
     built, reads, building = [], [], []
 
     def counting(spec, *args):
@@ -188,16 +204,17 @@ def _count_builds(monkeypatch):
     ("T2_3", {"k_values": DEFAULT_K_WINDOW}),
     ("T3_1", {"p_list": [3, 13]}),
 ])
-def test_scan_builds_at_most_two_members_per_family_n_and_ring(monkeypatch, rule, kwargs):
-    # every (family, n, ring) here is scanned at two or more distinct k: its list is read at k = 0 and
-    # k = 1 and at no other k, and no member is built
+def test_scan_reads_one_pair_per_family_n_and_ring(monkeypatch, rule, kwargs):
+    # every (family, n, ring) here is scanned at two or more distinct k: its pair (v, u) is read exactly
+    # once, through the spec at k = 0, and no member is built
     built, reads = _count_builds(monkeypatch)
     verdicts = scan(rule, n_max=40, **kwargs)
     members = {(v.spec.family, v.spec.n, v.spec.ring) for v in verdicts}
     assert built == []
     assert {(family, n, ring) for family, n, _, ring, _ in reads} == members
+    assert len(reads) == len(members)
     for member in members:
-        assert [(k, via_build) for f, n, k, r, via_build in reads if (f, n, r) == member] == [(0, False), (1, False)]
+        assert [(k, via_build) for f, n, k, r, via_build in reads if (f, n, r) == member] == [(0, False)]
     assert len(verdicts) > 2 * len(members)
 
 

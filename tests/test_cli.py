@@ -501,3 +501,16 @@ def test_a_closed_stdout_exits_1_silently(fmt):
         err = proc.stderr.read()
         rc = proc.wait(timeout=60)
     assert (head, rc, err) == (b'{"family":' if fmt == "json" else b"family,n,k", 1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", ["gen --family f --n 4 --k 0", "gen --family f --n-max 300 --k 0 --format csv"])
+def test_a_failed_write_to_stdout_exits_1_with_its_reason(argv):
+    # `reciprodick gen ... > /dev/full`: one line naming the failure, and a silent flush at exit
+    src_dir = str(Path(reciprodick.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src_dir, os.environ.get("PYTHONPATH"))))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "reciprodick", *argv.split()],
+                              env={**os.environ, "PYTHONPATH": path}, stdout=full, stderr=subprocess.PIPE, text=True,
+                              timeout=60)
+    assert (proc.returncode, proc.stderr) == (1, "error: cannot write stdout: No space left on device\n")

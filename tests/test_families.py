@@ -22,7 +22,7 @@ from reciprodick import (
     reversed_dickson,
 )
 from reciprodick.classifier import Verdict
-from reciprodick.families import row_cache
+from reciprodick.families import FAMILY_TABLE, row_cache
 
 K_WINDOW = range(-5, 7)
 
@@ -427,3 +427,61 @@ def test_one_row_builder_matches_defining_sums():
                 assert got.coeffs == _trimmed(expected), (family, n, k, ring)
             if p == 2 and k == 1 and n >= 1:
                 assert build(FamilySpec("fchar2", n, 1, ring), rows[ring]).coeffs == _trimmed(c), n
+
+
+# --------------------------------------------------- the table's pairs (v, u)
+
+
+def _c(n, m):
+    return comb(n, m) if 0 <= m <= n else 0
+
+
+def _reference(family, n, k, a):
+    # the member at k over Z, untrimmed, restated from the module docstring's sums with math.comb;
+    # dickson by its division form, each quotient asserted exact
+    if family == "kind1":
+        return [_c(n, 2 * j) for j in range(n // 2 + 1)]
+    if family in ("kind2", "kind3"):
+        return [_c(n, 2 * j + 1) for j in range((n + 1) // 2)]
+    if n == 0:
+        return [2 - k]
+    if family == "dickson":
+        coeffs = []
+        for i in range(n // 2 + 1):
+            q, r = divmod((n - k * i) * _c(n - i, i), n - i)
+            assert r == 0, (n, k, i)
+            coeffs.append((-1) ** i * q * a ** (n - 2 * i))
+        return coeffs
+    odd = [_c(n - 1, 2 * j + 1) - _c(n - 1, 2 * j - 1) for j in range(n // 2 + 1)]  # sum of C(n-1, 2j+1)(x^j - x^(j+1))
+    if family == "fchar2":
+        return odd
+    c = [k * d + 2 * _c(n, 2 * j) for j, d in enumerate(odd)]
+    end = {"g": -1, "gstar": -1, "h": 0, "hstar": 0}.get(family)
+    if end is not None:
+        c[0] = c[-1] = c[end]
+    return c
+
+
+def test_every_table_pair_matches_the_defining_sums():
+    # for every family, over Z and GF(p), p <= 13, n <= 120: the table builder's pair is (c(0), c(1) - c(0)) of
+    # the reference, or (c, ()) for a family with a fixed k, read over the ring; and build at every k of the
+    # window is v + k*u over the ring
+    rings = (Z,) + tuple(GF(p) for p in (2, 3, 5, 7, 11, 13))
+    rows = {ring: row_cache(ring) for ring in rings}
+    for n in range(121):
+        for family, row in FAMILY_TABLE.items():
+            for a in (1, 2, -3) if family == "dickson" else (1,):
+                if n < row.n_min or (row.parity is not None and n % 2 != row.parity):
+                    continue
+                fixed = row.fixed_k[0] if row.fixed_k else None
+                v_ref = _reference(family, n, 0 if fixed is None else fixed, a)
+                u_ref = () if fixed is not None else [y - x for x, y in zip(v_ref, _reference(family, n, 1, a))]
+                for ring in rings if row.ring is None else (row.ring,):
+                    p = ring.p
+                    over = (lambda c: list(c)) if p is None else (lambda c: [x % p for x in c])
+                    v, u = row.build(FamilySpec(family, n, 0 if fixed is None else fixed, ring, a), rows[ring])
+                    assert (over(v), over(u)) == (over(v_ref), over(u_ref)), (family, n, ring, a)
+                    ks = [fixed] if fixed is not None else DEFAULT_K_WINDOW if p is None else range(p)
+                    for k in ks:
+                        expected = Poly(ring, [x + k * y for x, y in zip(v_ref, u_ref)] if u_ref else v_ref)
+                        assert build(FamilySpec(family, n, k, ring, a), rows[ring]) == expected, (family, n, k, ring, a)
