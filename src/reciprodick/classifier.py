@@ -509,8 +509,8 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
             elif len(gks) > 1:
                 solved = palindromic_ks(fam, n, r, rows)
                 observed = [k in solved for k in gks]
-            else:
-                observed = [oracle_self_reciprocal(specs[0], rows)]
+            else:  # one k, or none below this p
+                observed = [oracle_self_reciprocal(s, rows) for s in specs]
             verdicts = {}
             for spec, obs in zip(specs, observed):
                 pred = True if rule.predict is None else rule.predict(n, spec.k, r.p)

@@ -288,15 +288,14 @@ FAMILIES = tuple(FAMILY_TABLE)
 def build_run(specs: Iterable[FamilySpec], rows=None) -> Iterator[Poly]:
     """Each spec's Poly in turn, reading its family's pair (v, u) once per run of specs of equal family, n, ring and a.
 
-    The member at k is v + k*u.  The pairs are read from ``rows``, by default a new row_cache of each ring.
+    The member at k is v + k*u.  The pairs are read from ``rows``, by default a new row_cache of the run's ring.
     """
-    caches, key = {}, None
+    key = None
     for spec in specs:
         family, n, ring, a = require_type(spec, FamilySpec, "spec").family, spec.n, spec.ring, spec.a
         if (family, n, ring, a) != key:
             key = family, n, ring, a
-            source = rows if rows is not None else caches.get(ring) or caches.setdefault(ring, row_cache(ring))
-            v, u = FAMILY_TABLE[family].build(spec, source)
+            v, u = FAMILY_TABLE[family].build(spec, row_cache(ring) if rows is None else rows)
         k = spec.k
         yield Poly(ring, [x + k * y for x, y in zip(v, u)] if u and k else v)
 

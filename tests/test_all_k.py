@@ -225,6 +225,17 @@ def test_scan_of_one_k_builds_one_member(monkeypatch):
     assert reads == [("f", 4, 0, Z, True)]
 
 
+@pytest.mark.parametrize("kwargs, primes", [
+    ({"k_values": [4]}, [5, 7, 11, 13]),  # the default primes, 3 among them
+    ({"k_values": [5], "p_list": [3, 7]}, [7]),
+])
+def test_scan_passes_over_a_ring_with_no_k_below_its_p(kwargs, primes):
+    # GF(3) admits none of the k asked for, a larger p does: GF(3) gives no verdict, the rest theirs
+    verdicts = scan("T3_1", n_max=6, **kwargs)
+    assert [(v.spec.n, v.spec.ring.p) for v in verdicts] == [(n, p) for n in (2, 4, 6) for p in primes]
+    assert all(v.observed == oracle_self_reciprocal(v.spec) for v in verdicts)
+
+
 @pytest.mark.parametrize("rule, kwargs", [
     (rule, {"k_values": ks})
     for rule in ("T2_1", "T2_3", "T2_4", "T2_7")

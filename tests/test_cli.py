@@ -176,6 +176,11 @@ class TestVerify:
         assert len(lines) == 22
         assert lines[1].startswith("T2_3,g,4,-5,,false,true,false,")
 
+    def test_a_k_above_the_smallest_p(self, capsys):
+        # k = 3 is not below p = 3: GF(3) gives no verdict, GF(5) to GF(13) give theirs
+        rc, out, _ = run(capsys, "verify", "--theorem", "t3.1", "--n-max", "6", "--k-min", "3", "--k-max", "3")
+        assert (rc, json.loads(out)) == (0, {"theorem": "T3_1", "scanned": 12, "mismatches": 0})
+
     def test_bad_p_list_exits_1(self, capsys):
         rc, out, err = run(capsys, "verify", "--theorem", "t3.1", "--n-max", "6", "--p-list", "3,x")
         assert rc == 1 and out == "" and err.startswith("error: ") and "3,x" in err
