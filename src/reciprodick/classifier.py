@@ -28,9 +28,10 @@ still the definition, a coefficient list tested against its reversal,
 never a rule.  ``scan``
 evaluates predicate and oracle over finite ranges and reports one Verdict
 per in-hypothesis spec; it walks n by n, one (ring, member family) group at
-a time, and reads a classification's observations of a group with two or
-more requested k from one ``palindromic_ks``; disagreements are data
-(findings), never errors.
+a time, and observes a group one of two ways: a classification group of two
+or more requested k from one ``palindromic_ks``, every other group one spec
+at a time, each spec built by ``build``; disagreements are data (findings),
+never errors.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Callable
 
 from .binomics import is_power_of, require_prime
 from .errors import CapacityError, DomainError, HypothesisError, as_int, require_type
-from .families import FAMILIES, FAMILY_TABLE, FamilySpec, build, build_run, require_rows, row_cache
+from .families import FAMILIES, FAMILY_TABLE, FamilySpec, build, require_rows, row_cache
 from .ringpoly import GF, Poly, Ring, Z, gcd, pow_mod
 
 DEFAULT_ODD_PRIMES = (3, 5, 7, 11, 13)
@@ -218,19 +219,20 @@ def palindromic_ks(family: str, n: int, ring: Ring, rows=None, a: int = 1) -> KS
     Away from k* it is a palindrome exactly when
     (u_j - u_{D-j})*k + (v_j - v_{D-j}) = 0 for every j < D/2: every k
     solves that when u and v are palindromes; else the first unequal pair's
-    equation admits at most one k (an integer over Z, a residue over GF(p)),
-    and the list at that k is tested against its reversal.  k* itself is
-    decided by testing the trimmed list v + k*·u against its reversal.  The
-    specs at k = 0, then k = 1, with dickson's ``a``, are checked by
+    equation admits at most one k (an integer over Z, a residue over GF(p)).
+    So only k* and that root are candidates, and each is decided by testing
+    its own trimmed list v + k*u against its reversal: the set is the
+    passing candidates, or, when every pair is equal, every k but the
+    failing ones.  The spec at k = 0, with dickson's ``a``, is checked by
     ``FamilySpec`` before the pair is read; a family with a fixed k raises
     DomainError.  The pair reads ``rows``, by default a new ``row_cache`` of
     the ring.
     """
     if family in FAMILIES and FAMILY_TABLE[family].fixed_k is not None:
         raise DomainError(f"family {family!r} {FAMILY_TABLE[family].fixed_k[1]}: there is no k to solve for")
-    s0, _ = FamilySpec(family, n, 0, ring, a), FamilySpec(family, n, 1, ring, a)
-    v, u = FAMILY_TABLE[family].build(s0, row_cache(s0.ring) if rows is None else rows)
-    p = s0.ring.p
+    s = FamilySpec(family, n, 0, ring, a)
+    v, u = FAMILY_TABLE[family].build(s, row_cache(s.ring) if rows is None else rows)
+    p = s.ring.p
     if p is None:
         v, u = list(v), list(u)
     else:
@@ -238,8 +240,7 @@ def palindromic_ks(family: str, n: int, ring: Ring, rows=None, a: int = 1) -> KS
     while v and not v[-1] and not u[-1]:
         v.pop()
         u.pop()
-    size = len(v)
-    if not size:
+    if not v:
         return KSet()  # the zero polynomial at every k
 
     def root(slope: int, offset: int) -> int | None:
@@ -249,30 +250,20 @@ def palindromic_ks(family: str, n: int, ring: Ring, rows=None, a: int = 1) -> KS
         k, r = divmod(-offset, slope)
         return None if r else k
 
-    def at(k: int) -> list[int]:
-        # the list v + k*u, read over the ring
-        if p is None:
-            return [x + k * y for x, y in zip(v, u)]
-        return [(x + k * y) % p for x, y in zip(v, u)]
-
-    d = size - 1
-    j = next((j for j in range(size // 2) if u[j] != u[d - j] or v[j] != v[d - j]), None)
-    cofinite = j is None  # then every k solves the system
-    ks = set()
-    if not cofinite and u[j] != u[d - j]:
-        k = root(u[j] - u[d - j], v[j] - v[d - j])
-        if k is not None:
-            c = at(k)
-            if c == c[::-1]:
-                ks.add(k)
-    star = root(u[d], v[d]) if u[d] else None
-    if star is not None:
-        c = at(star)
+    def palindrome(k: int) -> bool:
+        # the member at k, trimmed, against its reversal
+        c = [x + k * y if p is None else (x + k * y) % p for x, y in zip(v, u)]
         while c and not c[-1]:
             c.pop()
-        if ((star in ks) != cofinite) != (bool(c) and c == c[::-1]):
-            ks ^= {star}  # k* is in the set exactly when its own member is a palindrome
-    return KSet(frozenset(ks), cofinite)
+        return bool(c) and c == c[::-1]
+
+    d = len(v) - 1
+    j = next((j for j in range(len(v) // 2) if u[j] != u[d - j] or v[j] != v[d - j]), None)
+    cofinite = j is None  # then every k but k* solves the system
+    candidates = {root(u[d], v[d]) if u[d] else None}
+    if not cofinite and u[j] != u[d - j]:
+        candidates.add(root(u[j] - u[d - j], v[j] - v[d - j]))
+    return KSet(frozenset(k for k in candidates - {None} if palindrome(k) != cofinite), cofinite)
 
 
 # ------------------------------------------------------------------ predicates
@@ -389,19 +380,19 @@ def check_corollary(corollary: str, spec: FamilySpec) -> bool:
 
 # ------------------------------------------------------------------- scanning
 
-# per kind of rule: how scan observes one member it builds (a classification reads palindromic_ks or the
-# oracle instead), and the note a disagreement carries; each names the module's functions at call time, so a
-# wrapper set on the module sees scan's calls
+# per kind of rule: how scan observes one spec from its rows when palindromic_ks does not decide its group, and
+# the note a disagreement carries; each names the module's functions at call time, so a wrapper set on the
+# module sees scan's calls
 _OBSERVERS = {
-    "classification": (None, "predicate and oracle disagree"),
-    "corollary": (lambda poly: _not_srim(poly), "corollary violated"),
-    "lemma": (lambda poly: lemma_l1(poly), "odd-degree srim found"),
+    "classification": (lambda spec, rows: oracle_self_reciprocal(spec, rows), "predicate and oracle disagree"),
+    "corollary": (lambda spec, rows: _not_srim(build(spec, rows)), "corollary violated"),
+    "lemma": (lambda spec, rows: lemma_l1(build(spec, rows)), "odd-degree srim found"),
 }
 
 
 def _rings(over: Condition, p_list) -> list[Ring]:
-    """The ring a condition pins, else GF(p) for the distinct p of p_list (default its rings), increasing."""
-    if len(over.rings) == 1 or not p_list:
+    """The ring a condition pins, else GF(p) for the distinct p of p_list (its rings when None), increasing."""
+    if len(over.rings) == 1 or p_list is None:
         return list(over.rings)
     rings = []
     for p in sorted(set(p_list)):
@@ -447,12 +438,13 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
     read.  Mismatches are reported as data, not raised.  Scan walks n by n,
     and at each n takes each (ring, member family) group once: it lists the
     distinct k the group admits, evaluates the side conditions once, and
-    observes the group's members together.  A classification group of two or
-    more distinct k reads every observation from one ``palindromic_ks``,
-    which reads the family's pair (v, u) once and builds no member; a group
-    of one k builds its member through ``build`` and reads it by
-    ``oracle_self_reciprocal``.  Corollaries and L1 build each member of a
-    group by ``build_run``, from one pair.
+    observes the group's members one of two ways.  A classification group
+    of two or more distinct k reads every observation from one
+    ``palindromic_ks``, which reads the family's pair (v, u) once and builds
+    no member.  Every other group (a classification group of one k, or of
+    none below its p, and every corollary and L1 group) is observed one spec
+    at a time by its kind's observer, which builds the spec's member by
+    ``build``: ``oracle_self_reciprocal`` for a classification.
     The members come from the row's own conditions, its hypotheses, so none
     is checked again; over SCAN_CAP candidates (n range x k values x ring and
     member family pairs) raise CapacityError before any is listed, and so
@@ -471,7 +463,7 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
     lo = lo if n_min is None else max(as_int(n_min, "n_min"), lo)
     hi = hi if n_max is None else as_int(n_max, "n_max")
     rings = _rings(rule.ring, p_list)
-    top = rings[-1].p
+    top = rings[-1].p if rings else None  # an empty p_list lists no ring, and so no member
     if rule.fixed_k is not None:
         ks = [rule.fixed_k]
     elif top is None:
@@ -504,13 +496,11 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
             if rule.sides and not all(side.holds(n, r.p) for side in rule.sides):
                 continue
             specs = [FamilySpec(fam, n, k, r) for k in gks]
-            if not solve:
-                observed = [observe(poly) for poly in build_run(specs, rows)]
-            elif len(gks) > 1:
+            if solve and len(gks) > 1:
                 solved = palindromic_ks(fam, n, r, rows)
                 observed = [k in solved for k in gks]
-            else:  # one k, or none below this p
-                observed = [oracle_self_reciprocal(s, rows) for s in specs]
+            else:  # one spec at a time: one k, or none below this p, or a corollary or L1 group
+                observed = [observe(s, rows) for s in specs]
             verdicts = {}
             for spec, obs in zip(specs, observed):
                 pred = True if rule.predict is None else rule.predict(n, spec.k, r.p)

@@ -268,7 +268,9 @@ def _scan_args(args) -> dict:
         try:
             p_list = [int(tok) for tok in args.p_list.split(",") if tok.strip()]
         except ValueError:
-            raise DomainError(f"--p-list takes comma-separated integers, got {args.p_list!r}") from None
+            p_list = []
+        if not p_list:  # a list naming no integer would fall back to the default primes
+            raise DomainError(f"--p-list takes comma-separated integers, got {args.p_list!r}")
     return {"n_min": args.n_min, "n_max": args.n_max, "k_values": k_values, "p_list": p_list}
 
 

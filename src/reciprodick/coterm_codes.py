@@ -90,7 +90,7 @@ def coterm_from_self_reciprocal(a: Poly) -> tuple[Poly, CotermContext]:
     deg = a.degree
     if deg < 1:
         raise DomainError("a nonzero constant has no term to remove")
-    trimmed = a - Poly.monomial(a.ring, a.leading_coefficient, deg)
+    trimmed = Poly(a.ring, a.coeffs[:-1])
     return trimmed, CotermContext(deg, a.ring)
 
 

@@ -40,10 +40,11 @@ table builder returns its family's pair (v, u), read from ``rows``, the
 member at k being v + k*u; g, h, gstar and hstar are f's pair with one end
 copied, dickson's pair needs no division, and a family with a fixed k
 returns (its list, ()).  ``build_run`` makes each spec's one Poly, one pair
-per run of specs of equal family, n, ring and a; ``build`` is its one-spec
-case.  A member's n, k, a and ring are checked once, by ``FamilySpec``
-(a != 1 belongs to dickson alone): the public builders build through it,
-and the table's builders are unchecked cores.
+per run of specs of equal family, n, ring and a, for the CLI's sweeps;
+``build`` is its one-spec case, through which ``scan`` builds.  A member's
+n, k, a and ring are checked once, by ``FamilySpec`` (a != 1 belongs to
+dickson alone): the public builders build through it, and the table's
+builders are unchecked cores.
 ``f_expanded_even/odd`` are the closed-form reference for f's ends: f's
 interior between the ends k(n-1)+2 and 2-k (even n) or 2n-k(n-1) (odd n).
 """
@@ -201,9 +202,8 @@ def _f_expanded(n: int, k: int, ring: Ring, parity: int) -> Poly:
     n, k, word = s.n, s.k, ("even", "odd")[parity]
     if n <= 1 or n % 2 != parity:
         raise DomainError(f"f_expanded_{word} requires {word} n > 1")
-    high = 2 - k if parity == 0 else 2 * n - k * (n - 1)
-    v, u = _f(s, row_cache(ring))
-    return Poly(ring, [k * (n - 1) + 2] + [x + k * y for x, y in zip(v[1 : n // 2], u[1 : n // 2])] + [high])
+    high = 2 - k if parity == 0 else 2 * n - k * (n - 1)  # when build trims entries, they and high are zero
+    return Poly(ring, (k * (n - 1) + 2, *build(s).coeffs[1 : n // 2], high))
 
 
 def f_expanded_even(n: int, k: int, ring: Ring = Z) -> Poly:

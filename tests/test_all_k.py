@@ -7,7 +7,9 @@ that the solver and the scans that use it are compared with.
 """
 
 import dataclasses
+import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -153,6 +155,46 @@ def test_a_belongs_to_dickson_alone():
         palindromic_ks("f", 4, Z, a=2)
 
 
+def _synthetic_pairs(rng, p):
+    # seeded (v, u) pairs of length 1 to 6 over Z (small entries) or GF(p), in the shapes the solver must get
+    # right; k0 is the k* of the last three, the k that zeroes the top coefficient
+    entry = (lambda: rng.randrange(p)) if p else (lambda: rng.randint(-3, 3))
+
+    def palindrome(size):
+        half = [entry() for _ in range((size + 1) // 2)]
+        return half + half[: size // 2][::-1]
+
+    for _ in range(150):
+        size = rng.randint(1, 6)
+        v, u = [entry() for _ in range(size)], [entry() for _ in range(size)]
+        k0 = rng.randrange(p) if p else rng.randint(-5, 5)
+        u_k0 = u[:-1] + [u[-1] or 1]  # a nonzero top, so that k0 is k*
+        yield v, u
+        yield palindrome(size), u
+        yield v, palindrome(size)
+        yield v[:-1] + [0], u[:-1] + [0]  # zero tops: the pair trims
+        for at_k0 in (
+            [0] * size,  # the member vanishes at k*
+            palindrome(size - 1) + [0],  # at k* a palindrome of lower degree
+            ([0] + [entry() for _ in range(size - 2)] + [0])[:size],  # the x^0 pair's root is k*
+        ):
+            yield [c - k0 * y for c, y in zip(at_k0, u_k0)], u_k0
+
+
+@pytest.mark.parametrize("ring", [Z, GF(2), GF(3), GF(5), GF(7)], ids=str)
+def test_solver_over_synthetic_pairs(monkeypatch, ring):
+    # the solver reads nothing but the pair: over seeded pairs, membership is the palindrome test of v + k*u
+    rng = random.Random(f"synthetic pairs {ring}")
+    current = []
+    monkeypatch.setitem(FAMILY_TABLE, "f", dataclasses.replace(FAMILY_TABLE["f"], build=lambda s, rows: current[-1]))
+    for v, u in _synthetic_pairs(rng, ring.p):
+        current.append((v, u))
+        solved = palindromic_ks("f", 4, ring)
+        ks = range(ring.p) if ring.p else {*range(-40, 41), *solved.ks}
+        for k in ks:
+            assert (k in solved) == Poly(ring, [x + k * y for x, y in zip(v, u)]).is_self_reciprocal(), (v, u, k)
+
+
 @pytest.mark.parametrize("family, n, ring, text", [
     ("kind1", 4, Z, "takes no kind parameter k"),
     ("kind3", 4, Z, "takes no kind parameter k"),
@@ -223,6 +265,16 @@ def test_scan_of_one_k_builds_one_member(monkeypatch):
     scan("T2_1", n_min=4, n_max=4, k_values=[0])
     assert built == [("f", 4, Z)]
     assert reads == [("f", 4, 0, Z, True)]
+
+
+@pytest.mark.parametrize("rule, primes", [("C3_3", [3, 7]), ("L1", [2, 3, 7])])
+def test_scan_builds_each_corollary_and_lemma_member_once(monkeypatch, rule, primes):
+    # one build per verdict, and every pair read inside a build
+    built, reads = _count_builds(monkeypatch)
+    verdicts = scan(rule, p_list=primes)
+    assert verdicts
+    assert Counter(built) == Counter((v.spec.family, v.spec.n, v.spec.ring) for v in verdicts)
+    assert reads and all(via_build for *_, via_build in reads)
 
 
 @pytest.mark.parametrize("kwargs, primes", [

@@ -165,6 +165,11 @@ class TestScan:
             (fam, n, k, p) for n in (2, 4, 6, 8) for k in range(5) for p in (3, 5) if k < p for fam in "gh"]
         assert {v.predicted for v in verdicts if v.spec.k == 0} == {True}
 
+    @pytest.mark.parametrize("rule", ["T3_1", "T3_4", "C3_2", "C3_3", "C3_5", "L1"])
+    def test_an_empty_p_list_scans_no_ring(self, rule):
+        # no ring, and so no verdict, as an empty k_values gives no k
+        assert scan(rule, n_max=10, p_list=[]) == []
+
     def test_fp_scan_rejects_even_p(self):
         with pytest.raises(DomainError):
             scan("T3_1", n_max=10, p_list=(2,))

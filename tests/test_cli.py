@@ -185,6 +185,11 @@ class TestVerify:
         rc, out, err = run(capsys, "verify", "--theorem", "t3.1", "--n-max", "6", "--p-list", "3,x")
         assert rc == 1 and out == "" and err.startswith("error: ") and "3,x" in err
 
+    def test_a_p_list_naming_no_integer_exits_1(self, capsys):
+        # refused, not read as the default primes GF(3) to GF(13)
+        rc, out, err = run(capsys, "verify", "--theorem", "t3.1", "--n-max", "4", "--p-list", ",")
+        assert (rc, out, err) == (1, "", "error: --p-list takes comma-separated integers, got ','\n")
+
     def test_unknown_theorem(self, capsys):
         rc, _, err = run(capsys, "verify", "--theorem", "t8.1", "--n-max", "4")
         assert rc == 1 and "t8.1" in err
