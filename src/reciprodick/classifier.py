@@ -42,7 +42,7 @@ from typing import Callable
 
 from .binomics import is_power_of, require_prime
 from .errors import CapacityError, DomainError, HypothesisError, as_int, require_type
-from .families import FAMILIES, FAMILY_TABLE, FamilySpec, build, require_rows, row_cache
+from .families import FAMILIES, FAMILY_TABLE, FamilySpec, RowCache, build, require_rows
 from .ringpoly import GF, Poly, Ring, Z, gcd, pow_mod
 
 DEFAULT_ODD_PRIMES = (3, 5, 7, 11, 13)
@@ -187,8 +187,8 @@ def oracle_self_reciprocal(spec: FamilySpec, rows=None) -> bool:
     """Definition-based oracle: build the polynomial and test the palindrome.
 
     It is the reference for one member; ``palindromic_ks`` decides every k
-    of a member at once and is tested against it.  The member is built from
-    ``rows``, by default a new ``row_cache`` of the spec's ring.
+    of a member at once and is tested against it.  The member is built by
+    ``build`` from ``rows``, a ``RowCache`` (by default a new one).
     """
     return build(spec, rows).is_self_reciprocal()
 
@@ -225,13 +225,13 @@ def palindromic_ks(family: str, n: int, ring: Ring, rows=None, a: int = 1) -> KS
     passing candidates, or, when every pair is equal, every k but the
     failing ones.  The spec at k = 0, with dickson's ``a``, is checked by
     ``FamilySpec`` before the pair is read; a family with a fixed k raises
-    DomainError.  The pair reads ``rows``, by default a new ``row_cache`` of
-    the ring.
+    DomainError.  The pair is read as ``build`` reads it, by ``RowCache.pair``
+    from ``rows`` (by default a new one), and copied before it is reduced.
     """
     if family in FAMILIES and FAMILY_TABLE[family].fixed_k is not None:
         raise DomainError(f"family {family!r} {FAMILY_TABLE[family].fixed_k[1]}: there is no k to solve for")
     s = FamilySpec(family, n, 0, ring, a)
-    v, u = FAMILY_TABLE[family].build(s, row_cache(s.ring) if rows is None else rows)
+    v, u = RowCache.of(rows).pair(s)
     p = s.ring.p
     if p is None:
         v, u = list(v), list(u)
@@ -440,20 +440,19 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
     distinct k the group admits, evaluates the side conditions once, and
     observes the group's members one of two ways.  A classification group
     of two or more distinct k reads every observation from one
-    ``palindromic_ks``, which reads the family's pair (v, u) once and builds
-    no member.  Every other group (a classification group of one k, or of
-    none below its p, and every corollary and L1 group) is observed one spec
-    at a time by its kind's observer, which builds the spec's member by
-    ``build``: ``oracle_self_reciprocal`` for a classification.
-    The members come from the row's own conditions, its hypotheses, so none
-    is checked again; over SCAN_CAP candidates (n range x k values x ring and
-    member family pairs) raise CapacityError before any is listed, and so
-    does, with the text it raises when built alone, a group's largest member
-    whose binomial row is above its cap (``require_rows``).  All members of
-    one call over one ring read their binomial rows from one
-    ``row_cache(ring)``, made for this call: over Z, as n walks upward, each
-    row after the call's first is built from the one before by Pascal's
-    rule.
+    ``palindromic_ks``, which builds no member.  Every other group (a
+    classification group of one k, or of none below its p, and every
+    corollary and L1 group) is observed one spec at a time by its kind's
+    observer, which builds the spec's member by ``build``
+    (``oracle_self_reciprocal`` for a classification).  The members come
+    from the row's own conditions, its hypotheses, so none is checked again;
+    over SCAN_CAP candidates (n range x k values x ring and member family
+    pairs) raise CapacityError before any is listed, and so does, with the
+    text it raises when built alone, a group's largest member whose binomial
+    row is above its cap (``require_rows``).  One ``RowCache``, made for
+    this call, serves every ring: a group reads one pair (v, u) per n, and
+    over Z, as n walks upward, each row after the call's first is built from
+    the one before by Pascal's rule.
     """
     t = normalize_theorem_id(theorem)
     rule = RULE_TABLE[t]
@@ -479,20 +478,20 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
     observe, note = _OBSERVERS[rule.kind]
     solve = rule.kind == "classification"
     # one group per (ring, member family), with its distinct k: a pinned member takes only its fixed k,
-    # an unpinned one every k, below p over GF(p); one row cache per ring, since rows mod p serve only their p
+    # an unpinned one every k, below p over GF(p)
+    rows = RowCache()
     groups = []
     for r, fams in members:
-        rows = row_cache(r)
         top = next((n for n in reversed(ns) if all(side.holds(n, r.p) for side in rule.sides)), None)
         for fam, fixed in fams:
             gks = list(dict.fromkeys(k for k in ks if (k == fixed if fixed is not None else r.p is None or k < r.p)))
             if gks and top is not None:
                 require_rows(fam, top, r)  # the group's largest member reads its largest row
-            groups.append((r, fam, gks, rows))
+            groups.append((r, fam, gks))
     out = []
     for n in ns:
         seen = []  # per group admitted at this n, its Verdicts by k
-        for r, fam, gks, rows in groups:
+        for r, fam, gks in groups:
             if rule.sides and not all(side.holds(n, r.p) for side in rule.sides):
                 continue
             specs = [FamilySpec(fam, n, k, r) for k in gks]

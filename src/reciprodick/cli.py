@@ -45,7 +45,7 @@ from .coterm_codes import (
     verify_reversibility_by_rank,
 )
 from .errors import CapacityError, DomainError
-from .families import FAMILIES, FAMILY_TABLE, FamilySpec, build_run, require_rows, row_cache
+from .families import FAMILIES, FAMILY_TABLE, FamilySpec, RowCache, build, require_rows
 from .ringpoly import GF, Poly, Ring, Z
 
 EXIT_OK = 0
@@ -194,7 +194,7 @@ def _selected_members(args) -> tuple[int, Iterator[tuple[FamilySpec, Poly]]]:
     Over SCAN_CAP of them (n values x k values), or a largest member whose binomial row is above
     its cap (with the text it raises when built alone), raise CapacityError before any spec is listed.
     Every spec is checked before this returns; each member is built as the iterator reaches it,
-    the specs of one n from one pair (``build_run``).
+    by ``build`` from one RowCache, which reads one pair per n.
     """
     if args.n is not None and args.n_min is not None:
         raise DomainError("--n and --n-min are mutually exclusive")
@@ -222,7 +222,8 @@ def _selected_members(args) -> tuple[int, Iterator[tuple[FamilySpec, Poly]]]:
     if count:
         require_rows(family, ns[-1], ring)
     specs = [FamilySpec(family, n, k, ring, args.a) for n in ns for k in ks]
-    return len(specs), zip(specs, build_run(specs, row_cache(ring)))
+    rows = RowCache()
+    return len(specs), ((spec, build(spec, rows)) for spec in specs)
 
 
 def _k_range(args) -> range | None:

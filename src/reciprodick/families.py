@@ -23,25 +23,23 @@ alone, C(n, 2j) coming from it by Pascal's rule C(n, 2j) = C(n-1, 2j) +
 C(n-1, 2j-1), and kind1/kind2/kind3 read the row of n; each table row states
 which (``row_lag``), so ``require_rows`` refuses a member whose row is above
 its cap without reading any row.  So f and its end copies reach one n further
-under the row caps than the kinds.  The ring picks the rows:
-``row_cache(ring)``, the default source of every ``rows`` argument, reads them
-over Z under ROW_CAP, or mod p under ROW_MOD_P_CAP with no big integers.  It
-keeps the last row it returned, and over Z it builds a row one or two above
-that one from it by Pascal's rule, so a walk of n upward computes only its
-first Z row entry by entry.  The builders use only sums and products of row
-entries, so a GF(p) member is the Z member reduced, whichever entry point
-builds it; Poly trims its degree drops.  A caller building many members passes
-one ``row_cache`` per ring to the builds of one call only.  Dickson reads its
-Z binomials directly, under ROW_CAP, over either ring.  Over GF(p) the kind
-parameter k is restricted to [0, p-1].
+under the row caps than the kinds.  One ``RowCache`` per call serves every
+ring, and the spec's ring picks its rows: over Z under ROW_CAP, or mod p
+under ROW_MOD_P_CAP with no big integers.  It keeps the last row of each p,
+and over Z it builds a row one or two above that one from it by Pascal's
+rule, so a walk of n upward computes only its first Z row entry by entry.
+The builders use only sums and products of row entries, so a GF(p) member is
+the Z member reduced, whichever entry point builds it; Poly trims its degree
+drops.  Dickson reads its Z binomials directly, under ROW_CAP, over either
+ring.  Over GF(p) the kind parameter k is restricted to [0, p-1].
 
 Every member is affine in k (D_{n,k} = k*D_{n,1} + (1-k)*D_{n,0}), and each
 table builder returns its family's pair (v, u), read from ``rows``, the
 member at k being v + k*u; g, h, gstar and hstar are f's pair with one end
 copied, dickson's pair needs no division, and a family with a fixed k
-returns (its list, ()).  ``build_run`` makes each spec's one Poly, one pair
-per run of specs of equal family, n, ring and a, for the CLI's sweeps;
-``build`` is its one-spec case, through which ``scan`` builds.  A member's
+returns (its list, ()).  ``RowCache.pair`` keeps the last pair it read, so
+the specs of one (family, n, ring, a) in a row read one pair, and ``build``,
+the only code that makes a member's Poly, forms v + k*u from it.  A member's
 n, k, a and ring are checked once, by ``FamilySpec`` (a != 1 belongs to
 dickson alone): the public builders build through it, and the table's
 builders are unchecked cores.
@@ -52,7 +50,7 @@ interior between the ends k(n-1)+2 and 2-k (even n) or 2n-k(n-1) (odd n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .binomics import ROW_CAP, binomial, binomial_row, binomial_row_mod_p, next_binomial_row, require_row
 from .errors import CapacityError, DomainError, as_int, require_type
@@ -125,31 +123,45 @@ class FamilySpec:
 # --------------------------------------------------------------- summation forms
 
 
-def row_cache(ring: Ring = Z) -> Callable[[int], tuple[int, ...]]:
-    """A new row source for members over ``ring`` that keeps the last row it returned.
+class RowCache:
+    """One call's binomial rows, the last of each p (None over Z), and the last family pair read from them.
 
-    Over GF(p) it makes each row it does not keep by ``binomial_row_mod_p``.
-    Over Z it builds the row one or two above the kept one from it by Pascal's
-    rule (``next_binomial_row``), and any other row by ``binomial_row``.
+    ``row(n, p)`` makes a row it does not keep by ``binomial_row_mod_p`` over GF(p); over Z it builds the
+    row one or two above the kept one from it by Pascal's rule (``next_binomial_row``), any other by
+    ``binomial_row``.  ``pair(spec)`` is the spec's pair (v, u) from its family's table builder, fed the
+    rows of the spec's own ring, and is kept, keyed by (family, n, ring, a); nobody mutates it.
     """
-    p = ring.p
-    kept_n, kept = None, ()
 
-    def rows(n: int) -> tuple[int, ...]:
-        nonlocal kept_n, kept
+    __slots__ = ("_rows", "_key", "_pair")
+
+    def __init__(self):
+        self._rows = {}  # p -> (n, row) of the last row read over that ring
+        self._key = self._pair = None
+
+    @staticmethod
+    def of(rows) -> "RowCache":  # rows itself, a new RowCache for None; DomainError for anything else
+        return RowCache() if rows is None else require_type(rows, RowCache, "rows")
+
+    def row(self, n: int, p: int | None) -> tuple[int, ...]:
+        kept_n, row = self._rows.get(p, (None, ()))
         if n != kept_n:
             if p is not None:
                 row = binomial_row_mod_p(n, p)
             elif kept_n is not None and 0 < n - kept_n <= 2:
-                row = next_binomial_row(kept)
-                if n - kept_n == 2:
+                for _ in range(n - kept_n):
                     row = next_binomial_row(row)
             else:
                 row = binomial_row(n)
-            kept_n, kept = n, row
-        return kept
+            self._rows[p] = n, row
+        return row
 
-    return rows
+    def pair(self, spec: "FamilySpec") -> tuple[Sequence[int], Sequence[int]]:
+        p = spec.ring.p  # a ring is its p
+        key = spec.family, spec.n, p, spec.a
+        if key != self._key:
+            self._pair = FAMILY_TABLE[spec.family].build(spec, lambda n: self.row(n, p))
+            self._key = key
+        return self._pair
 
 
 def require_rows(family: str, n: int, ring: Ring) -> None:
@@ -285,21 +297,8 @@ FAMILY_TABLE = {
 FAMILIES = tuple(FAMILY_TABLE)
 
 
-def build_run(specs: Iterable[FamilySpec], rows=None) -> Iterator[Poly]:
-    """Each spec's Poly in turn, reading its family's pair (v, u) once per run of specs of equal family, n, ring and a.
-
-    The member at k is v + k*u.  The pairs are read from ``rows``, by default a new row_cache of the run's ring.
-    """
-    key = None
-    for spec in specs:
-        family, n, ring, a = require_type(spec, FamilySpec, "spec").family, spec.n, spec.ring, spec.a
-        if (family, n, ring, a) != key:
-            key = family, n, ring, a
-            v, u = FAMILY_TABLE[family].build(spec, row_cache(ring) if rows is None else rows)
-        k = spec.k
-        yield Poly(ring, [x + k * y for x, y in zip(v, u)] if u and k else v)
-
-
-def build(spec: FamilySpec, rows=None) -> Poly:
-    """A FamilySpec's polynomial from its family's pair in ``rows``, by default a new row_cache(spec.ring)."""
-    return next(build_run((spec,), rows))
+def build(spec: FamilySpec, rows: RowCache | None = None) -> Poly:
+    """The only maker of a member's Poly: v + k*u from the spec's pair in ``rows``, by default a new RowCache."""
+    v, u = RowCache.of(rows).pair(require_type(spec, FamilySpec, "spec"))
+    k = spec.k
+    return Poly(spec.ring, [x + k * y for x, y in zip(v, u)] if u and k else v)

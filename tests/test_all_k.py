@@ -7,6 +7,7 @@ that the solver and the scans that use it are compared with.
 """
 
 import dataclasses
+import os
 import random
 import sys
 from collections import Counter
@@ -23,13 +24,21 @@ from reciprodick import (
     Verdict,
     Z,
     build,
+    check_corollary,
+    coterm_construct,
+    f_expanded_even,
+    f_expanded_odd,
+    f_family,
+    f_kind,
     lemma_l1,
     oracle_self_reciprocal,
     palindromic_ks,
+    reversed_dickson,
     scan,
 )
+from reciprodick import cli
 from reciprodick.classifier import RULE_TABLE, _not_srim, check_hypotheses
-from reciprodick.families import FAMILY_TABLE, row_cache
+from reciprodick.families import FAMILY_TABLE, RowCache
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -54,7 +63,7 @@ def _rings_and_ks(z_ks):
 @pytest.mark.parametrize("ring, ks", list(_rings_and_ks(DEFAULT_K_WINDOW)), ids=str)
 def test_members_are_affine_in_k(ring, ks):
     # c(k) = c(0) + k*(c(1) - c(0)) coefficientwise, read over the ring
-    rows = row_cache(ring)
+    rows = RowCache()
     for n in range(201):
         for family, a in _free_k_members(n, (1, 2, -3)):
             c0, c1 = (build(FamilySpec(family, n, k, ring, a), rows).coeffs for k in (0, 1))
@@ -67,7 +76,7 @@ def test_members_are_affine_in_k(ring, ks):
 
 @pytest.mark.parametrize("ring, ks", list(_rings_and_ks(range(-8, 13))), ids=str)
 def test_solver_agrees_with_the_oracle_at_every_k(ring, ks):
-    rows = row_cache(ring)
+    rows = RowCache()
     for n in range(301):
         for family, _ in _free_k_members(n, (1,)):
             solved = palindromic_ks(family, n, ring, rows)
@@ -81,7 +90,7 @@ def _every_k_but(*ks):
 
 
 def test_the_paper_s_sets_over_every_integer_k():
-    rows = row_cache(Z)
+    rows = RowCache()
     for n in range(2, 201):
         f = palindromic_ks("f", n, Z, rows)
         if n % 2 == 0:
@@ -121,7 +130,7 @@ def test_a_huge_prime_solves_by_modular_inverses():
 
 @pytest.mark.parametrize("ring, ks", list(_rings_and_ks(range(-8, 13))), ids=str)
 def test_solver_takes_dickson_s_a(ring, ks):
-    rows = row_cache(ring)
+    rows = RowCache()
     for n in range(80):
         for a in (2, -3):
             solved = palindromic_ks("dickson", n, ring, rows, a)
@@ -138,12 +147,12 @@ def test_dickson_s_palindromic_set_depends_on_a_squared():
     # palindromic set at a equals the set at -a, by membership over GF(p) and as equal KSets over Z
     for p in SMALL_PRIMES:
         ring = GF(p)
-        rows = row_cache(ring)
+        rows = RowCache()
         for n in range(150):
             for a in range(1, p):
                 at_a, at_minus_a = (palindromic_ks("dickson", n, ring, rows, b) for b in (a, -a))
                 assert [k in at_a for k in range(p)] == [k in at_minus_a for k in range(p)], (n, p, a)
-    rows = row_cache(Z)
+    rows = RowCache()
     for n in range(121):
         for a in range(1, 7):
             assert palindromic_ks("dickson", n, Z, rows, a) == palindromic_ks("dickson", n, Z, rows, -a), (n, a)
@@ -213,12 +222,12 @@ def test_refusals(family, n, ring, text):
 
 
 def _count_builds(monkeypatch):
-    # records every build's (family, n, ring), wherever the package binds build, and every read of a
-    # family's pair from FAMILY_TABLE as (family, n, k of the spec read through, ring, whether a build made it)
+    # records every build's spec, wherever the package binds build, and every read of a family's pair from
+    # FAMILY_TABLE as (the spec read through, whether a build made it)
     built, reads, building = [], [], []
 
     def counting(spec, *args):
-        built.append((spec.family, spec.n, spec.ring))
+        built.append(spec)
         building.append(spec)
         try:
             return build(spec, *args)
@@ -231,7 +240,7 @@ def _count_builds(monkeypatch):
 
     def reader(coeffs):
         def reading(spec, rows):
-            reads.append((spec.family, spec.n, spec.k, spec.ring, bool(building)))
+            reads.append((spec, bool(building)))
             return coeffs(spec, rows)
 
         return reading
@@ -253,18 +262,18 @@ def test_scan_reads_one_pair_per_family_n_and_ring(monkeypatch, rule, kwargs):
     verdicts = scan(rule, n_max=40, **kwargs)
     members = {(v.spec.family, v.spec.n, v.spec.ring) for v in verdicts}
     assert built == []
-    assert {(family, n, ring) for family, n, _, ring, _ in reads} == members
+    assert {(s.family, s.n, s.ring) for s, _ in reads} == members
     assert len(reads) == len(members)
     for member in members:
-        assert [(k, via_build) for f, n, k, r, via_build in reads if (f, n, r) == member] == [(0, False)]
+        assert [(s.k, via_build) for s, via_build in reads if (s.family, s.n, s.ring) == member] == [(0, False)]
     assert len(verdicts) > 2 * len(members)
 
 
 def test_scan_of_one_k_builds_one_member(monkeypatch):
     built, reads = _count_builds(monkeypatch)
     scan("T2_1", n_min=4, n_max=4, k_values=[0])
-    assert built == [("f", 4, Z)]
-    assert reads == [("f", 4, 0, Z, True)]
+    assert built == [FamilySpec("f", 4, 0, Z)]
+    assert reads == [(FamilySpec("f", 4, 0, Z), True)]
 
 
 @pytest.mark.parametrize("rule, primes", [("C3_3", [3, 7]), ("L1", [2, 3, 7])])
@@ -273,8 +282,60 @@ def test_scan_builds_each_corollary_and_lemma_member_once(monkeypatch, rule, pri
     built, reads = _count_builds(monkeypatch)
     verdicts = scan(rule, p_list=primes)
     assert verdicts
-    assert Counter(built) == Counter((v.spec.family, v.spec.n, v.spec.ring) for v in verdicts)
-    assert reads and all(via_build for *_, via_build in reads)
+    assert Counter(built) == Counter(v.spec for v in verdicts)
+    assert reads and all(via_build for _, via_build in reads)
+
+
+def _cli(*argv):
+    # a CLI command run in-process with its records written to the null device
+    def run():
+        assert cli.main([*argv, "--out", os.devnull]) == 0
+
+    return run
+
+
+@pytest.mark.parametrize("run", [
+    _cli("classify", "--family", "f", "--ring", "fp", "--p", "13", "--n-max", "40", "--k-min", "0", "--k-max", "12"),
+    _cli("gen", "--family", "dickson", "--n-max", "30", "--k-min", "0", "--k-max", "3", "--a", "3"),
+    lambda: scan("L1", p_list=[3, 7]),
+], ids=["classify f over GF(13)", "gen dickson a=3", "scan L1"])
+def test_each_family_n_ring_and_a_reads_one_pair(monkeypatch, run):
+    # the members of one (family, n, ring, a), built one k after another, share one pair read
+    built, reads = _count_builds(monkeypatch)
+    run()
+    members = Counter((s.family, s.n, s.ring, s.a) for s in built)
+    assert Counter((s.family, s.n, s.ring, s.a) for s, _ in reads) == dict.fromkeys(members, 1)
+    assert len(built) > 2 * len(members)
+
+
+def _cli_specs(family, ns, ks, ring=Z, a=1):
+    return [FamilySpec(family, n, k, ring, a) for n in ns for k in ks]
+
+
+@pytest.mark.parametrize("call, specs", [
+    (lambda: f_family(6, 2, GF(5)), [FamilySpec("f", 6, 2, GF(5))]),
+    (lambda: reversed_dickson(7, 3, 2), [FamilySpec("dickson", 7, 3, Z, 2)]),
+    (lambda: f_kind(6, 2), [FamilySpec("kind2", 6)]),
+    (lambda: f_expanded_even(8, 3), [FamilySpec("f", 8, 3)]),
+    (lambda: f_expanded_odd(9, 1, GF(7)), [FamilySpec("f", 9, 1, GF(7))]),
+    (lambda: check_corollary("C3_3", FamilySpec("f", 8, 2, GF(3))), [FamilySpec("f", 8, 2, GF(3))]),
+    (lambda: coterm_construct("T5_3", 8, 0, Z), [FamilySpec("g", 8, 0)]),
+    (lambda: coterm_construct("CHAR2", 6, 1, GF(2)), [FamilySpec("fchar2", 6, 1, GF(2))]),
+    (lambda: oracle_self_reciprocal(FamilySpec("h", 6, 1, GF(3))), [FamilySpec("h", 6, 1, GF(3))]),
+    (_cli("gen", "--family", "dickson", "--n-max", "5", "--k-min", "0", "--k-max", "2", "--a", "3"),
+     _cli_specs("dickson", range(6), range(3), a=3)),
+    (_cli("gen", "--family", "f", "--n", "7", "--k", "4", "--format", "csv"), [FamilySpec("f", 7, 4)]),
+    (_cli("classify", "--family", "g", "--ring", "fp", "--p", "5", "--n-min", "1", "--n-max", "9",
+          "--k-min", "0", "--k-max", "4"), _cli_specs("g", (2, 4, 6, 8), range(5), GF(5))),
+    (_cli("classify", "--family", "fchar2", "--n-max", "4"), _cli_specs("fchar2", range(1, 5), [1], GF(2))),
+], ids=["f_family", "reversed_dickson", "f_kind", "f_expanded_even", "f_expanded_odd", "check_corollary",
+        "coterm_construct", "coterm_construct CHAR2", "oracle_self_reciprocal", "cli gen sweep", "cli gen one",
+        "cli classify sweep", "cli classify fchar2"])
+def test_every_entry_point_builds_each_member_once_through_build(monkeypatch, call, specs):
+    # families.build is the one maker of a member: no entry point builds one another way, or twice
+    built, _ = _count_builds(monkeypatch)
+    call()
+    assert built == specs
 
 
 @pytest.mark.parametrize("kwargs, primes", [

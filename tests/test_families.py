@@ -22,7 +22,7 @@ from reciprodick import (
     reversed_dickson,
 )
 from reciprodick.classifier import Verdict
-from reciprodick.families import FAMILY_TABLE, row_cache
+from reciprodick.families import FAMILY_TABLE, RowCache
 
 K_WINDOW = range(-5, 7)
 
@@ -379,7 +379,7 @@ def test_builders_check_each_member_once_through_family_spec(monkeypatch):
 def test_end_variants_carry_one_closed_form_end_of_f_at_both_ends():
     # g and gstar carry f's top end, 2-k for even n and 2n-k(n-1) for odd n; h and hstar its low end k(n-1)+2
     for ring, ks in [(Z, DEFAULT_K_WINDOW)] + [(GF(p), range(p)) for p in (2, 3, 5, 7, 11, 13)]:
-        rows = row_cache(ring)
+        rows = RowCache()
         for n in range(2, 201):
             top_family, low_family = ("g", "h") if n % 2 == 0 else ("gstar", "hstar")
             for k in ks:
@@ -408,7 +408,7 @@ def test_one_row_builder_matches_defining_sums():
     # every free-k family and fchar2, over Z for n <= 600 and over GF(p), p <= 13, for n <= 300 and every k < p;
     # g and gstar copy f's x^(n//2) end onto its x^0 end, h and hstar the x^0 end onto the other
     fields = {p: GF(p) for p in (2, 3, 5, 7, 11, 13)}
-    rows = {ring: row_cache(ring) for ring in (Z, *fields.values())}
+    rows = RowCache()  # one cache serves every ring
     for n in range(601):
         u, v = _f_sums(n)
         variants = {"f": None} if n < 2 else {"f": None, ("g", "gstar")[n % 2]: -1, ("h", "hstar")[n % 2]: 0}
@@ -423,10 +423,10 @@ def test_one_row_builder_matches_defining_sums():
                 expected = list(c)
                 if end is not None:
                     expected[0] = expected[-1] = c[end]
-                got = build(FamilySpec(family, n, k, ring), rows[ring])
+                got = build(FamilySpec(family, n, k, ring), rows)
                 assert got.coeffs == _trimmed(expected), (family, n, k, ring)
             if p == 2 and k == 1 and n >= 1:
-                assert build(FamilySpec("fchar2", n, 1, ring), rows[ring]).coeffs == _trimmed(c), n
+                assert build(FamilySpec("fchar2", n, 1, ring), rows).coeffs == _trimmed(c), n
 
 
 # --------------------------------------------------- the table's pairs (v, u)
@@ -463,11 +463,11 @@ def _reference(family, n, k, a):
 
 
 def test_every_table_pair_matches_the_defining_sums():
-    # for every family, over Z and GF(p), p <= 13, n <= 120: the table builder's pair is (c(0), c(1) - c(0)) of
-    # the reference, or (c, ()) for a family with a fixed k, read over the ring; and build at every k of the
-    # window is v + k*u over the ring
+    # for every family, over Z and GF(p), p <= 13, n <= 120: the table builder's pair, read by RowCache.pair, is
+    # (c(0), c(1) - c(0)) of the reference, or (c, ()) for a family with a fixed k, read over the ring; and build
+    # at every k of the window is v + k*u over the ring
     rings = (Z,) + tuple(GF(p) for p in (2, 3, 5, 7, 11, 13))
-    rows = {ring: row_cache(ring) for ring in rings}
+    rows = RowCache()  # one cache serves every ring
     for n in range(121):
         for family, row in FAMILY_TABLE.items():
             for a in (1, 2, -3) if family == "dickson" else (1,):
@@ -479,9 +479,9 @@ def test_every_table_pair_matches_the_defining_sums():
                 for ring in rings if row.ring is None else (row.ring,):
                     p = ring.p
                     over = (lambda c: list(c)) if p is None else (lambda c: [x % p for x in c])
-                    v, u = row.build(FamilySpec(family, n, 0 if fixed is None else fixed, ring, a), rows[ring])
+                    v, u = rows.pair(FamilySpec(family, n, 0 if fixed is None else fixed, ring, a))
                     assert (over(v), over(u)) == (over(v_ref), over(u_ref)), (family, n, ring, a)
                     ks = [fixed] if fixed is not None else DEFAULT_K_WINDOW if p is None else range(p)
                     for k in ks:
                         expected = Poly(ring, [x + k * y for x, y in zip(v_ref, u_ref)] if u_ref else v_ref)
-                        assert build(FamilySpec(family, n, k, ring, a), rows[ring]) == expected, (family, n, k, ring, a)
+                        assert build(FamilySpec(family, n, k, ring, a), rows) == expected, (family, n, k, ring, a)

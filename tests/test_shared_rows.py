@@ -3,10 +3,10 @@
 Over Z a call computes its first row entry by entry and builds each row one
 or two above the last from it by Pascal's rule; the stepped rows must equal
 the fresh ones on any walk of n, and refuse a row above ROW_CAP as the fresh
-ones do.  Members built from one ``row_cache()`` must equal members built
-with fresh rows, whatever order the specs come in, and no row may outlive
-its call.  A scan past a row cap is refused before any row is read.
-Over GF(p) the rows of ``row_cache(GF(p))`` are read mod p; the members built
+ones do.  Members built from one ``RowCache()`` must equal members built
+with fresh rows, whatever order and ring the specs come in, and no row may
+outlive its call.  A scan past a row cap is refused before any row is read.
+Over GF(p) the rows of a ``RowCache`` are read mod p; the members built
 from them, through every entry point that builds a GF(p) member, must equal
 the members built over Z and then reduced, and none of them may read a row
 over Z.
@@ -26,6 +26,8 @@ from reciprodick import (
     FamilySpec,
     GF,
     HypothesisError,
+    KSet,
+    Poly,
     THEOREM_IDS,
     Z,
     binomial,
@@ -46,7 +48,7 @@ from reciprodick import binomics, families
 from reciprodick.binomics import ROW_MOD_P_CAP, next_binomial_row
 from reciprodick.classifier import RULE_TABLE, _not_srim
 from reciprodick.coterm_codes import COTERM_TABLE
-from reciprodick.families import FAMILY_TABLE, row_cache
+from reciprodick.families import FAMILY_TABLE, RowCache
 
 K_WINDOW = range(-5, 7)
 RINGS = (Z, GF(2), GF(3), GF(13))
@@ -68,7 +70,7 @@ def _specs_interleaved(n_max):
 
 
 def test_build_with_shared_rows_equals_fresh_build():
-    rows = row_cache()
+    rows = RowCache()
     checked = set()
     for spec in _specs_interleaved(80):
         assert build(spec, rows) == build(spec), spec
@@ -77,10 +79,43 @@ def test_build_with_shared_rows_equals_fresh_build():
 
 
 def _z_reference(spec: FamilySpec, z_rows=binomial_row):
-    # the spec's member built over Z from rows over Z, then reduced mod p over GF(p); fchar2 is f at k = 1
+    # the spec's member over Z, v + k*u from its table builder's pair read from rows over Z, then reduced mod p
+    # over GF(p); fchar2 is f at k = 1
     family = "f" if spec.family == "fchar2" else spec.family
-    member = build(FamilySpec(family, spec.n, spec.k, Z, spec.a), z_rows)
+    v, u = FAMILY_TABLE[family].build(FamilySpec(family, spec.n, spec.k, Z, spec.a), z_rows)
+    member = Poly(Z, [x + spec.k * y for x, y in zip(v, u)] if u else v)
     return member if spec.ring == Z else reduce_mod_p(member, spec.ring.p)
+
+
+def test_one_cache_serves_every_ring_in_turn():
+    # one RowCache reads f at n = 6 and 8 over GF(5), GF(3) and Z in turn, twice round: no ring's rows or pair
+    # serve another ring's member
+    rows = RowCache()
+    for _ in range(2):
+        for ring in (GF(5), GF(3), Z):
+            for n in (6, 8):
+                for k in range(3):
+                    spec = FamilySpec("f", n, k, ring)
+                    member = build(spec, rows)
+                    assert member == build(spec) == _z_reference(spec), spec
+    rows = RowCache()
+    assert build(FamilySpec("f", 6, 1, GF(5)), rows).coeffs == (2, 0, 1, 1)
+    assert build(FamilySpec("f", 6, 1, GF(3)), rows).coeffs == (1, 2, 0, 1)
+    assert palindromic_ks("f", 8, GF(5), rows) == KSet(frozenset({0, 2}))
+    assert palindromic_ks("f", 8, GF(3), rows) == KSet(frozenset({0, 2}))
+    build(FamilySpec("f", 8, 1, GF(5)), rows)
+    assert palindromic_ks("f", 8, GF(3), rows) == KSet(frozenset({0, 2}))
+
+
+@pytest.mark.parametrize("rows", [binomial_row, lambda n: binomial_row(n)], ids=["binomial_row", "lambda"])
+@pytest.mark.parametrize("call", [
+    lambda rows: build(FamilySpec("f", 6, 1, GF(3)), rows),
+    lambda rows: oracle_self_reciprocal(FamilySpec("f", 6, 1, GF(3)), rows),
+    lambda rows: palindromic_ks("f", 8, GF(3), rows),
+], ids=["build", "oracle_self_reciprocal", "palindromic_ks"])
+def test_rows_that_are_not_a_row_cache_are_refused(call, rows):
+    with pytest.raises(DomainError, match="^rows must be a RowCache, got "):
+        call(rows)
 
 
 @pytest.mark.parametrize("rule", [t for t in THEOREM_IDS if RULE_TABLE[t].kind == "classification"])
@@ -145,9 +180,9 @@ _WALKS = {"+1": range(2001), "+2 even": range(0, 2001, 2), "+2 odd": range(1, 20
 def test_stepped_rows_equal_fresh_rows(walk):
     # rows up to 700 against binomial_row itself; above it, where fresh rows would take 35 s on a 2-core
     # Xeon for every n <= 2000, by the identities that fix the row, which binomial_row's rows satisfy too
-    rows = row_cache(Z)
+    rows = RowCache()
     for n in _WALKS[walk]:
-        row = rows(n)
+        row = rows.row(n, None)
         assert row == binomial_row(n) if n <= 700 else _is_binomial_row(row, n), n
     if walk == "mixed":
         moves = {b - a for a, b in zip(_WALKS[walk], _WALKS[walk][1:])}
@@ -166,11 +201,11 @@ def test_a_stepped_row_above_the_cap_is_refused(monkeypatch):
     with pytest.raises(CapacityError, match="^the binomial row of n = 51 is above ROW_CAP = 50$"):
         next_binomial_row(binomial_row(50))
     for start in (49, 50):
-        rows = row_cache(Z)
-        assert rows(start) == binomial_row(start)
+        rows = RowCache()
+        assert rows.row(start, None) == binomial_row(start)
         with pytest.raises(CapacityError, match="^the binomial row of n = 51 is above ROW_CAP = 50$"):
-            rows(51)
-        assert rows(50) == binomial_row(50)
+            rows.row(51, None)
+        assert rows.row(50, None) == binomial_row(50)
 
 
 def test_a_scan_past_the_row_cap_is_refused_before_any_row(monkeypatch):
@@ -221,7 +256,7 @@ def test_fp_rows_build_the_reduced_members(p, monkeypatch):
     # binomial_row only saves recomputing the same Z rows
     ring = GF(p)
     z_rows = lru_cache(maxsize=None)(binomial_row)
-    fp_rows = row_cache(ring)
+    fp_rows = RowCache()
     checked = set()
     for spec in _fp_specs(p, 300):
         assert build(spec, fp_rows) == _z_reference(spec, z_rows), spec
@@ -304,7 +339,7 @@ def test_fp_scan_computes_each_row_once_per_call(monkeypatch):
 def test_row_caps_admit_f_one_n_further_than_the_kinds():
     # f and its end copies read the row of n - 1 alone, the kinds the row of n
     n, ring = ROW_MOD_P_CAP + 1, GF(3)
-    rows = row_cache(ring)
+    rows = RowCache()
     for family in ("f", "gstar", "hstar"):
         assert build(FamilySpec(family, n, 1, ring), rows).degree <= n // 2
     for family in ("kind1", "kind2"):
