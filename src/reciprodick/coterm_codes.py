@@ -14,8 +14,9 @@ generator g equals its monic reciprocal g(0)^-1 * x^deg(g) * g(1/x); for
 generators with constant term 1 (always the case over GF(2)) this coincides
 with g being palindromic.  Two oracles check that criterion independently:
 the rank of the generator matrix stacked over its reversal, in plain Python,
-and a brute-force codeword enumeration with numpy, the only code here that
-imports it.
+and a brute-force enumeration with numpy, the only code here that imports
+it, which lists every codeword once and looks up among them each reversed
+generator shift rev(x^i * g).
 """
 
 from __future__ import annotations
@@ -337,10 +338,10 @@ def verify_reversibility_by_rank(code: CyclicCode) -> bool:
 
 
 def _codeword_lanes(code: CyclicCode):
-    # a (2, lanes, p^dim) uint64 array: side 0 holds every codeword u * g with
-    # deg u < dim, side 1 the reversal of each, word k in column k.  Digit j sits in
-    # the w-bit field j % per of lane j // per, with w = bit_length(p - 1) + 1 and
-    # per = 64 // w, so a sum of two digits stays in its field.
+    # the words and the reversed generator shifts, packed: a (lanes, p^dim) uint64 array of
+    # every codeword u * g with deg u < dim, word k in column k, and a (dim, lanes) array of
+    # rev(x^i * g), i < dim.  Digit j sits in the w-bit field j % per of lane j // per, with
+    # w = bit_length(p - 1) + 1 and per = 64 // w, so a sum of two digits stays in its field.
     import numpy as np
 
     p, m, dim = code.p, code.m, code.dimension
@@ -348,24 +349,23 @@ def _codeword_lanes(code: CyclicCode):
     per = 64 // w
     lanes = -(-m // per)
     g = np.array(code.generator.coeffs, dtype=np.uint64)
-    # digits[0, i, c] = c * x^i * g mod p.  Reversal permutes coordinates, so the
-    # reversal of sum u_i x^i g is sum u_i rev(x^i g), and digits[1] holds rev(x^i g)
-    digits = np.zeros((2, dim, p, lanes * per), dtype=np.uint64)
+    # digits[i, c] = c * x^i * g mod p for c < p, and digits[i, p] = rev(x^i * g)
+    digits = np.zeros((dim, p + 1, lanes * per), dtype=np.uint64)
     shift = np.arange(dim)[:, None]
     multiples = np.multiply.outer(g, np.arange(p, dtype=np.uint64)) % np.uint64(p)  # [j, c] = c * g_j
-    digits[0, shift, :, shift + np.arange(len(g))] = multiples
-    digits[1, :, :, :m] = digits[0, :, :, m - 1 :: -1]
-    # tables[side, i, lane, c] packs the fields of digits[side, i, c] that fall in that lane
+    digits[shift, :p, shift + np.arange(len(g))] = multiples
+    digits[:, p, :m] = digits[:, 1, m - 1 :: -1]
+    # packed[i, lane, c] packs the fields of digits[i, c] that fall in that lane
     fields = np.uint64(1) << np.arange(0, w * per, w, dtype=np.uint64)
-    tables = np.ascontiguousarray((digits.reshape(2, dim, p, lanes, per) @ fields).swapaxes(2, 3))
+    packed = digits.reshape(dim, p + 1, lanes, per).swapaxes(1, 2) @ fields
     # a field holding s <= 2(p - 1) sets its guard bit b = w - 1 in s + 2^b - p exactly when s >= p
-    ones = np.uint64(sum(1 << (w * k) for k in range(per)))
+    ones = np.uint64((1 << w * per) // ((1 << w) - 1))  # a 1 in each field
     bias, b, p_ = ones * np.uint64(2 ** (w - 1) - p), np.uint64(w - 1), np.uint64(p)
-    words = tables[:, 0]
-    scratch = np.empty(min(2 * lanes * p**dim, _REDUCE_BLOCK), dtype=np.uint64)  # reduced block by block
+    words = packed[0, :, :p]
+    scratch = np.empty(min(lanes * p**dim, _REDUCE_BLOCK), dtype=np.uint64)  # reduced block by block
     for i in range(1, dim):
         # shift i adds c * x^i * g, for every c, to every word so far
-        words = (tables[:, i, :, :, None] + words[:, :, None]).reshape(2, lanes, -1)
+        words = (packed[i, :, :p, None] + words[:, None]).reshape(lanes, -1)
         flat = words.reshape(-1)
         for start in range(0, flat.size, _REDUCE_BLOCK):
             s = flat[start : start + _REDUCE_BLOCK]
@@ -374,23 +374,24 @@ def _codeword_lanes(code: CyclicCode):
             t &= ones
             t *= p_
             s -= t
-    return words
+    return words, packed[:, :, p]
 
 
 def verify_reversibility_by_enumeration(code: CyclicCode) -> bool:
     """Brute-force oracle: list every codeword and test closure under reversal.
 
-    The codewords are exactly u(x) * g(x) for deg(u) < dimension; closure
-    holds iff the reversed words form the same set.
+    The codewords are exactly u(x) * g(x) for deg(u) < dimension.  Reversal
+    permutes coordinates, so the reversed code is spanned by the reversed
+    shifts rev(x^i * g), i < dimension; it has as many words as the code, so
+    the code is closed under reversal iff every one of them is a codeword.
 
     Each word is packed into uint64 lanes, digit j in a field of
     w = bit_length(p - 1) + 1 bits, so a sum of two digits fits its field.
-    The words and their reversals are listed one generator shift at a time:
-    shift i adds the packed c * x^i * g, or its reversal, for every c, to
-    every word so far, and one guard-bit step per lane reduces every field
-    mod p, with no division.  When the m fields fit one lane the two sorted
-    word lists must be equal; otherwise the lane rows, sorted by their first
-    lane, must be.
+    The words are listed one generator shift at a time: shift i adds the
+    packed c * x^i * g, for every c, to every word so far, and one guard-bit
+    step per lane reduces every field mod p, with no division.  Each packed
+    reversed shift is then looked up among the words, and the first one
+    missing answers False.
     """
     p, dim = require_type(code, CyclicCode, "code").p, code.dimension
     if p**dim > ENUMERATION_CAP:
@@ -399,16 +400,5 @@ def verify_reversibility_by_enumeration(code: CyclicCode) -> bool:
         raise CapacityError(f"the enumeration oracle supports p <= {_ENUMERATION_P_MAX}, not GF({p})")
     if dim == 0:
         return True  # only the zero word, which reverses to itself
-    import numpy as np
-
-    words = _codeword_lanes(code)
-    if words.shape[1] == 1:
-        words = words.reshape(2, -1)
-        words.sort(axis=1)
-        return bool(np.array_equal(words[0], words[1]))
-    # a word u * g is fixed by its low dim digits, which g(0) != 0 makes a triangular
-    # function of u, and so is a reversed word, a multiple of the reciprocal of g, whose
-    # constant term is 1.  Under the cap dim <= 64 // w, the fields of one lane, so
-    # those digits lie in lane 0, and ordering each side's rows by lane 0 leaves no ties
-    forward, backward = (side[:, np.argsort(side[0])] for side in words)
-    return bool(np.array_equal(forward, backward))
+    words, reversed_shifts = _codeword_lanes(code)
+    return all((words == t).all(0).any() for t in reversed_shifts[:, :, None])

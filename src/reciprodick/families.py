@@ -25,9 +25,10 @@ which (``row_lag``), so ``require_rows`` refuses a member whose row is above
 its cap without reading any row.  So f and its end copies reach one n further
 under the row caps than the kinds.  One ``RowCache`` per call serves every
 ring, and the spec's ring picks its rows: over Z under ROW_CAP, or mod p
-under ROW_MOD_P_CAP with no big integers.  It keeps the last row of each p,
-and over Z it builds a row one or two above that one from it by Pascal's
-rule, so a walk of n upward computes only its first Z row entry by entry.
+under ROW_MOD_P_CAP with no big integers.  It keeps the last Z row and the
+last GF(p) row, whatever its p, and over Z it builds a row one or two above
+the kept one from it by Pascal's rule, so a walk of n upward computes only
+its first Z row entry by entry.
 The builders use only sums and products of row entries, so a GF(p) member is
 the Z member reduced, whichever entry point builds it; Poly trims its degree
 drops.  Dickson reads its Z binomials directly, under ROW_CAP, over either
@@ -124,18 +125,20 @@ class FamilySpec:
 
 
 class RowCache:
-    """One call's binomial rows, the last of each p (None over Z), and the last family pair read from them.
+    """One call's binomial rows, the last over Z and the last over any GF(p), and the last family pair.
 
     ``row(n, p)`` makes a row it does not keep by ``binomial_row_mod_p`` over GF(p); over Z it builds the
     row one or two above the kept one from it by Pascal's rule (``next_binomial_row``), any other by
-    ``binomial_row``.  ``pair(spec)`` is the spec's pair (v, u) from its family's table builder, fed the
-    rows of the spec's own ring, and is kept, keyed by (family, n, ring, a); nobody mutates it.
+    ``binomial_row``.  A GF(p) row is never stepped, so only the last one is kept, whatever its p.
+    ``pair(spec)`` is the spec's pair (v, u) from its family's table builder, fed the rows of the spec's
+    own ring, and is kept, keyed by (family, n, ring, a); nobody mutates it.
     """
 
-    __slots__ = ("_rows", "_key", "_pair")
+    __slots__ = ("_z", "_fp", "_key", "_pair")
 
     def __init__(self):
-        self._rows = {}  # p -> (n, row) of the last row read over that ring
+        self._z = None, ()  # (n, row) of the last row read over Z
+        self._fp = None, None, ()  # (p, n, row) of the last row read over any GF(p)
         self._key = self._pair = None
 
     @staticmethod
@@ -143,16 +146,20 @@ class RowCache:
         return RowCache() if rows is None else require_type(rows, RowCache, "rows")
 
     def row(self, n: int, p: int | None) -> tuple[int, ...]:
-        kept_n, row = self._rows.get(p, (None, ()))
-        if n != kept_n:
-            if p is not None:
+        if p is not None:
+            kept_p, kept_n, row = self._fp
+            if n != kept_n or p != kept_p:
                 row = binomial_row_mod_p(n, p)
-            elif kept_n is not None and 0 < n - kept_n <= 2:
+                self._fp = p, n, row
+            return row
+        kept_n, row = self._z
+        if n != kept_n:
+            if kept_n is not None and 0 < n - kept_n <= 2:
                 for _ in range(n - kept_n):
                     row = next_binomial_row(row)
             else:
                 row = binomial_row(n)
-            self._rows[p] = n, row
+            self._z = n, row
         return row
 
     def pair(self, spec: "FamilySpec") -> tuple[Sequence[int], Sequence[int]]:

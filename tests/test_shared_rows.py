@@ -9,11 +9,13 @@ outlive its call.  A scan past a row cap is refused before any row is read.
 Over GF(p) the rows of a ``RowCache`` are read mod p; the members built
 from them, through every entry point that builds a GF(p) member, must equal
 the members built over Z and then reduced, and none of them may read a row
-over Z.
+over Z.  A GF(p) row is never stepped, so a call keeps only its last one,
+and its memory does not grow with its primes.
 """
 
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 
@@ -39,6 +41,7 @@ from reciprodick import (
     f_expanded_even,
     f_expanded_odd,
     f_family,
+    is_prime,
     oracle_self_reciprocal,
     palindromic_ks,
     reduce_mod_p,
@@ -334,6 +337,21 @@ def test_fp_scan_computes_each_row_once_per_call(monkeypatch):
     rows.clear()
     scan("T3_1", n_min=100, n_max=104, p_list=primes)
     assert len(rows) == first  # no row survives from the first call
+
+
+def test_fp_scan_memory_does_not_grow_with_the_primes():
+    # a GF(p) row is never stepped, so a call keeps only its last one: 50 primes near n = 30000 peak
+    # at about one row's size (2 MB); a row kept per prime would take over 20 MB
+    primes = [p for p in range(257, 600) if is_prime(p)][:50]
+    assert len(primes) == 50
+    tracemalloc.start()
+    try:
+        verdicts = scan("T3_1", n_min=29998, n_max=30000, k_values=[0], p_list=primes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(verdicts) == 2 * 50  # n = 29998 and 30000, k = 0
+    assert peak < 5 * 10**6, peak
 
 
 def test_row_caps_admit_f_one_n_further_than_the_kinds():
