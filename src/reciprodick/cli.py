@@ -13,8 +13,9 @@ Output is deterministic: records are emitted in sorted parameter order with
 a fixed field order and no timestamps, as JSON lines (default) or CSV.  Any
 coefficient that could exceed 53 bits is carried as a string of base-10 digits.
 Each record is written as soon as it is made, so a ``gen`` or ``classify``
-sweep holds one member at a time; every refusal comes before the first record,
-so a refused command writes nothing and creates no ``--out`` file.
+sweep holds one member at a time and makes each spec once, listing none; every
+refusal comes before the first record (a sweep's specs are checked in closed
+form at its first n), so a refused command writes nothing and creates no ``--out`` file.
 
 Exit codes: 0 success, 1 usage or domain errors or a failed stdout (silently when closed),
 2 when a scan found predicate/oracle disagreements (the records are still emitted).
@@ -191,10 +192,11 @@ def _resolve_ring(args) -> Ring:
 def _selected_members(args) -> tuple[int, Iterator[tuple[FamilySpec, Poly]]]:
     """The number of selected specs over the resolved ring, and each spec with its member, built lazily.
 
-    Over SCAN_CAP of them (n values x k values), or a largest member whose binomial row is above
-    its cap (with the text it raises when built alone), raise CapacityError before any spec is listed.
-    Every spec is checked before this returns; each member is built as the iterator reaches it,
-    by ``build`` from one RowCache, which reads one pair per n.
+    Over SCAN_CAP of them (n values x k values), or a largest member whose binomial row is above its cap
+    (with the text it raises when built alone), raise CapacityError.  Every spec is then checked, exactly,
+    by two specs at the first n: ns rises in one parity, so n's checks pass at every n once they pass at the
+    first; k's checks do not depend on n, and the first bad k of a run ks is ks[0] or the first past the top k.
+    Each spec is made once, listed nowhere, as the iterator reaches it, its member built from one RowCache.
     """
     if args.n is not None and args.n_min is not None:
         raise DomainError("--n and --n-min are mutually exclusive")
@@ -221,9 +223,13 @@ def _selected_members(args) -> tuple[int, Iterator[tuple[FamilySpec, Poly]]]:
         raise CapacityError(f"the selection would build {count} members, above the cap {SCAN_CAP}")
     if count:
         require_rows(family, ns[-1], ring)
-    specs = [FamilySpec(family, n, k, ring, args.a) for n in ns for k in ks]
+        FamilySpec(family, ns[0], ks[0], ring, args.a)
+        last = row.fixed_k[0] if row.fixed_k else None if ring.p is None else ring.p - 1  # None: any k
+        if last is not None:  # the first k past the domain, if ks reaches it
+            FamilySpec(family, ns[0], min(ks[-1], last + 1), ring, args.a)
+    specs = (FamilySpec(family, n, k, ring, args.a) for n in ns for k in ks)
     rows = RowCache()
-    return len(specs), ((spec, build(spec, rows)) for spec in specs)
+    return count, ((spec, build(spec, rows)) for spec in specs)
 
 
 def _k_range(args) -> range | None:

@@ -1,15 +1,20 @@
 import argparse
+import itertools
 import json
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
 
 import reciprodick
-from reciprodick.cli import main
+from reciprodick.cli import _build_parser, _resolve_ring, _selected_members, main
+from reciprodick.errors import CapacityError, DomainError
+from reciprodick.families import FAMILIES, FAMILY_TABLE, FamilySpec
 
 K_WINDOW = tuple(range(-5, 7))
 
@@ -477,6 +482,13 @@ _REFUSED = [
     ("gen --family f --ring fp --p 5 --n-max 3 --k-min 0 --k-max 5",
      "error: over F5 the kind parameter k must lie in [0, 4], got 5"),
     ("gen --family g --n-min 0 --n-max 6 --k 0", "error: family 'g' requires even n > 1"),
+    # the sweep's specs are checked at its first n in closed form: the first bad k sits mid-range (5, not 9) ...
+    ("gen --family f --ring fp --p 5 --n-max 3 --k-min 2 --k-max 9",
+     "error: over F5 the kind parameter k must lie in [0, 4], got 5"),
+    # ... or just past a fixed k (2, not 3), and n is checked before k's range (k = -1 passes neither)
+    ("gen --family fchar2 --n-max 4 --k-min 1 --k-max 3", "error: family 'fchar2' fixes k = 1"),
+    ("gen --family g --ring fp --p 3 --n-min 0 --n-max 6 --k-min -1 --k-max 1",
+     "error: family 'g' requires even n > 1"),
     # T2_1 to T2_7 scan before T3_1 refuses p = 9: no verdict of theirs is written
     ("verify --theorem all --p 9", "error: 9 is not prime"),
 ]
@@ -524,3 +536,71 @@ def test_a_failed_write_to_stdout_exits_1_with_its_reason(argv):
                               env={**os.environ, "PYTHONPATH": path}, stdout=full, stderr=subprocess.PIPE, text=True,
                               timeout=60)
     assert (proc.returncode, proc.stderr) == (1, "error: cannot write stdout: No space left on device\n")
+
+
+def _eager_selection(args) -> tuple[int, list[FamilySpec]]:
+    """The reference: every spec of the sweep made and listed in (n, k) order before the first member is built.
+
+    It takes the selection's preamble (ring, n values, k values) as the CLI reads it; its grid stays far
+    below SCAN_CAP and the row caps, so it leaves out their checks.
+    """
+    ring = _resolve_ring(args)
+    row = FAMILY_TABLE[args.family]
+    if args.n is not None:
+        ns = [args.n]
+    else:
+        lo = row.n_min if args.n_min is None else args.n_min
+        ns = [n for n in range(lo, args.n_max + 1) if row.parity is None or n % 2 == row.parity]
+    if args.k is not None:
+        ks = [args.k]
+    elif args.k_min is not None:
+        ks = list(range(args.k_min, args.k_max + 1))
+    else:
+        ks = [row.fixed_k[0] if row.fixed_k else 0]
+    specs = [FamilySpec(args.family, n, k, ring, args.a) for n in ns for k in ks]
+    return len(specs), specs
+
+
+def _lazy_selection(args) -> tuple[int, Iterator[FamilySpec]]:
+    count, members = _selected_members(args)
+    return count, (spec for spec, _ in members)
+
+
+def _outcome(select, args):
+    try:
+        count, specs = select(args)
+        return count, list(specs)
+    except (DomainError, CapacityError) as exc:
+        return type(exc), str(exc)
+
+
+# single n, then n ranges: from the family's n_min, negative, starting below n_min, of the wrong parity, empty
+_N_SELECTORS = ["--n 4", "--n 3", "--n -1", "--n-max 5", "--n-min -2 --n-max 3", "--n-min 0 --n-max 6",
+                "--n-min 3 --n-max 8", "--n-min 5 --n-max 4", "--n-min 6 --n-max 6"]
+# none, single k, then k ranges: starting negative, crossing p or the fixed k, mid-range past p, empty
+_K_SELECTORS = ["", "--k 0", "--k 1", "--k 4", "--k -1", "--k-min -2 --k-max 1", "--k-min 0 --k-max 6",
+                "--k-min 1 --k-max 3", "--k-min 2 --k-max 9", "--k-min 3 --k-max 2"]
+_RINGS = ["", "--ring fp --p 2", "--ring fp --p 3", "--ring fp --p 5"]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_closed_form_check_matches_the_eager_listing(family):
+    # every refusal, with its type, text and order, or the same count and the same specs in the same order
+    parser = _build_parser()
+    for ring, a, n_sel, k_sel in itertools.product(_RINGS, (1, 2), _N_SELECTORS, _K_SELECTORS):
+        argv = f"gen --family {family} {ring} --a {a} {n_sel} {k_sel}"
+        args = parser.parse_args(argv.split())
+        assert _outcome(_lazy_selection, args) == _outcome(_eager_selection, args), argv
+
+
+def test_a_sweep_lists_no_spec_before_the_first_record():
+    # the selection used to list every spec before returning: 200,000 of them took over 20 MB
+    args = _build_parser().parse_args("gen --family f --n 1 --k-min 0 --k-max 199999".split())
+    tracemalloc.start()
+    try:
+        count, _ = _selected_members(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 200000
+    assert peak < 10**6, peak
