@@ -54,6 +54,7 @@ EXIT_ERROR = 1
 EXIT_MISMATCH = 2
 
 _DEFAULT_ENUM_CAP = 10_000
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps would make an encoder per record
 
 
 class _Parser(argparse.ArgumentParser):
@@ -149,7 +150,7 @@ def _emit(args, fields: list[str], records: Iterable[dict]) -> None:
     try:
         with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
             if args.format == "json":
-                fh.writelines(json.dumps(r, separators=(",", ":")) + "\n" for r in records)
+                fh.writelines(_ENCODE(r) + "\n" for r in records)
             else:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(fields)

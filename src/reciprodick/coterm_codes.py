@@ -220,10 +220,10 @@ def monic_divisors(p: int, m: int) -> list[Poly]:
         raise CapacityError(f"x^{m} - 1 has {total} monic divisors, above the cap {DIVISOR_CAP}")
     divisors = [Poly.one(GF(p))]
     for f, mult in factors:
-        powers = [Poly.one(GF(p))]
-        for _ in range(mult):
+        powers = [f]
+        for _ in range(mult - 1):
             powers.append(powers[-1] * f)
-        divisors = [d * q for d in divisors for q in powers]
+        divisors += [d * q for d in divisors for q in powers]
     return sorted(divisors, key=_poly_key)
 
 

@@ -40,7 +40,8 @@ member at k being v + k*u; g, h, gstar and hstar are f's pair with one end
 copied, dickson's pair needs no division, and a family with a fixed k
 returns (its list, ()).  ``RowCache.pair`` keeps the last pair it read, so
 the specs of one (family, n, ring, a) in a row read one pair, and ``build``,
-the only code that makes a member's Poly, forms v + k*u from it.  A member's
+the only code that makes a member's Poly, forms v + k*u from it, reduced mod p
+in the same pass, and makes the Poly unchecked (``Poly._canonical``).  A member's
 n, k, a and ring are checked once, by ``FamilySpec`` (a != 1 belongs to
 dickson alone): the public builders build through it, and the table's
 builders are unchecked cores.
@@ -307,5 +308,10 @@ FAMILIES = tuple(FAMILY_TABLE)
 def build(spec: FamilySpec, rows: RowCache | None = None) -> Poly:
     """The only maker of a member's Poly: v + k*u from the spec's pair in ``rows``, by default a new RowCache."""
     v, u = RowCache.of(rows).pair(require_type(spec, FamilySpec, "spec"))
-    k = spec.k
-    return Poly(spec.ring, [x + k * y for x, y in zip(v, u)] if u and k else v)
+    k, p = spec.k, spec.ring.p
+    # the pair's entries and k are plain ints, so the member is reduced mod p in the same pass and not re-checked
+    if p is None:
+        c = [x + k * y for x, y in zip(v, u)] if u and k else list(v)
+    else:
+        c = [(x + k * y) % p for x, y in zip(v, u)] if u and k else [x % p for x in v]
+    return Poly._canonical(spec.ring, c)

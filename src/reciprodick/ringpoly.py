@@ -6,6 +6,11 @@ empty tuple and has no degree (``degree`` is None).  Over GF(p) every stored
 coefficient lies in [0, p-1].  Ring and Poly values are immutable and every
 operation is a pure function, so values are safe to share between threads.
 
+A Poly is checked once, at the boundary: ``Poly(ring, coeffs)`` converts and
+checks outside input.  The operations, and ``families.build``, compute their
+coefficients from ints already canonical, reduce them mod p once and make their
+result through ``Poly._canonical``, which trims and stores without a re-check.
+
 The canonical JSON form (output only) keeps coefficients as base-10
 strings so arbitrary-precision integers survive any JSON reader:
 
@@ -67,7 +72,7 @@ class Poly:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self):
-        # every builder and operation ends here, so read (and reduce) the integers in one pass
+        # the check of outside input (operations use _canonical), so read (and reduce) the integers in one pass
         if not isinstance(self.ring, Ring):
             raise DomainError(f"polynomial ring must be a Ring, got {self.ring!r}")
         p = self.ring.p
@@ -89,6 +94,16 @@ class Poly:
         while c and c[-1] == 0:
             c.pop()
         object.__setattr__(self, "coeffs", tuple(c))
+
+    @classmethod
+    def _canonical(cls, ring: Ring, c: list[int]) -> "Poly":
+        """The Poly of a fresh list c of plain ints, in [0, p-1] over GF(p): c is trimmed, not re-checked."""
+        while c and c[-1] == 0:
+            c.pop()
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "ring", ring)
+        object.__setattr__(poly, "coeffs", tuple(c))
+        return poly
 
     # ------------------------------------------------------------- builders
 
@@ -151,13 +166,13 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return Poly(self.ring, out)
+        p = self.ring.p
+        low = [x + y for x, y in zip(a, b)] if p is None else [(x + y) % p for x, y in zip(a, b)]
+        return Poly._canonical(self.ring, low + list(a[len(b):]))
 
     def __neg__(self) -> "Poly":
-        return Poly(self.ring, tuple(-v for v in self.coeffs))
+        p = self.ring.p
+        return Poly._canonical(self.ring, [-v if p is None else -v % p for v in self.coeffs])
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + -require_type(other, Poly, "operand")
@@ -165,13 +180,14 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         self._same_ring(other)
         if not self.coeffs or not other.coeffs:
-            return Poly.zero(self.ring)
+            return Poly._canonical(self.ring, [])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return Poly(self.ring, out)
+        p = self.ring.p
+        return Poly._canonical(self.ring, out if p is None else [v % p for v in out])
 
     # Python reflects an operator only onto a left operand that is not a Poly, which _same_ring refuses
     __radd__ = __add__
@@ -195,7 +211,8 @@ class Poly:
 
     def scale(self, c: int) -> "Poly":
         """Multiply every coefficient by the ring element c."""
-        return Poly(self.ring, tuple(c * v for v in self.coeffs))
+        c, p = as_int(c, "scale factor"), self.ring.p
+        return Poly._canonical(self.ring, [c * v if p is None else c * v % p for v in self.coeffs])
 
     def evaluate(self, v: int) -> int:
         """Horner evaluation at the ring element v."""
@@ -219,7 +236,7 @@ class Poly:
         """Coefficient reversal x^deg * self(1/x), at the trimmed degree."""
         if not self.coeffs:
             raise DomainError("reciprocal of the zero polynomial is undefined")
-        return Poly(self.ring, self.coeffs[::-1])
+        return Poly._canonical(self.ring, list(reversed(self.coeffs)))
 
     def is_self_reciprocal(self) -> bool:
         """True iff nonzero with a palindromic coefficient tuple.
@@ -248,19 +265,23 @@ class Poly:
         p = self._require_field()
         if not other.coeffs:
             raise ZeroDivisionError("polynomial division by zero")
+        b = other.coeffs
+        db = len(b) - 1
         rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        dq = len(rem) - len(b)
         if dq < 0:
-            return Poly.zero(self.ring), self
+            return Poly._canonical(self.ring, []), self
         quo = [0] * (dq + 1)
-        inv = pow(other.leading_coefficient, p - 2, p)
+        inv = pow(b[-1], p - 2, p)
+        # rem's entries stay only congruent mod p: each step reduces the one it reads, and skips the
+        # leading term it cancels, so the remainder is rem[:db], reduced once at the end
         for i in range(dq, -1, -1):
-            c = rem[i + len(other.coeffs) - 1] * inv % p
+            c = rem[i + db] * inv % p
             if c:
                 quo[i] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] = (rem[i + j] - c * b) % p
-        return Poly(self.ring, quo), Poly(self.ring, rem)
+                for j in range(db):
+                    rem[i + j] -= c * b[j]
+        return Poly._canonical(self.ring, quo), Poly._canonical(self.ring, [v % p for v in rem[:db]])
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]

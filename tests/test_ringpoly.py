@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +54,26 @@ class TestArithmetic:
     def test_scale_mod_5(self):
         # 2*(1+3x) = 2+6x = 2+x over F5
         assert P(GF(5), 1, 3).scale(2) == P(GF(5), 2, 1)
+
+    def test_scale_checks_its_factor(self):
+        # scale(True) used to multiply by 1, although a bool coefficient is refused
+        class Three:
+            def __index__(self):
+                return 3
+
+        for ring in (Z, GF(5)):
+            for g in (P(ring, 1, 3), Poly.zero(ring)):
+                for c, shown in ((True, "True"), (False, "False"), (1.5, "1.5"), ("2", "'2'"), (None, "None")):
+                    with pytest.raises(DomainError, match=f"^scale factor must be an integer, got {re.escape(shown)}$"):
+                        g.scale(c)
+        assert P(GF(5), 1, 3).scale(Three()) == P(GF(5), 3, 4)
+        assert P(Z, 1, 3).scale(-2) == P(Z, -2, -6) and P(GF(5), 1, 3).scale(5) == Poly.zero(GF(5))
+
+    def test_only_ringpoly_and_families_make_unchecked_polys(self):
+        # Poly._canonical skips the check of coefficients, so it must not reach code that handles outside input
+        src = Path(__file__).resolve().parents[1] / "src" / "reciprodick"
+        users = {f.name for f in src.rglob("*.py") if "_canonical" in f.read_text()}
+        assert users == {"ringpoly.py", "families.py"}
 
     def test_ring_mismatch(self):
         with pytest.raises(DomainError):
