@@ -12,6 +12,9 @@ Commands:
 Output is deterministic: records are emitted in sorted parameter order with
 a fixed field order and no timestamps, as JSON lines (default) or CSV.  Any
 coefficient that could exceed 53 bits is carried as a string of base-10 digits.
+The CSV is comma-separated with LF line ends and a header line; a list is one
+space-separated cell, and a cell is quoted (its ``"`` doubled) only if it holds
+``,``, ``"``, CR or LF, which no cell the CLI writes does.
 Each record is written as soon as it is made, so a ``gen`` or ``classify``
 sweep holds one member at a time and makes each spec once, listing none; every
 refusal comes before the first record (a sweep's specs are checked in closed
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import json
 import os
@@ -133,28 +135,39 @@ def _build_parser() -> _Parser:
 # ----------------------------------------------------------------- emission
 
 
-def _csv_cell(v):
+def _csv_cell(v) -> str:
+    """One CSV cell: ``true``/``false``, ``""`` for None, a list space-separated, else ``str(v)``; quoted, its
+    ``"`` doubled, only when it holds ``,``, ``"``, CR or LF (RFC 4180's minimal quoting)."""
     if v is True:
         return "true"
     if v is False:
         return "false"
     if v is None:
         return ""
-    if isinstance(v, list):
-        return " ".join(v)
-    return v
+    s = " ".join(v) if isinstance(v, list) else str(v)
+    if "," in s or '"' in s or "\n" in s or "\r" in s:
+        return '"' + s.replace('"', '""') + '"'
+    return s
+
+
+def _csv_line(values) -> str:
+    """One CSV record: the cells joined by commas, ended by LF."""
+    return ",".join(map(_csv_cell, values)) + "\n"
 
 
 def _emit(args, fields: list[str], records: Iterable[dict]) -> None:
-    """One JSON line per record, or CSV with the given columns (lists as spaced cells), each written as it is made."""
+    """Write each record as it is made: one JSON line, or one CSV line under a header of ``fields``.
+
+    The CSV is comma-separated with LF line ends; a list is one space-separated cell, and a cell is quoted
+    only if it holds ``,``, ``"``, CR or LF (no cell the CLI writes does).
+    """
     try:
         with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
             if args.format == "json":
                 fh.writelines(_ENCODE(r) + "\n" for r in records)
             else:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(fields)
-                writer.writerows([_csv_cell(r.get(f)) for f in fields] for r in records)
+                fh.write(_csv_line(fields))
+                fh.writelines(_csv_line([r.get(f) for f in fields]) for r in records)
             fh.flush()
     except OSError as exc:
         if args.out:
@@ -322,20 +335,23 @@ def _cmd_coterm(args) -> int:
 def _cmd_code(args) -> int:
     cap = min(args.enum_cap, ENUMERATION_CAP)
     divisors = self_reciprocal_divisors(args.p, args.m) if args.sr_only else monic_divisors(args.p, args.m)
-    records = []
     disagreements = 0
-    for g in divisors:
-        code = build_cyclic_code(args.p, args.m, g)
-        checked = args.p**code.dimension <= cap
-        record = code.to_json_dict(enumeration_checked=checked)
-        if checked and verify_reversibility_by_rank(code) != code.reversible:
-            record["note"] = "the rank check disagrees with the generator criterion"
-            disagreements += 1
-            if args.format == "csv":  # the CSV columns are fixed, so the note goes to stderr
-                generator = " ".join(record["generator"])
-                print(f"note: p={args.p} m={args.m} generator {generator}: {record['note']}", file=sys.stderr)
-        records.append(record)
-    _emit(args, ["p", "m", "generator", "dimension", "reversible", "enumeration_checked"], records)
+
+    def records():
+        nonlocal disagreements
+        for g in divisors:
+            code = build_cyclic_code(args.p, args.m, g)
+            checked = args.p**code.dimension <= cap
+            record = code.to_json_dict(enumeration_checked=checked)
+            if checked and verify_reversibility_by_rank(code) != code.reversible:
+                record["note"] = "the rank check disagrees with the generator criterion"
+                disagreements += 1
+                if args.format == "csv":  # the CSV columns are fixed, so the note goes to stderr
+                    generator = " ".join(record["generator"])
+                    print(f"note: p={args.p} m={args.m} generator {generator}: {record['note']}", file=sys.stderr)
+            yield record
+
+    _emit(args, ["p", "m", "generator", "dimension", "reversible", "enumeration_checked"], records())
     return EXIT_MISMATCH if disagreements else EXIT_OK
 
 

@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import itertools
 import json
 import os
@@ -10,9 +12,11 @@ from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reciprodick
-from reciprodick.cli import _build_parser, _resolve_ring, _selected_members, main
+from reciprodick.cli import _build_parser, _csv_line, _resolve_ring, _selected_members, main
 from reciprodick.errors import CapacityError, DomainError
 from reciprodick.families import FAMILIES, FAMILY_TABLE, FamilySpec
 
@@ -297,6 +301,20 @@ class TestCode:
     def test_bad_p(self, capsys):
         assert run(capsys, "code", "--p", "6", "--m", "4")[0] == 1
 
+    def test_records_are_written_as_they_are_made(self, capsys, monkeypatch):
+        from reciprodick import cli
+
+        build = cli.build_cyclic_code
+        lines_written = []
+
+        def counting(p, m, g):
+            lines_written.append(sys.stdout.getvalue().count("\n"))
+            return build(p, m, g)
+
+        monkeypatch.setattr(cli, "build_cyclic_code", counting)
+        assert run(capsys, "code", "--p", "2", "--m", "7", "--format", "csv")[0] == 0
+        assert lines_written == list(range(1, 9))  # the header, then one line per code made before the next
+
     def test_disagreement_is_noted_and_exits_2(self, capsys, monkeypatch):
         # the rank check is made to flip the verdict of x^3 + x + 1's code only
         from reciprodick import cli
@@ -324,6 +342,53 @@ class TestCode:
         assert err == "note: p=2 m=7 generator 1 1 0 1: the rank check disagrees with the generator criterion\n"
         monkeypatch.setattr(cli, "verify_reversibility_by_rank", rank)
         assert run(capsys, "code", "--p", "2", "--m", "7", "--format", "csv") == (0, out, "")
+
+
+# text rich in the characters CSV quotes, spaces and non-ASCII; CR is left out, as the stdlib's handling of it
+# differs between Python versions, and pinned in test_pinned_lines instead
+_CSV_TEXT = st.text(st.sampled_from(',"\n xé€😀1') | st.characters(exclude_characters="\r"), max_size=12)
+_DIGITS = st.integers(-(2**80), 2**80).map(str)
+_CSV_VALUE = st.one_of(_CSV_TEXT, st.integers(-(2**100), 2**100), st.booleans(), st.none(),
+                       st.lists(_DIGITS, max_size=5))
+
+
+def _csv_writer_line(values) -> str:
+    """The reference: the stdlib's csv.writer, fed the CLI's spellings of bools and lists."""
+    buf = io.StringIO()
+    spell = {True: "true", False: "false"}
+    csv.writer(buf, lineterminator="\n").writerow(
+        [spell[v] if isinstance(v, bool) else " ".join(v) if isinstance(v, list) else v for v in values])
+    return buf.getvalue()
+
+
+# every kind of cell, each quoting trigger alone in its own cell
+_CSV_ROW = ["a,b", 'say "hi"', "two\nlines", "plain", None, True, ["1", "-2"]]
+
+
+class TestCsv:
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(st.lists(_CSV_VALUE, min_size=2, max_size=9))
+    @example(_CSV_ROW)
+    def test_line_matches_csv_writer(self, values):
+        assert _csv_line(values) == _csv_writer_line(values)
+
+    @pytest.mark.parametrize("values, line", [
+        (_CSV_ROW, '"a,b","say ""hi""","two\nlines",plain,,true,1 -2\n'),
+        (["a\rb", "c"], '"a\rb",c\n'),  # CR is quoted like LF, as the stdlib writer of Python 3.11 does not
+    ])
+    def test_pinned_lines(self, values, line):
+        assert _csv_line(values) == line
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--family", "f", "--n-max", "12", "--k-min", "0", "--k-max", "1", "--format", "csv"),
+        ("code", "--p", "2", "--m", "7", "--format", "csv"),
+    ])
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path, argv):
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0 and out.count("\n") > 2
+        target = tmp_path / "records.csv"
+        assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+        assert target.read_bytes() == out.encode()
 
 
 class TestHelp:
