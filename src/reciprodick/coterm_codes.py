@@ -13,10 +13,9 @@ decides reversibility.  A cyclic code is reversible exactly when its monic
 generator g equals its monic reciprocal g(0)^-1 * x^deg(g) * g(1/x); for
 generators with constant term 1 (always the case over GF(2)) this coincides
 with g being palindromic.  Two oracles check that criterion independently:
-the rank of the generator matrix stacked over its reversal, in plain Python,
-and a brute-force enumeration with numpy, the only code here that imports
-it, which lists every codeword once and looks up among them each reversed
-generator shift rev(x^i * g).
+the rank of the generator matrix stacked over its reversal, and a
+brute-force search of every codeword for each reversed generator shift
+rev(x^i * g), met in the middle over Python ints.  Both are plain Python.
 """
 
 from __future__ import annotations
@@ -45,8 +44,7 @@ from .ringpoly import GF, Poly, Ring, gcd
 
 ENUMERATION_CAP = 10**6
 RANK_STEP_CAP = 10**7
-_ENUMERATION_P_MAX = 181
-_REDUCE_BLOCK = 1 << 15
+_ENUMERATION_P_MAX = 181  # kept as the oracle's published refusal; no word width depends on it
 DIVISOR_CAP = 4096
 _FACTOR_P_CAP = 13
 _FACTOR_M_CAP = 32
@@ -295,8 +293,8 @@ def verify_reversibility_by_rank(code: CyclicCode) -> bool:
     when the reversed rows lie in the row space of G.  Gaussian elimination
     over GF(p) on Python lists takes the 2 * dim rows in turn, reduces each
     by the pivot rows so far in ascending pivot column, and returns False as
-    soon as the rank exceeds dim.  It uses neither Massey's criterion nor
-    numpy, and works for every prime p with no p^dim cap.
+    soon as the rank exceeds dim.  It does not use Massey's criterion, and
+    works for every prime p with no p^dim cap.
 
     Each of the 2 * dim rows is made, scanned and scaled once and read at
     each pivot column.  The rows x^i * g enter as pivots unreduced, since
@@ -337,68 +335,54 @@ def verify_reversibility_by_rank(code: CyclicCode) -> bool:
     return len(columns) == dim
 
 
-def _codeword_lanes(code: CyclicCode):
-    # the words and the reversed generator shifts, packed: a (lanes, p^dim) uint64 array of
-    # every codeword u * g with deg u < dim, word k in column k, and a (dim, lanes) array of
-    # rev(x^i * g), i < dim.  Digit j sits in the w-bit field j % per of lane j // per, with
-    # w = bit_length(p - 1) + 1 and per = 64 // w, so a sum of two digits stays in its field.
-    import numpy as np
-
-    p, m, dim = code.p, code.m, code.dimension
-    w = (p - 1).bit_length() + 1
-    per = 64 // w
-    lanes = -(-m // per)
-    g = np.array(code.generator.coeffs, dtype=np.uint64)
-    # digits[i, c] = c * x^i * g mod p for c < p, and digits[i, p] = rev(x^i * g)
-    digits = np.zeros((dim, p + 1, lanes * per), dtype=np.uint64)
-    shift = np.arange(dim)[:, None]
-    multiples = np.multiply.outer(g, np.arange(p, dtype=np.uint64)) % np.uint64(p)  # [j, c] = c * g_j
-    digits[shift, :p, shift + np.arange(len(g))] = multiples
-    digits[:, p, :m] = digits[:, 1, m - 1 :: -1]
-    # packed[i, lane, c] packs the fields of digits[i, c] that fall in that lane
-    fields = np.uint64(1) << np.arange(0, w * per, w, dtype=np.uint64)
-    packed = digits.reshape(dim, p + 1, lanes, per).swapaxes(1, 2) @ fields
-    # a field holding s <= 2(p - 1) sets its guard bit b = w - 1 in s + 2^b - p exactly when s >= p
-    ones = np.uint64((1 << w * per) // ((1 << w) - 1))  # a 1 in each field
-    bias, b, p_ = ones * np.uint64(2 ** (w - 1) - p), np.uint64(w - 1), np.uint64(p)
-    words = packed[0, :, :p]
-    scratch = np.empty(min(lanes * p**dim, _REDUCE_BLOCK), dtype=np.uint64)  # reduced block by block
-    for i in range(1, dim):
-        # shift i adds c * x^i * g, for every c, to every word so far
-        words = (packed[i, :, :p, None] + words[:, None]).reshape(lanes, -1)
-        flat = words.reshape(-1)
-        for start in range(0, flat.size, _REDUCE_BLOCK):
-            s = flat[start : start + _REDUCE_BLOCK]
-            t = np.add(s, bias, out=scratch[: s.size])
-            t >>= b
-            t &= ones
-            t *= p_
-            s -= t
-    return words, packed[:, :, p]
-
-
 def verify_reversibility_by_enumeration(code: CyclicCode) -> bool:
-    """Brute-force oracle: list every codeword and test closure under reversal.
+    """Brute-force oracle: search every codeword for each reversed generator shift.
 
     The codewords are exactly u(x) * g(x) for deg(u) < dimension.  Reversal
     permutes coordinates, so the reversed code is spanned by the reversed
     shifts rev(x^i * g), i < dimension; it has as many words as the code, so
     the code is closed under reversal iff every one of them is a codeword.
 
-    Each word is packed into uint64 lanes, digit j in a field of
-    w = bit_length(p - 1) + 1 bits, so a sum of two digits fits its field.
-    The words are listed one generator shift at a time: shift i adds the
-    packed c * x^i * g, for every c, to every word so far, and one guard-bit
-    step per lane reduces every field mod p, with no division.  Each packed
-    reversed shift is then looked up among the words, and the first one
-    missing answers False.
+    The search meets in the middle.  A codeword u * g is a + b, where
+    a = u_lo * g for the low h = ceil(dim / 2) digits u_lo of u and
+    b = x^h * u_hi * g for the rest, so rev(x^i * g) is a codeword exactly
+    when rev(x^i * g) - b is one of the p^h words a for one of the
+    p^(dim - h) words b.  Every message u is tried, but only
+    p^ceil(dim/2) + p^floor(dim/2) words are listed.  Each word is one int,
+    digit j in the w-bit field j, w = bit_length(p - 1) + 1, so a sum of two
+    digits fits its field, and one guard-bit step reduces every field mod p
+    with no division.  The first reversed shift that is no codeword answers
+    False.
     """
-    p, dim = require_type(code, CyclicCode, "code").p, code.dimension
+    p, m, dim = require_type(code, CyclicCode, "code").p, code.m, code.dimension
     if p**dim > ENUMERATION_CAP:
         raise CapacityError(f"{p}^{dim} codewords exceed the enumeration cap {ENUMERATION_CAP}")
     if p > _ENUMERATION_P_MAX:
         raise CapacityError(f"the enumeration oracle supports p <= {_ENUMERATION_P_MAX}, not GF({p})")
     if dim == 0:
         return True  # only the zero word, which reverses to itself
-    words, reversed_shifts = _codeword_lanes(code)
-    return all((words == t).all(0).any() for t in reversed_shifts[:, :, None])
+    w = (p - 1).bit_length() + 1
+    ones = ((1 << w * m) - 1) // ((1 << w) - 1)  # a 1 in each of the m fields
+    bias = ones * ((1 << w - 1) - p)
+
+    def reduce(s):  # a field holding s_j < 2p sets its guard bit in s_j + 2^(w-1) - p exactly when s_j >= p
+        return s - ((s + bias) >> w - 1 & ones) * p
+
+    coeffs = code.generator.coeffs
+    g = sum(c << w * j for j, c in enumerate(coeffs))
+    multiples = [0]  # c * g for c < p
+    for _ in range(p - 1):
+        multiples.append(reduce(multiples[-1] + g))
+
+    def span(shifts):  # every sum of c * x^i * g over the shifts i, c < p
+        words = [0]
+        for i in shifts:
+            words = [reduce(u + c) for c in [c << w * i for c in multiples] for u in words]
+        return words
+
+    h = (dim + 1) // 2
+    low, high = set(span(range(h))), span(range(h, dim))  # the words a and the words b
+    full = ones * p  # r - b is r + p - b reduced, which borrows from no field
+    reversed_g = sum(c << w * (m - 1 - j) for j, c in enumerate(coeffs))
+    reversed_shifts = (reversed_g >> w * i for i in range(dim))  # rev(x^i * g)
+    return all(any(reduce(r + full - b) in low for b in high) for r in reversed_shifts)

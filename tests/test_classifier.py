@@ -85,6 +85,12 @@ class TestPredicate:
         with pytest.raises(DomainError):
             predicate("T9_9", FamilySpec("f", 4, 0))
 
+    def test_an_id_of_the_other_kind_is_refused_by_name(self):
+        with pytest.raises(DomainError, match=r"^C3_2 is not a classification rule; use check_corollary or lemma_l1$"):
+            predicate("C3_2", FamilySpec("f", 6, 0, GF(3)))
+        with pytest.raises(DomainError, match=r"^T2_1 is not a corollary id$"):
+            check_corollary("T2_1", FamilySpec("f", 4, 0, Z))
+
     def test_spec_must_be_a_family_spec(self):
         # each used to raise a bare AttributeError, e.g. predicate("T2_1", 3)
         calls = (lambda v: predicate("T2_1", v), lambda v: check_corollary("C3_2", v), oracle_self_reciprocal)
@@ -216,6 +222,10 @@ class TestScan:
                  "    else: raise AssertionError(args)\n"
                  "    assert time.perf_counter() - start < 1, args\n")
         subprocess.run([sys.executable, "-c", probe, SRC_DIR], check=True, timeout=60)
+
+    def test_cap_refusal_names_the_count(self):
+        with pytest.raises(CapacityError, match=r"^T2_1 would scan 11999988 candidate members, above the cap 1000000$"):
+            scan("T2_1", n_max=10**6)
 
     def test_reads_at_most_the_cap_of_an_iterable(self):
         # each used to list its whole iterable first: count() never returned and range(10**10) ran out

@@ -199,6 +199,10 @@ class TestVerify:
         rc, out, err = run(capsys, "verify", "--theorem", "t3.1", "--n-max", "4", "--p-list", ",")
         assert (rc, out, err) == (1, "", "error: --p-list takes comma-separated integers, got ','\n")
 
+    def test_a_scan_past_the_cap_exits_1(self, capsys):
+        rc, out, err = run(capsys, "verify", "--theorem", "t2.1", "--n-max", "1000000")
+        assert (rc, out, err) == (1, "", "error: T2_1 would scan 11999988 candidate members, above the cap 1000000\n")
+
     def test_unknown_theorem(self, capsys):
         rc, _, err = run(capsys, "verify", "--theorem", "t8.1", "--n-max", "4")
         assert rc == 1 and "t8.1" in err

@@ -246,6 +246,10 @@ class TestReversedDickson:
             assert check_dickson_f_identity(2, k)
         assert check_dickson_f_identity(4, 0)
 
+    def test_identity_requires_positive_n(self):
+        with pytest.raises(DomainError, match=r"^check_dickson_f_identity requires n >= 1$"):
+            check_dickson_f_identity(0, 1)
+
     def test_identity_hand_expansion(self):
         lhs = reversed_dickson(4, 0).scale(16)
         assert lhs == P(Z, 16, -64, 32)

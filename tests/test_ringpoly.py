@@ -318,6 +318,17 @@ class TestFieldOps:
         with pytest.raises(DomainError):
             divmod(P(Z, 1, 1), P(Z, 1))
 
+    def test_refusal_texts(self):
+        ring = GF(3)
+        with pytest.raises(DomainError, match=r"^monomial exponent must be >= 0$"):
+            Poly.monomial(ring, 1, -1)
+        with pytest.raises(DomainError, match=r"^negative polynomial power$"):
+            P(ring, 1, 1) ** -1
+        with pytest.raises(DomainError, match=r"^the zero polynomial has no monic form$"):
+            Poly.zero(ring).monic()
+        with pytest.raises(ZeroDivisionError, match=r"^polynomial division by zero$"):
+            divmod(P(ring, 1, 1), Poly.zero(ring))
+
     def test_gcd(self):
         ring = GF(2)
         a = P(ring, 1, 1) * P(ring, 1, 1, 1)
