@@ -40,7 +40,7 @@ from collections.abc import Iterable, Iterator
 from .classifier import SCAN_CAP, THEOREM_IDS, entry_count, mismatches, normalize_theorem_id, scan
 from .coterm_codes import (
     ENUMERATION_CAP,
-    build_cyclic_code,
+    CyclicCode,
     coterm_construct,
     coterm_rule,
     monic_divisors,
@@ -340,7 +340,7 @@ def _cmd_code(args) -> int:
     def records():
         nonlocal disagreements
         for g in divisors:
-            code = build_cyclic_code(args.p, args.m, g)
+            code = CyclicCode._of_divisor(args.p, args.m, g)
             checked = args.p**code.dimension <= cap
             record = code.to_json_dict(enumeration_checked=checked)
             if checked and verify_reversibility_by_rank(code) != code.reversible:

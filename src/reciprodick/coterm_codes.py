@@ -9,13 +9,17 @@ proves self-reciprocal with its leading term removed.
 
 The code half factors x^m - 1 over GF(p) from its p-cyclotomic cosets,
 enumerates monic divisors, builds the cyclic codes they generate, and
-decides reversibility.  A cyclic code is reversible exactly when its monic
-generator g equals its monic reciprocal g(0)^-1 * x^deg(g) * g(1/x); for
-generators with constant term 1 (always the case over GF(2)) this coincides
-with g being palindromic.  Two oracles check that criterion independently:
-the rank of the generator matrix stacked over its reversal, and a
-brute-force search of every codeword for each reversed generator shift
-rev(x^i * g), met in the middle over Python ints.  Both are plain Python.
+decides reversibility.  A code is checked once: ``CyclicCode`` checks a
+generator from outside at the boundary, and the divisors the library makes
+are divisors by construction, so the ``code`` command makes their codes
+with no second division of x^m - 1.  A cyclic code is reversible exactly
+when its monic generator g equals its monic reciprocal
+g(0)^-1 * x^deg(g) * g(1/x); for generators with constant term 1 (always
+the case over GF(2)) this coincides with g being palindromic.  Two oracles
+check that criterion independently: the rank of the generator matrix
+stacked over its reversal, and a brute-force search of every codeword for
+each reversed generator shift rev(x^i * g), met in the middle over Python
+ints.  Both are plain Python.
 """
 
 from __future__ import annotations
@@ -247,7 +251,7 @@ def generates_reversible_code(g: Poly) -> bool:
 
 @dataclass(frozen=True)
 class CyclicCode:
-    """A cyclic code of length m over GF(p) with monic generator g | x^m - 1, checked when made."""
+    """A cyclic code of length m over GF(p) with monic generator g | x^m - 1, checked when made from outside."""
 
     p: int
     m: int
@@ -268,6 +272,20 @@ class CyclicCode:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "dimension", m - g.degree)
         object.__setattr__(self, "reversible", generates_reversible_code(g))
+
+    @classmethod
+    def _of_divisor(cls, p: int, m: int, g: Poly) -> CyclicCode:
+        """The code of a divisor g that ``monic_divisors`` returned for this (p, m), made unchecked.
+
+        factor_xm_minus_1 has checked p and m, and g is a product of its monic
+        irreducible factors, each to at most its multiplicity, so g is a monic
+        divisor of x^m - 1 over GF(p) by construction.  Only such a g may be
+        passed: a generator from outside goes through ``CyclicCode``.
+        """
+        code = object.__new__(cls)
+        code.__dict__.update(p=p, m=m, generator=g, dimension=m - g.degree,
+                             reversible=generates_reversible_code(g))
+        return code
 
     def to_json_dict(self, enumeration_checked: bool = False) -> dict:
         return {

@@ -144,7 +144,11 @@ class RowCache:
 
     @staticmethod
     def of(rows) -> "RowCache":  # rows itself, a new RowCache for None; DomainError for anything else
-        return RowCache() if rows is None else require_type(rows, RowCache, "rows")
+        if rows is None:
+            return RowCache()
+        if type(rows) is not RowCache:  # not isinstance: build trusts the pair, so no subclass may supply it
+            raise DomainError(f"rows must be a RowCache, got {rows!r}")
+        return rows
 
     def row(self, n: int, p: int | None) -> tuple[int, ...]:
         if p is not None:

@@ -308,14 +308,14 @@ class TestCode:
     def test_records_are_written_as_they_are_made(self, capsys, monkeypatch):
         from reciprodick import cli
 
-        build = cli.build_cyclic_code
+        make = cli.CyclicCode._of_divisor
         lines_written = []
 
         def counting(p, m, g):
             lines_written.append(sys.stdout.getvalue().count("\n"))
-            return build(p, m, g)
+            return make(p, m, g)
 
-        monkeypatch.setattr(cli, "build_cyclic_code", counting)
+        monkeypatch.setattr(cli.CyclicCode, "_of_divisor", staticmethod(counting))
         assert run(capsys, "code", "--p", "2", "--m", "7", "--format", "csv")[0] == 0
         assert lines_written == list(range(1, 9))  # the header, then one line per code made before the next
 

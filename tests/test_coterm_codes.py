@@ -688,6 +688,26 @@ def sweep():
     return codes
 
 
+def test_codes_of_divisors_equal_the_checked_codes(sweep):
+    # the code command makes its codes from monic_divisors or self_reciprocal_divisors with no
+    # check of the generator; over every (p, m) it accepts, each must equal the code checked at the boundary
+    groups = [(pm, list(codes)) for pm, codes in itertools.groupby(sweep, key=lambda code: (code.p, code.m))]
+    assert (len(groups), len(sweep)) == (184, 40160)
+    for (p, m), codes in groups:
+        palindromic = self_reciprocal_divisors(p, m)
+        checked = codes + [build_cyclic_code(p, m, g) for g in palindromic]
+        made = [CyclicCode._of_divisor(p, m, g) for g in monic_divisors(p, m) + palindromic]
+        assert [vars(code) for code in made] == [vars(code) for code in checked], (p, m)
+        assert [code.to_json_dict() for code in made] == [code.to_json_dict() for code in checked], (p, m)
+
+
+def test_only_coterm_codes_and_cli_make_unchecked_codes():
+    # CyclicCode._of_divisor skips the checks of a generator, so it must not reach a generator from outside
+    src = Path(reciprodick.__file__).resolve().parent
+    users = {f.name for f in src.rglob("*.py") if "_of_divisor" in f.read_text()}
+    assert users == {"coterm_codes.py", "cli.py"}
+
+
 class TestRankOracle:
     def test_examples(self):
         hamming = build_cyclic_code(2, 7, P(GF(2), 1, 1, 0, 1))

@@ -110,7 +110,14 @@ def test_one_cache_serves_every_ring_in_turn():
     assert palindromic_ks("f", 8, GF(3), rows) == KSet(frozenset({0, 2}))
 
 
-@pytest.mark.parametrize("rows", [binomial_row, lambda n: binomial_row(n)], ids=["binomial_row", "lambda"])
+class _ForgedRows(RowCache):
+    # build trusts a RowCache's pair to hold plain ints, so a subclass could hand it anything
+    def pair(self, spec):
+        return [1.5, "x"], []
+
+
+@pytest.mark.parametrize("rows", [binomial_row, lambda n: binomial_row(n), _ForgedRows()],
+                         ids=["binomial_row", "lambda", "subclass"])
 @pytest.mark.parametrize("call", [
     lambda rows: build(FamilySpec("f", 6, 1, GF(3)), rows),
     lambda rows: oracle_self_reciprocal(FamilySpec("f", 6, 1, GF(3)), rows),
