@@ -22,22 +22,20 @@ default scan range and its prediction; in summary:
 
 The oracle is definition-based: build the polynomial and compare its
 coefficient tuple with its own reversal; it is the reference.  Each member
-with a free k is affine in k, so ``palindromic_ks`` decides every k of a
-(family, n, ring) from its pair (v, u), the member at k being v + k*u:
-still the definition, a coefficient list tested against its reversal,
-never a rule.  ``scan``
+with a free k is affine in k, so its pair (v, u), the member at k being
+v + k*u, settles every k of a (family, n, ring) but at most two candidates,
+each decided by ``build``: still the definition, never a rule.  ``scan``
 evaluates predicate and oracle over finite ranges and reports one Verdict
 per in-hypothesis spec; it walks n by n, one (ring, member family) group at
-a time, and observes a group one of two ways: a classification group of two
-or more requested k from one ``palindromic_ks``, every other group one spec
-at a time, each spec built by ``build``; disagreements are data (findings),
-never errors.
+a time, and observes a classification group one way, from its pair, building
+only the requested candidates, and a corollary or L1 group spec by spec;
+disagreements are data (findings), never errors.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .binomics import is_power_of, require_prime
@@ -186,9 +184,8 @@ class Verdict:
 def oracle_self_reciprocal(spec: FamilySpec, rows=None) -> bool:
     """Definition-based oracle: build the polynomial and test the palindrome.
 
-    It is the reference for one member; ``palindromic_ks`` decides every k
-    of a member at once and is tested against it.  The member is built by
-    ``build`` from ``rows``, a ``RowCache`` (by default a new one).
+    The reference ``palindromic_ks`` and ``scan`` are tested against: the
+    member is built by ``build`` from ``rows``, by default a new ``RowCache``.
     """
     return build(spec, rows).is_self_reciprocal()
 
@@ -208,40 +205,35 @@ class KSet:
         return (k in self.ks) != self.cofinite
 
 
-def palindromic_ks(family: str, n: int, ring: Ring, rows=None, a: int = 1) -> KSet:
-    """Every k at which the member (family, n, k, ring, a) is self-reciprocal, from its pair (v, u).
+def _candidates(spec: FamilySpec, rows) -> tuple[set[int], bool]:
+    """(candidates, cofinite) of the spec's pair: every k but the candidates is self-reciprocal iff cofinite.
 
-    A member's coefficient list is affine in k: c(k) = v + k*u, and the
-    family's table builder, from which ``build`` makes its Polys, returns the
-    pair, read once and reduced over the ring.  v and u are trimmed together
-    to length D + 1, so (v_D, u_D) != (0, 0), and for every k but the one
-    k* = -v_D/u_D that zeroes the top coefficient the member has degree D.
-    Away from k* it is a palindrome exactly when
-    (u_j - u_{D-j})*k + (v_j - v_{D-j}) = 0 for every j < D/2: every k
-    solves that when u and v are palindromes; else the first unequal pair's
-    equation admits at most one k (an integer over Z, a residue over GF(p)).
-    So only k* and that root are candidates, and each is decided by testing
-    its own trimmed list v + k*u against its reversal: the set is the
-    passing candidates, or, when every pair is equal, every k but the
-    failing ones.  The spec at k = 0, with dickson's ``a``, is checked by
-    ``FamilySpec`` before the pair is read; a family with a fixed k raises
-    DomainError.  The pair is read as ``build`` reads it, by ``RowCache.pair``
-    from ``rows`` (by default a new one), and copied before it is reduced.
+    A member's coefficient list is affine in k: c(k) = v + k*u, the pair
+    read once from ``rows`` as ``build`` reads it, and reduced over the ring
+    in a copy.  v and u are trimmed together to length D + 1, so
+    (v_D, u_D) != (0, 0), and for every k but the one k* = -v_D/u_D that
+    zeroes the top coefficient the member has degree D.  Away from k* it is a
+    palindrome exactly when (u_j - u_{D-j})*k + (v_j - v_{D-j}) = 0 for every
+    j < D/2: every k solves that when u and v are palindromes; else the first
+    unequal pair's equation admits at most one k (an integer over Z, a
+    residue over GF(p)).  So the candidates are k* and that root.  A family
+    with a fixed k has no u: its one member is v, and no k is a candidate.
     """
-    if family in FAMILIES and FAMILY_TABLE[family].fixed_k is not None:
-        raise DomainError(f"family {family!r} {FAMILY_TABLE[family].fixed_k[1]}: there is no k to solve for")
-    s = FamilySpec(family, n, 0, ring, a)
-    v, u = RowCache.of(rows).pair(s)
-    p = s.ring.p
+    v, u = RowCache.of(rows).pair(spec)
+    p = spec.ring.p
     if p is None:
         v, u = list(v), list(u)
     else:
         v, u = [x % p for x in v], [x % p for x in u]
+    if not u:  # a fixed k: the member is v
+        while v and not v[-1]:
+            v.pop()
+        return set(), bool(v) and v == v[::-1]
     while v and not v[-1] and not u[-1]:
         v.pop()
         u.pop()
     if not v:
-        return KSet()  # the zero polynomial at every k
+        return set(), False  # the zero polynomial at every k
 
     def root(slope: int, offset: int) -> int | None:
         # the k with slope*k + offset = 0 for slope != 0; None when over Z it is not an integer
@@ -250,20 +242,33 @@ def palindromic_ks(family: str, n: int, ring: Ring, rows=None, a: int = 1) -> KS
         k, r = divmod(-offset, slope)
         return None if r else k
 
-    def palindrome(k: int) -> bool:
-        # the member at k, trimmed, against its reversal
-        c = [x + k * y if p is None else (x + k * y) % p for x, y in zip(v, u)]
-        while c and not c[-1]:
-            c.pop()
-        return bool(c) and c == c[::-1]
-
     d = len(v) - 1
-    j = next((j for j in range(len(v) // 2) if u[j] != u[d - j] or v[j] != v[d - j]), None)
-    cofinite = j is None  # then every k but k* solves the system
+    cofinite = u == u[::-1] and v == v[::-1]  # then every k but k* solves the system
     candidates = {root(u[d], v[d]) if u[d] else None}
-    if not cofinite and u[j] != u[d - j]:
-        candidates.add(root(u[j] - u[d - j], v[j] - v[d - j]))
-    return KSet(frozenset(k for k in candidates - {None} if palindrome(k) != cofinite), cofinite)
+    if not cofinite:
+        j = next(j for j in range(len(v) // 2) if u[j] != u[d - j] or v[j] != v[d - j])
+        if u[j] != u[d - j]:
+            candidates.add(root(u[j] - u[d - j], v[j] - v[d - j]))
+    return candidates - {None}, cofinite
+
+
+def palindromic_ks(family: str, n: int, ring: Ring, rows=None, a: int = 1) -> KSet:
+    """Every k at which the member (family, n, k, ring, a) is self-reciprocal, from its pair (v, u).
+
+    The pair settles every k but its candidates (``_candidates``), and each
+    candidate is decided by ``build``, as the oracle decides it: the set is
+    the passing candidates, or, when every pair is equal, every k but the
+    failing ones.  The spec at k = 0, with dickson's ``a``, is checked by
+    ``FamilySpec`` before the pair is read from ``rows`` (by default a new
+    ``RowCache``); a family with a fixed k raises DomainError.
+    """
+    if family in FAMILIES and FAMILY_TABLE[family].fixed_k is not None:
+        raise DomainError(f"family {family!r} {FAMILY_TABLE[family].fixed_k[1]}: there is no k to solve for")
+    s = FamilySpec(family, n, 0, ring, a)
+    rows = RowCache.of(rows)
+    candidates, cofinite = _candidates(s, rows)
+    return KSet(frozenset(k for k in candidates if build(replace(s, k=k), rows).is_self_reciprocal() != cofinite),
+                cofinite)
 
 
 # ------------------------------------------------------------------ predicates
@@ -380,11 +385,9 @@ def check_corollary(corollary: str, spec: FamilySpec) -> bool:
 
 # ------------------------------------------------------------------- scanning
 
-# per kind of rule: how scan observes one spec from its rows when palindromic_ks does not decide its group, and
-# the note a disagreement carries; each names the module's functions at call time, so a wrapper set on the
-# module sees scan's calls
+# per corollary and lemma: how scan observes one spec from its rows, and the note a disagreement carries; each
+# names the module's functions at call time, so a wrapper set on the module sees scan's calls
 _OBSERVERS = {
-    "classification": (lambda spec, rows: oracle_self_reciprocal(spec, rows), "predicate and oracle disagree"),
     "corollary": (lambda spec, rows: _not_srim(build(spec, rows)), "corollary violated"),
     "lemma": (lambda spec, rows: lemma_l1(build(spec, rows)), "odd-degree srim found"),
 }
@@ -436,23 +439,21 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
     k ignore ``k_values``.  ``k_values`` and ``p_list`` may be any iterables
     of at most SCAN_CAP integers; at most SCAN_CAP + 1 entries of each are
     read.  Mismatches are reported as data, not raised.  Scan walks n by n,
-    and at each n takes each (ring, member family) group once: it lists the
-    distinct k the group admits, evaluates the side conditions once, and
-    observes the group's members one of two ways.  A classification group
-    of two or more distinct k reads every observation from one
-    ``palindromic_ks``, which builds no member.  Every other group (a
-    classification group of one k, or of none below its p, and every
-    corollary and L1 group) is observed one spec at a time by its kind's
-    observer, which builds the spec's member by ``build``
-    (``oracle_self_reciprocal`` for a classification).  The members come
-    from the row's own conditions, its hypotheses, so none is checked again;
-    over SCAN_CAP candidates (n range x k values x ring and member family
-    pairs) raise CapacityError before any is listed, and so does, with the
-    text it raises when built alone, a group's largest member whose binomial
-    row is above its cap (``require_rows``).  One ``RowCache``, made for
-    this call, serves every ring: a group reads one pair (v, u) per n, and
-    over Z, as n walks upward, each row after the call's first is built from
-    the one before by Pascal's rule.
+    and at each n takes once each (ring, member family) group that admits a
+    k, evaluating the side conditions once; a group with no k below its p
+    reads no row.  A classification group is observed one way: its pair
+    settles every requested k but the candidates (``_candidates``), and only
+    the requested candidates are built, by ``build``.  A corollary or L1
+    group is observed one spec at a time by its kind's observer, which
+    builds the member.  The members come from the row's own conditions, its
+    hypotheses, so none is checked again; over SCAN_CAP candidates (n range
+    x k values x ring and member family pairs) raise CapacityError before
+    any is listed, and so does, with the text it raises when built alone, a
+    group's largest member whose binomial row is above its cap
+    (``require_rows``).  One ``RowCache``, made for this call, serves every
+    ring: a group reads one pair (v, u) per n, and over Z, as n walks
+    upward, each row after the call's first is built from the one before by
+    Pascal's rule.
     """
     t = normalize_theorem_id(theorem)
     rule = RULE_TABLE[t]
@@ -475,19 +476,18 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
         raise CapacityError(f"{t} would scan {count} candidate members, above the cap {SCAN_CAP}")
     # with no candidate the n range is not listed: n_max alone may make it as long as it likes
     ns = [n for n in range(lo, hi + 1) if rule.n.holds(n)] if count else []
-    observe, note = _OBSERVERS[rule.kind]
-    solve = rule.kind == "classification"
-    # one group per (ring, member family), with its distinct k: a pinned member takes only its fixed k,
-    # an unpinned one every k, below p over GF(p)
+    observe, note = _OBSERVERS.get(rule.kind, (None, "predicate and oracle disagree"))  # None: a classification
+    # one group per (ring, member family) with a k and an n: a pinned member takes only its fixed k, an unpinned
+    # one every distinct k, below p over GF(p); a group with no k reads no row
     rows = RowCache()
     groups = []
     for r, fams in members:
         top = next((n for n in reversed(ns) if all(side.holds(n, r.p) for side in rule.sides)), None)
         for fam, fixed in fams:
             gks = list(dict.fromkeys(k for k in ks if (k == fixed if fixed is not None else r.p is None or k < r.p)))
-            if gks and top is not None:
+            if gks and top is not None:  # else the group observes nothing
                 require_rows(fam, top, r)  # the group's largest member reads its largest row
-            groups.append((r, fam, gks))
+                groups.append((r, fam, gks))
     out = []
     for n in ns:
         seen = []  # per group admitted at this n, its Verdicts by k
@@ -495,10 +495,10 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
             if rule.sides and not all(side.holds(n, r.p) for side in rule.sides):
                 continue
             specs = [FamilySpec(fam, n, k, r) for k in gks]
-            if solve and len(gks) > 1:
-                solved = palindromic_ks(fam, n, r, rows)
-                observed = [k in solved for k in gks]
-            else:  # one spec at a time: one k, or none below this p, or a corollary or L1 group
+            if observe is None:  # the group's pair settles every k but its candidates, built when requested
+                candidates, cofinite = _candidates(specs[0], rows)
+                observed = [build(s, rows).is_self_reciprocal() if s.k in candidates else cofinite for s in specs]
+            else:
                 observed = [observe(s, rows) for s in specs]
             verdicts = {}
             for spec, obs in zip(specs, observed):

@@ -159,8 +159,14 @@ def _emit(args, fields: list[str], records: Iterable[dict]) -> None:
     """Write each record as it is made: one JSON line, or one CSV line under a header of ``fields``.
 
     The CSV is comma-separated with LF line ends; a list is one space-separated cell, and a cell is quoted
-    only if it holds ``,``, ``"``, CR or LF (no cell the CLI writes does).
+    only if it holds ``,``, ``"``, CR or LF (no cell the CLI writes does).  Python's limit on the digits of an
+    int made text is lifted while the records are consumed and restored afterwards, so a ``gen`` or
+    ``classify`` coefficient, made text then, is written in full however long (a coterm's, made before, has at
+    most about 3,000 digits under ROW_CAP).
     """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, as before Python 3.10.7
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
             if args.format == "json":
@@ -178,6 +184,9 @@ def _emit(args, fields: list[str], records: Iterable[dict]) -> None:
         if not isinstance(exc, BrokenPipeError):
             raise DomainError(f"cannot write stdout: {exc.strerror}") from None
         raise SystemExit(EXIT_ERROR) from None
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 # ----------------------------------------------------------------- selectors

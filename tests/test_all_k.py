@@ -37,7 +37,7 @@ from reciprodick import (
     scan,
 )
 from reciprodick import cli
-from reciprodick.classifier import RULE_TABLE, _not_srim, check_hypotheses
+from reciprodick.classifier import RULE_TABLE, _candidates, _not_srim, check_hypotheses
 from reciprodick.families import FAMILY_TABLE, RowCache
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -254,26 +254,46 @@ def _count_builds(monkeypatch):
     ("T2_1", {"k_values": DEFAULT_K_WINDOW}),
     ("T2_3", {"k_values": DEFAULT_K_WINDOW}),
     ("T3_1", {"p_list": [3, 13]}),
+    ("T4_1", {}),
 ])
 def test_scan_reads_one_pair_per_family_n_and_ring(monkeypatch, rule, kwargs):
-    # every (family, n, ring) here is scanned at two or more distinct k: its pair (v, u) is read exactly
-    # once, through the spec at k = 0, and no member is built
-    built, reads = _count_builds(monkeypatch)
+    # every (family, n, ring) reads its pair (v, u) exactly once, outside any build, and the only members
+    # built are the requested candidates, at most two per (family, n, ring); T4_1's fixed k has none
     verdicts = scan(rule, n_max=40, **kwargs)
+    candidates = [v.spec for v in verdicts if v.spec.k in _candidates(v.spec, RowCache())[0]]
+    built, reads = _count_builds(monkeypatch)
+    assert scan(rule, n_max=40, **kwargs) == verdicts
     members = {(v.spec.family, v.spec.n, v.spec.ring) for v in verdicts}
-    assert built == []
     assert {(s.family, s.n, s.ring) for s, _ in reads} == members
     assert len(reads) == len(members)
-    for member in members:
-        assert [(s.k, via_build) for s, via_build in reads if (s.family, s.n, s.ring) == member] == [(0, False)]
-    assert len(verdicts) > 2 * len(members)
+    assert not any(via_build for _, via_build in reads)
+    assert Counter(built) == Counter(candidates)
+    assert max(Counter((s.family, s.n, s.ring) for s in built).values(), default=0) <= 2
+    assert (built == []) == (rule == "T4_1")
 
 
 def test_scan_of_one_k_builds_one_member(monkeypatch):
+    # k = 0 is the root of f's first unequal pair at n = 4, so the scan builds it; k = 5 is no candidate,
+    # so its scan builds nothing; each reads the pair once, outside the build
     built, reads = _count_builds(monkeypatch)
     scan("T2_1", n_min=4, n_max=4, k_values=[0])
     assert built == [FamilySpec("f", 4, 0, Z)]
-    assert reads == [(FamilySpec("f", 4, 0, Z), True)]
+    assert reads == [(FamilySpec("f", 4, 0, Z), False)]
+    scan("T2_1", n_min=4, n_max=4, k_values=[5])
+    assert built == [FamilySpec("f", 4, 0, Z)]
+    assert reads[1:] == [(FamilySpec("f", 4, 5, Z), False)]
+
+
+def test_a_group_with_no_k_below_its_p_reads_no_row(monkeypatch):
+    # k = 7 lies below 11 but not below 3: GF(3) gives no verdict and reads no row mod 3
+    from reciprodick import families
+
+    primes = Counter()
+    row_mod_p = families.binomial_row_mod_p
+    monkeypatch.setattr(families, "binomial_row_mod_p", lambda n, p: primes.update([p]) or row_mod_p(n, p))
+    verdicts = scan("T3_1", n_max=400, k_values=[7], p_list=[3, 11])
+    assert {v.spec.ring.p for v in verdicts} == {11}
+    assert primes == {11: 200}
 
 
 @pytest.mark.parametrize("rule, primes", [("C3_3", [3, 7]), ("L1", [2, 3, 7])])

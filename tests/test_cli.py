@@ -121,6 +121,32 @@ class TestGen:
         assert json.loads(target.read_text()) == {"ring": "Z", "coeffs": ["2", "12", "2"]}
 
 
+_HUGE_A = "1" + "0" * 440  # a^10 has 4401 digits, past Python's default limit of 4300 on an int made text
+
+
+@pytest.mark.parametrize("argv", [
+    [command, "--family", "dickson", "--n", "10", "--k", "0", "--a", _HUGE_A, "--format", fmt]
+    for command in ("gen", "classify") for fmt in ("json", "csv")
+] + [["gen", "--family", "dickson", "--n", "5000", "--k", "0", "--a", "10", "--format", "csv"]],
+    ids=["gen json", "gen csv", "classify json", "classify csv", "gen csv n=5000"])
+def test_coefficients_past_the_digit_limit_are_written_in_full(capsys, argv):
+    limit = sys.get_int_max_str_digits()
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit  # main restores the limit it lifts
+    n, a = (int(argv[argv.index(flag) + 1]) for flag in ("--n", "--a"))
+    if argv[-1] == "json":
+        coeffs = json.loads(out)["coeffs"]
+    else:
+        coeffs = out.splitlines()[1].rpartition(",")[2].split(" ")
+    assert max(map(len, coeffs)) > 4300
+    sys.set_int_max_str_digits(0)
+    try:
+        assert coeffs == [str(c) for c in reciprodick.reversed_dickson(n, 0, a).coeffs]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 class TestClassify:
     def test_record(self, capsys):
         rc, out, _ = run(capsys, "classify", "--family", "f", "--n", "5", "--k", "3")
