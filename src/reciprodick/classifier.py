@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from .binomics import is_power_of, require_prime
-from .errors import CapacityError, DomainError, HypothesisError, as_int, require_type
+from .errors import CapacityError, DomainError, HypothesisError, as_int, int_text, require_type
 from .families import FAMILIES, FAMILY_TABLE, FamilySpec, RowCache, build, require_rows
 from .ringpoly import GF, Poly, Ring, Z, gcd, pow_mod
 
@@ -473,7 +473,7 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
     members = [(r, _members(rule, r)) for r in rings]
     count = entry_count(range(lo, hi + 1)) * entry_count(ks) * sum(len(fams) for _, fams in members)
     if count > SCAN_CAP:
-        raise CapacityError(f"{t} would scan {count} candidate members, above the cap {SCAN_CAP}")
+        raise CapacityError(f"{t} would scan {int_text(count)} candidate members, above the cap {SCAN_CAP}")
     # with no candidate the n range is not listed: n_max alone may make it as long as it likes
     ns = [n for n in range(lo, hi + 1) if rule.n.holds(n)] if count else []
     observe, note = _OBSERVERS.get(rule.kind, (None, "predicate and oracle disagree"))  # None: a classification

@@ -47,7 +47,7 @@ from .coterm_codes import (
     self_reciprocal_divisors,
     verify_reversibility_by_rank,
 )
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, int_text
 from .families import FAMILIES, FAMILY_TABLE, FamilySpec, RowCache, build, require_rows
 from .ringpoly import GF, Poly, Ring, Z
 
@@ -243,7 +243,7 @@ def _selected_members(args) -> tuple[int, Iterator[tuple[FamilySpec, Poly]]]:
         ks = [row.fixed_k[0] if row.fixed_k else 0]
     count = entry_count(ns) * entry_count(ks)
     if count > SCAN_CAP:
-        raise CapacityError(f"the selection would build {count} members, above the cap {SCAN_CAP}")
+        raise CapacityError(f"the selection would build {int_text(count)} members, above the cap {SCAN_CAP}")
     if count:
         require_rows(family, ns[-1], ring)
         FamilySpec(family, ns[0], ks[0], ring, args.a)

@@ -25,8 +25,19 @@ def as_int(v, what: str) -> int:
     raise DomainError(f"{what} must be an integer, got {v!r}")
 
 
+def int_text(v: int) -> str:
+    """v as ``str`` writes it; past Python's limit on the digits of an int made text, its bit length instead.
+
+    For messages: Python refuses a long int by its size alone, so a refusal never waits on a conversion.
+    """
+    try:
+        return str(v)
+    except ValueError:
+        return f"a {'negative ' if v < 0 else ''}{v.bit_length()}-bit integer"
+
+
 def require_type(v, cls: type, what: str):
     """v itself if it is a ``cls``; otherwise DomainError "<what> must be a <cls name>, got <v!r>"."""
     if not isinstance(v, cls):
-        raise DomainError(f"{what} must be a {cls.__name__}, got {v!r}")
+        raise DomainError(f"{what} must be a {cls.__name__}, got {int_text(v) if type(v) is int else repr(v)}")
     return v

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .binomics import ROW_CAP, binomial, binomial_row, binomial_row_mod_p, next_binomial_row, require_row
-from .errors import CapacityError, DomainError, as_int, require_type
+from .errors import CapacityError, DomainError, as_int, int_text, require_type
 from .ringpoly import GF, Poly, Ring, Z
 
 
@@ -110,7 +110,7 @@ class FamilySpec:
             n_text = f"n >= {row.n_min}" if row.parity is None else f"{('even', 'odd')[row.parity]} n > 1"
             raise DomainError(f"family {self.family!r} requires {n_text}")
         if row.fixed_k is None and ring.p is not None and not 0 <= k < ring.p:
-            raise DomainError(f"over {ring} the kind parameter k must lie in [0, {ring.p - 1}], got {k}")
+            raise DomainError(f"over {ring} the kind parameter k must lie in [0, {ring.p - 1}], got {int_text(k)}")
 
     def to_flat_dict(self) -> dict:
         """The spec as flat record fields: family, n, k, then p over GF(p) and a for dickson."""
@@ -181,7 +181,8 @@ def require_rows(family: str, n: int, ring: Ring) -> None:
     lag = FAMILY_TABLE[family].row_lag
     if lag is None:
         if n > ROW_CAP:
-            raise CapacityError(f"the reversed Dickson member of n = {n} reads binomials above ROW_CAP = {ROW_CAP}")
+            raise CapacityError(f"the reversed Dickson member of n = {int_text(n)} reads binomials above "
+                                f"ROW_CAP = {ROW_CAP}")
     elif n >= lag:
         require_row(n - lag, ring.p)
 
@@ -242,8 +243,9 @@ def f_expanded_odd(n: int, k: int, ring: Ring = Z) -> Poly:
 
 def f_kind(n: int, kind: int) -> Poly:
     """Kind specializations over Z: kind 1 picks even binomials, 2 and 3 odd."""
-    if as_int(kind, "f_kind kind") not in (1, 2, 3):
-        raise DomainError(f"kind must be 1, 2 or 3, got {kind}")
+    kind = as_int(kind, "f_kind kind")
+    if kind not in (1, 2, 3):
+        raise DomainError(f"kind must be 1, 2 or 3, got {int_text(kind)}")
     return build(FamilySpec(f"kind{kind}", n))
 
 

@@ -24,7 +24,7 @@ import operator
 from dataclasses import dataclass
 
 from .binomics import is_prime
-from .errors import DomainError, as_int, require_type
+from .errors import DomainError, as_int, int_text, require_type
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,7 +37,8 @@ class Ring:
         if self.p is not None:
             p = as_int(self.p, "field order")
             if not is_prime(p):
-                raise DomainError(f"field order must be prime, got {self.p!r}")
+                shown = int_text(p) if type(self.p) is int else repr(self.p)
+                raise DomainError(f"field order must be prime, got {shown}")
             object.__setattr__(self, "p", p)  # an __index__ value is stored as the int it stands for
 
     @property
@@ -293,7 +294,10 @@ class Poly:
 
     def to_json_dict(self) -> dict:
         d = self.ring.to_json_dict()
-        d["coeffs"] = [str(c) for c in self.coeffs]
+        try:
+            d["coeffs"] = [str(c) for c in self.coeffs]
+        except ValueError:  # a coefficient past Python's limit on the digits of an int made text
+            d["coeffs"] = [_decimal(c) for c in self.coeffs]
         return d
 
     def __str__(self):
@@ -303,13 +307,29 @@ class Poly:
         for i, c in enumerate(self.coeffs):
             if not c:
                 continue
+            text = _decimal(c)
             if i == 0:
-                terms.append(str(c))
+                terms.append(text)
             elif i == 1:
-                terms.append(f"{c}*x" if c != 1 else "x")
+                terms.append(f"{text}*x" if c != 1 else "x")
             else:
-                terms.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
+                terms.append(f"{text}*x^{i}" if c != 1 else f"x^{i}")
         return " + ".join(terms)
+
+
+def _decimal(c: int) -> str:
+    """str(c) in full, also past Python's limit on the digits of an int made text, which stays as it is.
+
+    Past the limit c is split at a power of ten into halves, each written the same way.
+    """
+    try:
+        return str(c)
+    except ValueError:
+        if c < 0:
+            return "-" + _decimal(-c)
+        k = c.bit_length() * 3 // 20  # about half of c's digits: log10(2) > 3/10
+        high, low = divmod(c, 10**k)
+        return _decimal(high) + _decimal(low).zfill(k)
 
 
 def reduce_mod_p(a: Poly, p: int) -> Poly:

@@ -234,6 +234,30 @@ class TestBinomialRowModP:
         assert binomial_row_mod_p(10, 3) == (1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 1)
         assert binomial_row_mod_p(0, 7) == (1,)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 10007])
+    def test_matches_pascal_rows_mod_p(self, p):
+        # a reference that never splits n into digits: every row n <= 2048 stepped by C(n+1, j) = C(n, j-1) + C(n, j)
+        # mod p; at p = 10007 each row is one digit's, so the mirrored half-row is checked at odd and even n
+        row = [1]
+        for n in range(2049):
+            assert binomial_row_mod_p(n, p) == tuple(row), n
+            row = [1, *[(a + b) % p for a, b in zip(row, row[1:])], 1]
+
+    def test_refuses_a_huge_n_before_its_digits(self):
+        # the base-p digits of 10^100000 took 8.2 s before the cap was checked
+        n = 10**100000
+        t0 = time.perf_counter()
+        with pytest.raises(CapacityError, match="^the binomial row of n = a 332193-bit integer mod 3 is above"):
+            binomial_row_mod_p(n, 3)
+        # the refusals keep their order: p, then n's type and sign, then the cap
+        with pytest.raises(DomainError, match="^4 is not prime$"):
+            binomial_row_mod_p(n, 4)
+        with pytest.raises(DomainError, match="requires n >= 0"):
+            binomial_row_mod_p(-n, 3)
+        with pytest.raises(DomainError, match="must be an integer"):
+            binomial_row_mod_p(float(10**300), 3)
+        assert time.perf_counter() - t0 < 0.5
+
     def test_rejects_bad_input(self):
         with pytest.raises(DomainError):
             binomial_row_mod_p(-1, 3)
