@@ -209,8 +209,8 @@ def _candidates(spec: FamilySpec, rows) -> tuple[set[int], bool]:
     """(candidates, cofinite) of the spec's pair: every k but the candidates is self-reciprocal iff cofinite.
 
     A member's coefficient list is affine in k: c(k) = v + k*u, the pair
-    read once from ``rows`` as ``build`` reads it, and reduced over the ring
-    in a copy.  v and u are trimmed together to length D + 1, so
+    read once from ``rows`` as ``build`` reads it, reduced over the ring and
+    trimmed together to length D + 1 there (``RowCache.pair``), so
     (v_D, u_D) != (0, 0), and for every k but the one k* = -v_D/u_D that
     zeroes the top coefficient the member has degree D.  Away from k* it is a
     palindrome exactly when (u_j - u_{D-j})*k + (v_j - v_{D-j}) = 0 for every
@@ -221,19 +221,8 @@ def _candidates(spec: FamilySpec, rows) -> tuple[set[int], bool]:
     """
     v, u = RowCache.of(rows).pair(spec)
     p = spec.ring.p
-    if p is None:
-        v, u = list(v), list(u)
-    else:
-        v, u = [x % p for x in v], [x % p for x in u]
-    if not u:  # a fixed k: the member is v
-        while v and not v[-1]:
-            v.pop()
+    if not u:  # a fixed k, the member being v, or the zero polynomial at every k
         return set(), bool(v) and v == v[::-1]
-    while v and not v[-1] and not u[-1]:
-        v.pop()
-        u.pop()
-    if not v:
-        return set(), False  # the zero polynomial at every k
 
     def root(slope: int, offset: int) -> int | None:
         # the k with slope*k + offset = 0 for slope != 0; None when over Z it is not an integer

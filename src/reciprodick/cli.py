@@ -159,14 +159,8 @@ def _emit(args, fields: list[str], records: Iterable[dict]) -> None:
     """Write each record as it is made: one JSON line, or one CSV line under a header of ``fields``.
 
     The CSV is comma-separated with LF line ends; a list is one space-separated cell, and a cell is quoted
-    only if it holds ``,``, ``"``, CR or LF (no cell the CLI writes does).  Python's limit on the digits of an
-    int made text is lifted while the records are consumed and restored afterwards, so a ``gen`` or
-    ``classify`` coefficient, made text then, is written in full however long (a coterm's, made before, has at
-    most about 3,000 digits under ROW_CAP).
+    only if it holds ``,``, ``"``, CR or LF (no cell the CLI writes does).
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, as before Python 3.10.7
-    if limit:
-        sys.set_int_max_str_digits(0)
     try:
         with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
             if args.format == "json":
@@ -184,9 +178,6 @@ def _emit(args, fields: list[str], records: Iterable[dict]) -> None:
         if not isinstance(exc, BrokenPipeError):
             raise DomainError(f"cannot write stdout: {exc.strerror}") from None
         raise SystemExit(EXIT_ERROR) from None
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
 
 
 # ----------------------------------------------------------------- selectors
@@ -269,7 +260,7 @@ def _k_range(args) -> range | None:
 def _cmd_gen(args) -> int:
     count, members = _selected_members(args)
     if args.format == "csv":
-        records = ({**spec.to_flat_dict(), "degree": poly.degree, "coeffs": [str(c) for c in poly.coeffs]}
+        records = ({**spec.to_flat_dict(), "degree": poly.degree, "coeffs": poly.to_json_dict()["coeffs"]}
                    for spec, poly in members)
     elif count == 1:  # one member alone is its bare Poly JSON
         records = (poly.to_json_dict() for _, poly in members)
@@ -282,7 +273,7 @@ def _cmd_gen(args) -> int:
 def _cmd_classify(args) -> int:
     _, members = _selected_members(args)
     records = ({**spec.to_flat_dict(), "degree": poly.degree, "self_reciprocal": poly.is_self_reciprocal(),
-                "coeffs": [str(c) for c in poly.coeffs]} for spec, poly in members)
+                "coeffs": poly.to_json_dict()["coeffs"]} for spec, poly in members)
     _emit(args, ["family", "n", "k", "p", "degree", "self_reciprocal", "coeffs"], records)
     return EXIT_OK
 
@@ -336,7 +327,7 @@ def _cmd_coterm(args) -> int:
         record["p"] = ring.p
     record["m"] = result.context.m
     record["degenerate"] = result.degenerate
-    record["coeffs"] = [str(c) for c in result.poly.coeffs]
+    record["coeffs"] = result.poly.to_json_dict()["coeffs"]
     _emit(args, ["theorem", "n", "k", "p", "m", "degenerate", "coeffs"], [record])
     return EXIT_OK
 

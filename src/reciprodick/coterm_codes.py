@@ -42,7 +42,7 @@ from .classifier import (
     canonical_id,
     check_hypotheses,
 )
-from .errors import CapacityError, DomainError, as_int, require_type
+from .errors import CapacityError, DomainError, as_int, int_text, require_type
 from .families import FamilySpec, build
 from .ringpoly import GF, Poly, Ring, gcd
 
@@ -52,6 +52,7 @@ _ENUMERATION_P_MAX = 181  # kept as the oracle's published refusal; no word widt
 DIVISOR_CAP = 4096
 _FACTOR_P_CAP = 13
 _FACTOR_M_CAP = 32
+_CODE_M_CAP = 10**4  # x^m - 1 mod a dense monic g of degree m/2 took 1.0 s over GF(2), 1.8 s over GF(13) at the cap
 
 
 # ------------------------------------------------------------------- coterm
@@ -261,6 +262,8 @@ class CyclicCode:
 
     def __post_init__(self):
         p, m = _prime_and_length(self.p, self.m)
+        if m > _CODE_M_CAP:
+            raise CapacityError(f"code length m = {int_text(m)} is above the cap {_CODE_M_CAP}")
         g = require_type(self.generator, Poly, "generator")
         if g.ring.p != p:
             raise DomainError(f"generator ring {g.ring} does not match GF({p})")

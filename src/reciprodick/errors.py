@@ -22,7 +22,7 @@ def as_int(v, what: str) -> int:
             return operator.index(v)
         except TypeError:
             pass
-    raise DomainError(f"{what} must be an integer, got {v!r}")
+    raise DomainError(f"{what} must be an integer, got {_text(v)}")
 
 
 def int_text(v: int) -> str:
@@ -36,8 +36,16 @@ def int_text(v: int) -> str:
         return f"a {'negative ' if v < 0 else ''}{v.bit_length()}-bit integer"
 
 
+def _text(v) -> str:
+    """v as a refusal names it: ``int_text`` for an int, else ``repr``, or its type where repr passes the limit."""
+    try:
+        return int_text(v) if type(v) is int else repr(v)
+    except ValueError:  # an int inside v, such as a Fraction's numerator, is past the limit
+        return f"a {type(v).__name__} past Python's limit on the digits of an int made text"
+
+
 def require_type(v, cls: type, what: str):
     """v itself if it is a ``cls``; otherwise DomainError "<what> must be a <cls name>, got <v!r>"."""
     if not isinstance(v, cls):
-        raise DomainError(f"{what} must be a {cls.__name__}, got {int_text(v) if type(v) is int else repr(v)}")
+        raise DomainError(f"{what} must be a {cls.__name__}, got {_text(v)}")
     return v

@@ -38,13 +38,13 @@ Every member is affine in k (D_{n,k} = k*D_{n,1} + (1-k)*D_{n,0}), and each
 table builder returns its family's pair (v, u), read from ``rows``, the
 member at k being v + k*u; g, h, gstar and hstar are f's pair with one end
 copied, dickson's pair needs no division, and a family with a fixed k
-returns (its list, ()).  ``RowCache.pair`` keeps the last pair it read, so
-the specs of one (family, n, ring, a) in a row read one pair, and ``build``,
-the only code that makes a member's Poly, forms v + k*u from it, reduced mod p
-in the same pass, and makes the Poly unchecked (``Poly._canonical``).  A member's
-n, k, a and ring are checked once, by ``FamilySpec`` (a != 1 belongs to
-dickson alone): the public builders build through it, and the table's
-builders are unchecked cores.
+returns (its list, ()).  ``RowCache.pair``, the only code that reduces or
+trims a pair, keeps the last one canonical: reduced mod p over GF(p), trimmed
+together to (v_D, u_D) != (0, 0), as tuples.  ``build``, the only maker of a
+member's Poly, reads it as is: v at k = 0 or a fixed k, else v + k*u, reduced
+mod p over GF(p), made unchecked (``Poly._canonical``).  A member's n, k, a
+and ring are checked once, by ``FamilySpec`` (a != 1 belongs to dickson
+alone): the public builders build through it; the table's are unchecked cores.
 ``f_expanded_even/odd`` are the closed-form reference for f's ends: f's
 interior between the ends k(n-1)+2 and 2-k (even n) or 2n-k(n-1) (odd n).
 """
@@ -131,8 +131,8 @@ class RowCache:
     ``row(n, p)`` makes a row it does not keep by ``binomial_row_mod_p`` over GF(p); over Z it builds the
     row one or two above the kept one from it by Pascal's rule (``next_binomial_row``), any other by
     ``binomial_row``.  A GF(p) row is never stepped, so only the last one is kept, whatever its p.
-    ``pair(spec)`` is the spec's pair (v, u) from its family's table builder, fed the rows of the spec's
-    own ring, and is kept, keyed by (family, n, ring, a); nobody mutates it.
+    ``pair(spec)`` is the spec's pair (v, u) from its family's table builder, fed the rows of the spec's own
+    ring, reduced mod p over GF(p) and trimmed together into tuples; it is kept, keyed by (family, n, ring, a).
     """
 
     __slots__ = ("_z", "_fp", "_key", "_pair")
@@ -167,11 +167,17 @@ class RowCache:
             self._z = n, row
         return row
 
-    def pair(self, spec: "FamilySpec") -> tuple[Sequence[int], Sequence[int]]:
+    def pair(self, spec: "FamilySpec") -> tuple[tuple[int, ...], tuple[int, ...]]:
         p = spec.ring.p  # a ring is its p
         key = spec.family, spec.n, p, spec.a
         if key != self._key:
-            self._pair = FAMILY_TABLE[spec.family].build(spec, lambda n: self.row(n, p))
+            v, u = FAMILY_TABLE[spec.family].build(spec, lambda n: self.row(n, p))
+            if p is not None:
+                v, u = [x % p for x in v], [y % p for y in u]
+            d = len(v)  # u is () or as long as v
+            while d and not v[d - 1] and not (u and u[d - 1]):
+                d -= 1
+            self._pair = tuple(v)[:d], tuple(u)[:d]
             self._key = key
         return self._pair
 
@@ -315,9 +321,11 @@ def build(spec: FamilySpec, rows: RowCache | None = None) -> Poly:
     """The only maker of a member's Poly: v + k*u from the spec's pair in ``rows``, by default a new RowCache."""
     v, u = RowCache.of(rows).pair(require_type(spec, FamilySpec, "spec"))
     k, p = spec.k, spec.ring.p
-    # the pair's entries and k are plain ints, so the member is reduced mod p in the same pass and not re-checked
-    if p is None:
-        c = [x + k * y for x, y in zip(v, u)] if u and k else list(v)
+    # the pair is canonical and k a plain int, so only v + k*u is reduced, and the member is not re-checked
+    if not (u and k):  # k = 0 or a fixed k: the member is v
+        c = list(v)
+    elif p is None:
+        c = [x + k * y for x, y in zip(v, u)]
     else:
-        c = [(x + k * y) % p for x, y in zip(v, u)] if u and k else [x % p for x in v]
+        c = [(x + k * y) % p for x, y in zip(v, u)]
     return Poly._canonical(spec.ring, c)

@@ -133,7 +133,7 @@ def test_coefficients_past_the_digit_limit_are_written_in_full(capsys, argv):
     limit = sys.get_int_max_str_digits()
     rc, out, err = run(capsys, *argv)
     assert (rc, err) == (0, "")
-    assert sys.get_int_max_str_digits() == limit  # main restores the limit it lifts
+    assert sys.get_int_max_str_digits() == limit  # main never moves the limit
     n, a = (int(argv[argv.index(flag) + 1]) for flag in ("--n", "--a"))
     if argv[-1] == "json":
         coeffs = json.loads(out)["coeffs"]

@@ -516,6 +516,14 @@ class TestCyclicCodes:
             with pytest.raises(DomainError, match=rf"^generator ring {text} does not match GF\(13\)$"):
                 CyclicCode(13, 32, bad)
 
+    def test_code_length_is_capped_before_x_m_minus_1_is_built(self):
+        # x^m - 1 is built densely to check the generator, so an m past the cap is refused before it is built
+        g = P(GF(3), 2, 1)
+        for make in (CyclicCode, build_cyclic_code):
+            with pytest.raises(CapacityError, match=r"^code length m = 10001 is above the cap 10000$"):
+                make(3, 10**4 + 1, g)
+        assert CyclicCode(3, 10**4, g).dimension == 10**4 - 1
+
     def test_enumeration_refuses_malformed_codes(self):
         # a malformed code is refused as it is made, and a non-code by the enumeration
         g = P(GF(2), 0, 1)

@@ -466,26 +466,58 @@ def _reference(family, n, k, a):
     return c
 
 
-def test_every_table_pair_matches_the_defining_sums():
-    # for every family, over Z and GF(p), p <= 13, n <= 120: the table builder's pair, read by RowCache.pair, is
-    # (c(0), c(1) - c(0)) of the reference, or (c, ()) for a family with a fixed k, read over the ring; and build
-    # at every k of the window is v + k*u over the ring
-    rings = (Z,) + tuple(GF(p) for p in (2, 3, 5, 7, 11, 13))
-    rows = RowCache()  # one cache serves every ring
+_PAIR_RINGS = (Z,) + tuple(GF(p) for p in (2, 3, 5, 7, 11, 13))
+
+
+def _table_members():
+    # (family, n, a, its fixed k or None, its rings) for every family, n <= 120, dickson's a in {1, 2, -3},
+    # over Z and GF(p), p <= 13, or the family's one ring
     for n in range(121):
         for family, row in FAMILY_TABLE.items():
             for a in (1, 2, -3) if family == "dickson" else (1,):
                 if n < row.n_min or (row.parity is not None and n % 2 != row.parity):
                     continue
                 fixed = row.fixed_k[0] if row.fixed_k else None
-                v_ref = _reference(family, n, 0 if fixed is None else fixed, a)
-                u_ref = () if fixed is not None else [y - x for x, y in zip(v_ref, _reference(family, n, 1, a))]
-                for ring in rings if row.ring is None else (row.ring,):
-                    p = ring.p
-                    over = (lambda c: list(c)) if p is None else (lambda c: [x % p for x in c])
-                    v, u = rows.pair(FamilySpec(family, n, 0 if fixed is None else fixed, ring, a))
-                    assert (over(v), over(u)) == (over(v_ref), over(u_ref)), (family, n, ring, a)
-                    ks = [fixed] if fixed is not None else DEFAULT_K_WINDOW if p is None else range(p)
-                    for k in ks:
-                        expected = Poly(ring, [x + k * y for x, y in zip(v_ref, u_ref)] if u_ref else v_ref)
-                        assert build(FamilySpec(family, n, k, ring, a), rows) == expected, (family, n, k, ring, a)
+                yield family, n, a, fixed, _PAIR_RINGS if row.ring is None else (row.ring,)
+
+
+def _reduced_and_trimmed(v, u, p):
+    # the pair reduced mod p over GF(p), then trimmed together: its top index dropped while v_D = u_D = 0
+    v, u = [x if p is None else x % p for x in v], [y if p is None else y % p for y in u]
+    while v and not v[-1] and not (u and u[-1]):
+        v.pop()
+        del u[len(v):]
+    return tuple(v), tuple(u)
+
+
+def test_every_table_pair_matches_the_defining_sums():
+    # the table builder's pair, read by RowCache.pair, is (c(0), c(1) - c(0)) of the reference, or (c, ()) for a
+    # family with a fixed k, reduced over the ring and trimmed together; and build at every k of the window is
+    # v + k*u over the ring
+    rows = RowCache()  # one cache serves every ring
+    for family, n, a, fixed, rings in _table_members():
+        v_ref = _reference(family, n, 0 if fixed is None else fixed, a)
+        u_ref = () if fixed is not None else [y - x for x, y in zip(v_ref, _reference(family, n, 1, a))]
+        for ring in rings:
+            p = ring.p
+            pair = rows.pair(FamilySpec(family, n, 0 if fixed is None else fixed, ring, a))
+            assert pair == _reduced_and_trimmed(v_ref, u_ref, p), (family, n, ring, a)
+            ks = [fixed] if fixed is not None else DEFAULT_K_WINDOW if p is None else range(p)
+            for k in ks:
+                expected = Poly(ring, [x + k * y for x, y in zip(v_ref, u_ref)] if u_ref else v_ref)
+                assert build(FamilySpec(family, n, k, ring, a), rows) == expected, (family, n, k, ring, a)
+
+
+def test_every_table_pair_is_canonical():
+    # RowCache.pair keeps each pair in one form: two tuples of equal length (u is () for a family with a fixed
+    # k), entries in [0, p-1] over GF(p), and a top (v_D, u_D) != (0, 0) unless the pair is empty
+    rows = RowCache()
+    for family, n, a, fixed, rings in _table_members():
+        for ring in rings:
+            v, u = rows.pair(FamilySpec(family, n, 0 if fixed is None else fixed, ring, a))
+            where = family, n, ring, a
+            assert type(v) is tuple and type(u) is tuple, where
+            assert len(u) == (0 if fixed is not None else len(v)), where
+            if ring.p is not None:
+                assert all(0 <= x < ring.p for x in v + u), where
+            assert not v or v[-1] or (u and u[-1]), where

@@ -7,12 +7,14 @@ limit being touched.
 
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from reciprodick import (
     GF,
     CapacityError,
+    CyclicCode,
     DomainError,
     FamilySpec,
     Poly,
@@ -21,6 +23,7 @@ from reciprodick import (
     binomial_row_mod_p,
     f_family,
     f_kind,
+    is_irreducible,
     is_power_of,
     lemma_l1,
     palindromic_ks,
@@ -29,6 +32,7 @@ from reciprodick import (
 )
 
 HUGE = 10**5000
+PAST = "past Python's limit on the digits of an int made text$"
 
 
 @pytest.fixture(autouse=True)
@@ -69,8 +73,15 @@ def chunked(c: int) -> str:
     (lambda: is_power_of(9, -HUGE), DomainError, "got a negative 16610-bit integer$"),
     (lambda: GF(-HUGE), DomainError, "^field order must be prime, got a negative 16610-bit integer$"),
     (lambda: lemma_l1(HUGE), DomainError, "^lemma_l1's argument must be a Poly, got a 16610-bit integer$"),
+    (lambda: CyclicCode(3, HUGE, Poly(GF(3), (2, 1))), CapacityError,
+     "^code length m = a 16610-bit integer is above the cap 10000$"),
+    (lambda: binomial_row(Fraction(HUGE, 3)), DomainError, "^binomial_row n must be an integer, got a Fraction " + PAST),
+    (lambda: FamilySpec("f", Fraction(HUGE, 3)), DomainError, "^family n must be an integer, got a Fraction " + PAST),
+    (lambda: is_irreducible(Fraction(HUGE, 3)), DomainError,
+     "^is_irreducible's argument must be a Poly, got a Fraction " + PAST),
 ], ids=["scan", "binomial_row", "binomial_row_mod_p", "f_family", "reversed_dickson", "palindromic_ks",
-        "FamilySpec", "FamilySpec-negative", "f_kind", "is_power_of", "GF", "lemma_l1"])
+        "FamilySpec", "FamilySpec-negative", "f_kind", "is_power_of", "GF", "lemma_l1",
+        "CyclicCode", "binomial_row-Fraction", "FamilySpec-Fraction", "is_irreducible-Fraction"])
 def test_a_refusal_names_a_huge_integer_by_its_size(call, error, text):
     t0 = time.perf_counter()
     with pytest.raises(error, match=text):
