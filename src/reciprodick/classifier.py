@@ -38,8 +38,8 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .binomics import is_power_of, require_prime
-from .errors import CapacityError, DomainError, HypothesisError, as_int, int_text, require_type
+from .binomics import is_power_of
+from .errors import CapacityError, DomainError, HypothesisError, _text, as_int, int_text, require_type
 from .families import FAMILIES, FAMILY_TABLE, FamilySpec, RowCache, build, require_rows
 from .ringpoly import GF, Poly, Ring, Z, gcd, pow_mod
 
@@ -81,11 +81,11 @@ P_NOT_DIVIDING_N_PLUS_1 = Condition("p not dividing n + 1", lambda n, p: (n + 1)
 def canonical_id(name: str, ids, noun: str, aliases: dict) -> str:
     """Map spellings like 't2.1' or 'l-1' onto the canonical id among ``ids``."""
     if not isinstance(name, str):
-        raise DomainError(f"{noun} must be a string, got {name!r}")
+        raise DomainError(f"{noun} must be a string, got {_text(name)}")
     t = name.strip().upper().replace(".", "_").replace("-", "_")
     t = aliases.get(t, t)
     if t not in ids:
-        raise DomainError(f"unknown {noun} {name!r}")
+        raise DomainError(f"unknown {noun} {_text(name)}")
     return t
 
 
@@ -252,7 +252,7 @@ def palindromic_ks(family: str, n: int, ring: Ring, rows=None, a: int = 1) -> KS
     ``RowCache``); a family with a fixed k raises DomainError.
     """
     if family in FAMILIES and FAMILY_TABLE[family].fixed_k is not None:
-        raise DomainError(f"family {family!r} {FAMILY_TABLE[family].fixed_k[1]}: there is no k to solve for")
+        raise DomainError(f"family {_text(family)} {FAMILY_TABLE[family].fixed_k[1]}: there is no k to solve for")
     s = FamilySpec(family, n, 0, ring, a)
     rows = RowCache.of(rows)
     candidates, cofinite = _candidates(s, rows)
@@ -313,11 +313,14 @@ def is_irreducible(a: Poly, method: str = "auto") -> bool:
     """Irreducibility over GF(p).
 
     ``trial`` divides by every monic polynomial of degree <= deg/2 and is the
-    desk-scale oracle.  ``gcd`` is Ben-Or's test: for i = 1, 2, ..., deg/2 it
-    raises x to the p-th power once more mod a and returns False at the first
-    i with gcd(x^(p^i) - x, a) != 1.  That i is the least degree of an
-    irreducible factor of a, so an input with a small factor costs few steps.
-    ``auto`` picks by candidate count.
+    desk-scale oracle.  ``gcd`` first looks for a root when p <= deg: a root c
+    is the linear factor x - c, which every odd-degree palindrome has (at -1
+    over odd p, at 1 over GF(2)), so such an input costs p evaluations.  Then
+    it runs Ben-Or's test: for i = 1, 2, ..., deg/2 it raises x to the p-th
+    power once more mod a and returns False at the first i with
+    gcd(x^(p^i) - x, a) != 1.  That i is the least degree of an irreducible
+    factor of a, so an input with a small factor costs few steps.  ``auto``
+    picks by candidate count.
     """
     if not require_type(a, Poly, "is_irreducible's argument").ring.is_field:
         raise DomainError("irreducibility testing requires a prime-field ring")
@@ -325,7 +328,7 @@ def is_irreducible(a: Poly, method: str = "auto") -> bool:
     if deg is None or deg < 1:
         raise DomainError("irreducibility is defined for degree >= 1")
     if method not in ("auto", "trial", "gcd"):
-        raise DomainError(f"unknown irreducibility method {method!r}")
+        raise DomainError(f"unknown irreducibility method {_text(method)}")
     p = a.ring.p
     if method == "auto":
         small = deg <= 10 and _trial_candidates(p, deg) <= _TRIAL_AUTO_LIMIT
@@ -338,6 +341,9 @@ def is_irreducible(a: Poly, method: str = "auto") -> bool:
                 if not a % Poly(a.ring, tail + (1,)):
                     return False
         return True
+    # a root c is the factor x - c of a, of degree >= p >= 2; the search costs at most deg^2 steps, less than a round
+    if p <= deg and any(not a.evaluate(c) for c in range(p)):
+        return False
     f = a.monic()
     v = x = Poly.x(a.ring) % f
     for _ in range(deg // 2):
@@ -388,8 +394,10 @@ def _rings(over: Condition, p_list) -> list[Ring]:
         return list(over.rings)
     rings = []
     for p in sorted(set(p_list)):
-        require_prime(p)
-        rings.append(GF(p))
+        try:  # GF proves p prime, once; its refusal is worded as require_prime's
+            rings.append(GF(p))
+        except DomainError:
+            raise DomainError(f"{int_text(p)} is not prime") from None
         if not over.holds(rings[-1]):
             raise DomainError("this rule is stated for odd primes")
     return rings
@@ -411,7 +419,7 @@ def _int_list(values, what: str) -> list[int]:
     try:
         items = list(itertools.islice(values, SCAN_CAP + 1))
     except TypeError:
-        raise DomainError(f"{what} must be an iterable of integers, got {values!r}") from None
+        raise DomainError(f"{what} must be an iterable of integers, got {_text(values)}") from None
     if len(items) > SCAN_CAP:
         raise CapacityError(f"{what} lists more entries than the cap {SCAN_CAP}")
     return [as_int(v, f"a {what} entry") for v in items]

@@ -47,7 +47,7 @@ from .coterm_codes import (
     self_reciprocal_divisors,
     verify_reversibility_by_rank,
 )
-from .errors import CapacityError, DomainError, int_text
+from .errors import CapacityError, DomainError, _text, int_text
 from .families import FAMILIES, FAMILY_TABLE, FamilySpec, RowCache, build, require_rows
 from .ringpoly import GF, Poly, Ring, Z
 
@@ -192,7 +192,7 @@ def _resolve_ring(args) -> Ring:
     fixed = FAMILY_TABLE[args.family].ring
     if fixed is not None:
         if _contradicts(args, fixed):
-            raise DomainError(f"family {args.family!r} lives over {fixed}")
+            raise DomainError(f"family {_text(args.family)} lives over {fixed}")
         return fixed
     if args.ring == "fp":
         if args.p is None:
@@ -291,7 +291,7 @@ def _scan_args(args) -> dict:
         except ValueError:
             p_list = []
         if not p_list:  # a list naming no integer would fall back to the default primes
-            raise DomainError(f"--p-list takes comma-separated integers, got {args.p_list!r}")
+            raise DomainError(f"--p-list takes comma-separated integers, got {_text(args.p_list)}")
     return {"n_min": args.n_min, "n_max": args.n_max, "k_values": k_values, "p_list": p_list}
 
 

@@ -42,7 +42,7 @@ from .classifier import (
     canonical_id,
     check_hypotheses,
 )
-from .errors import CapacityError, DomainError, as_int, int_text, require_type
+from .errors import CapacityError, DomainError, _text, as_int, int_text, require_type
 from .families import FamilySpec, build
 from .ringpoly import GF, Poly, Ring, gcd
 
@@ -145,7 +145,7 @@ def coterm_construct(rule: str, n: int, k: int, ring: Ring) -> CotermConstructio
     t, row = coterm_rule(rule)
     n, k = as_int(n, f"{t} n"), as_int(k, f"{t} k")
     if not isinstance(ring, Ring):
-        raise DomainError(f"{t} takes a Ring, got {ring!r}")
+        raise DomainError(f"{t} takes a Ring, got {_text(ring)}")
     check_hypotheses(t, row, row.families[0], n, k, ring)
     poly, context = coterm_from_self_reciprocal(build(FamilySpec(row.families[0], n, k, ring)))
     test, value = row.degenerate or (None, None)

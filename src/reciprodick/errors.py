@@ -45,7 +45,7 @@ def _text(v) -> str:
 
 
 def require_type(v, cls: type, what: str):
-    """v itself if it is a ``cls``; otherwise DomainError "<what> must be a <cls name>, got <v!r>"."""
+    """v itself if it is a ``cls``; otherwise DomainError "<what> must be a <cls name>, got <v as _text names it>"."""
     if not isinstance(v, cls):
         raise DomainError(f"{what} must be a {cls.__name__}, got {_text(v)}")
     return v

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .binomics import ROW_CAP, binomial, binomial_row, binomial_row_mod_p, next_binomial_row, require_row
-from .errors import CapacityError, DomainError, as_int, int_text, require_type
+from .errors import CapacityError, DomainError, _text, as_int, int_text, require_type
 from .ringpoly import GF, Poly, Ring, Z
 
 
@@ -88,7 +88,7 @@ class FamilySpec:
     def __post_init__(self):
         # scan makes one spec per verdict, so plain ints and an exact Ring skip the conversions
         if self.family not in FAMILIES:
-            raise DomainError(f"unknown family {self.family!r}")
+            raise DomainError(f"unknown family {_text(self.family)}")
         n, k, a, ring = self.n, self.k, self.a, self.ring
         if type(n) is not int or type(k) is not int or type(a) is not int:
             n, k, a = (as_int(getattr(self, field), f"family {field}") for field in ("n", "k", "a"))
@@ -101,14 +101,14 @@ class FamilySpec:
             require_type(ring, Ring, "ring")
         row = FAMILY_TABLE[self.family]
         if a != 1 and self.family != "dickson":
-            raise DomainError(f"family {self.family!r} takes no parameter a")
+            raise DomainError(f"family {_text(self.family)} takes no parameter a")
         if row.ring is not None and ring != row.ring:
-            raise DomainError(f"family {self.family!r} lives over {row.ring}")
+            raise DomainError(f"family {_text(self.family)} lives over {row.ring}")
         if row.fixed_k is not None and k != row.fixed_k[0]:
-            raise DomainError(f"family {self.family!r} {row.fixed_k[1]}")
+            raise DomainError(f"family {_text(self.family)} {row.fixed_k[1]}")
         if n < row.n_min or (row.parity is not None and n % 2 != row.parity):
             n_text = f"n >= {row.n_min}" if row.parity is None else f"{('even', 'odd')[row.parity]} n > 1"
-            raise DomainError(f"family {self.family!r} requires {n_text}")
+            raise DomainError(f"family {_text(self.family)} requires {n_text}")
         if row.fixed_k is None and ring.p is not None and not 0 <= k < ring.p:
             raise DomainError(f"over {ring} the kind parameter k must lie in [0, {ring.p - 1}], got {int_text(k)}")
 
@@ -147,7 +147,7 @@ class RowCache:
         if rows is None:
             return RowCache()
         if type(rows) is not RowCache:  # not isinstance: build trusts the pair, so no subclass may supply it
-            raise DomainError(f"rows must be a RowCache, got {rows!r}")
+            raise DomainError(f"rows must be a RowCache, got {_text(rows)}")
         return rows
 
     def row(self, n: int, p: int | None) -> tuple[int, ...]:

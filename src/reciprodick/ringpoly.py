@@ -24,7 +24,7 @@ import operator
 from dataclasses import dataclass
 
 from .binomics import is_prime
-from .errors import DomainError, as_int, int_text, require_type
+from .errors import DomainError, _text, as_int, require_type
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,8 +37,7 @@ class Ring:
         if self.p is not None:
             p = as_int(self.p, "field order")
             if not is_prime(p):
-                shown = int_text(p) if type(self.p) is int else repr(self.p)
-                raise DomainError(f"field order must be prime, got {shown}")
+                raise DomainError(f"field order must be prime, got {_text(self.p)}")
             object.__setattr__(self, "p", p)  # an __index__ value is stored as the int it stands for
 
     @property
@@ -75,7 +74,7 @@ class Poly:
     def __post_init__(self):
         # the check of outside input (operations use _canonical), so read (and reduce) the integers in one pass
         if not isinstance(self.ring, Ring):
-            raise DomainError(f"polynomial ring must be a Ring, got {self.ring!r}")
+            raise DomainError(f"polynomial ring must be a Ring, got {_text(self.ring)}")
         p = self.ring.p
         coeffs = self.coeffs
         try:

@@ -1,4 +1,5 @@
 import itertools
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -180,6 +181,21 @@ class TestScan:
         with pytest.raises(DomainError):
             scan("T3_1", n_max=10, p_list=(2,))
 
+    def test_each_listed_prime_is_proved_prime_once(self, monkeypatch):
+        from reciprodick import binomics, ringpoly
+
+        tests = []
+        for module in (binomics, ringpoly):
+            monkeypatch.setattr(module, "is_prime", lambda n, test=module.is_prime: tests.append(n) or test(n))
+        rings = classifier._rings(classifier.OVER_ODD_P, [13, 3, 13])
+        assert tests == [3, 13]
+        assert rings == [GF(3), GF(13)]
+        # the refusals keep their wording and their order, by increasing p
+        for p_list, text in (([9, 3], "^9 is not prime$"), ([9, 2], "^this rule is stated for odd primes$"),
+                             ([9, 4], "^4 is not prime$"), ([1, 0], "^0 is not prime$")):
+            with pytest.raises(DomainError, match=text):
+                scan("T3_1", n_max=10, p_list=p_list)
+
     def test_rejects_non_integer_bounds(self):
         # scan("T2_1", n_min=2.5, n_max=4) used to raise a bare TypeError
         for bounds in ({"n_min": 2.5, "n_max": 4}, {"n_min": 2, "n_max": 4.0}, {"n_max": True}):
@@ -304,6 +320,66 @@ class TestIrreducible:
                     a = Poly(ring, tail + (1,))
                     assert is_irreducible(a, "trial") == is_irreducible(a, "gcd"), a
 
+    def test_trial_matches_gcd_where_the_root_search_runs(self):
+        # the gcd route looks for a root at p <= deg: every monic input at p = 5 of degree 5, and a seeded
+        # sample at degrees p to p + 2 for p = 5 and 7
+        rng = random.Random(35)
+        cases = [(5, tail) for tail in itertools.product(range(5), repeat=5)]
+        for p, deg, count in ((5, 6, 400), (5, 7, 200), (7, 7, 300), (7, 8, 150), (7, 9, 60)):
+            cases += [(p, tuple(rng.randrange(p) for _ in range(deg))) for _ in range(count)]
+        for p, tail in cases:
+            a = Poly(GF(p), tail + (1,))
+            assert is_irreducible(a, "trial") == is_irreducible(a, "gcd"), a
+
+    @pytest.mark.parametrize("p", [11, 13])
+    def test_root_free_inputs_of_degree_p_and_above(self, p):
+        # x^p - x - c, c != 0, is irreducible over GF(p) (Artin-Schreier); a product of irreducibles of degree
+        # >= 2 has no root, so the search passes it on and Ben-Or's rounds must find its factor
+        ring = GF(p)
+        artin_schreier = [Poly.monomial(ring, 1, p) - P(ring, c, 1) for c in range(1, p)]
+        assert all(is_irreducible(a, "gcd") for a in artin_schreier)
+        rng = random.Random(p)
+        factors = {}  # degree -> an irreducible of that degree, by trial division
+        for d in (2, 3, 5, 6, 7):
+            while d not in factors:
+                a = Poly(ring, tuple(rng.randrange(p) for _ in range(d)) + (1,))
+                if is_irreducible(a, "trial"):
+                    factors[d] = a
+        products = [factors[2] * factors[5] * factors[6], factors[6] * factors[7], factors[7] * factors[7],
+                    factors[2] * artin_schreier[0], factors[3] * artin_schreier[-1]]
+        for a in products:
+            assert a.degree >= p and all(a.evaluate(c) for c in range(p)), a
+            assert is_irreducible(a, "gcd") is False, a
+
+    def test_a_root_at_zero_alone_stops_before_ben_or(self, monkeypatch):
+        # x * (x^p - x - 1) has the one root 0: the search must try c = 0, or Ben-Or's rounds would run
+        exponents = []
+        monkeypatch.setattr(classifier, "pow_mod", lambda base, e, mod: exponents.append(e) or pow_mod(base, e, mod))
+        for p in (2, 3, 5, 7, 11, 13):
+            ring = GF(p)
+            a = P(ring, 0, 1) * (Poly.monomial(ring, 1, p) - P(ring, 1, 1))
+            assert is_irreducible(a, "gcd") is False, a
+        assert exponents == []
+
+    def test_no_root_search_above_the_degree(self, monkeypatch):
+        # at p > deg the search is skipped, so a large p never costs p evaluations; Ben-Or's rounds decide alone
+        points = []
+        monkeypatch.setattr(Poly, "evaluate", lambda self, v, evaluate=Poly.evaluate: points.append(v)
+                            or evaluate(self, v))
+        rng = random.Random(40)
+        big = GF(1000003)
+        tail = Poly(big, tuple(rng.randrange(1000003) for _ in range(39)) + (1,))
+        assert is_irreducible(P(big, -5, 1) * tail, "gcd") is False
+        seven = GF(7)
+        sextic = next(a for a in (Poly(seven, tuple(rng.randrange(7) for _ in range(6)) + (1,)) for _ in range(999))
+                      if is_irreducible(a, "trial"))
+        assert is_irreducible(sextic, "gcd") is True
+        assert is_irreducible(P(seven, 0, 1) * P(seven, 3, 0, 0, 0, 0, 1), "gcd") is False
+        assert points == []
+        # at p = deg it runs, and stops at the first root
+        assert is_irreducible(P(seven, 0, 1) * sextic, "gcd") is False
+        assert points == [0]
+
     def test_gcd_counts_match_gauss_formula(self):
         # monic irreducibles of degree d over GF(p): (1/d) * sum over e | d of mu(e) * p^(d/e)
         def mobius(n):
@@ -366,7 +442,7 @@ class TestCorollaries:
 
     def test_reducible_member_stops_at_its_linear_factor(self, monkeypatch):
         # the member has odd degree 45 and is a palindrome, so x + 1 divides it:
-        # one Frobenius step x -> x^13 decides it, never x^(13^45)
+        # the root search finds -1 and no Frobenius step x -> x^13 runs
         exponents = []
 
         def recording(base, e, mod):
@@ -375,7 +451,7 @@ class TestCorollaries:
 
         monkeypatch.setattr(classifier, "pow_mod", recording)
         assert check_corollary("C3_3", FamilySpec("f", 92, 2, GF(13))) is True
-        assert len(exponents) <= 1 and all(e <= 13 for e in exponents), exponents
+        assert exponents == []
 
 
 class TestLemmaL1:

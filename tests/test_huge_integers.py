@@ -5,12 +5,15 @@ a polynomial's text must hold its coefficients in full, without the process-wide
 limit being touched.
 """
 
+import ast
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import reciprodick
 from reciprodick import (
     GF,
     CapacityError,
@@ -21,11 +24,14 @@ from reciprodick import (
     Z,
     binomial_row,
     binomial_row_mod_p,
+    build,
+    coterm_construct,
     f_family,
     f_kind,
     is_irreducible,
     is_power_of,
     lemma_l1,
+    normalize_theorem_id,
     palindromic_ks,
     reversed_dickson,
     scan,
@@ -79,14 +85,48 @@ def chunked(c: int) -> str:
     (lambda: FamilySpec("f", Fraction(HUGE, 3)), DomainError, "^family n must be an integer, got a Fraction " + PAST),
     (lambda: is_irreducible(Fraction(HUGE, 3)), DomainError,
      "^is_irreducible's argument must be a Poly, got a Fraction " + PAST),
+    (lambda: normalize_theorem_id(Fraction(HUGE, 3)), DomainError,
+     "^theorem id must be a string, got a Fraction " + PAST),
+    (lambda: scan("T2_1", k_values=Fraction(HUGE, 3)), DomainError,
+     "^k_values must be an iterable of integers, got a Fraction " + PAST),
+    (lambda: scan("T3_1", p_list=[-HUGE]), DomainError, "^a negative 16610-bit integer is not prime$"),
+    (lambda: build(FamilySpec("f", 4), Fraction(HUGE, 3)), DomainError,
+     "^rows must be a RowCache, got a Fraction " + PAST),
+    (lambda: FamilySpec(Fraction(HUGE, 3), 4), DomainError, "^unknown family a Fraction " + PAST),
+    (lambda: palindromic_ks(Fraction(HUGE, 3), 4, Z), DomainError, "^unknown family a Fraction " + PAST),
+    (lambda: is_irreducible(Poly(GF(3), (1, 1, 1)), method=Fraction(HUGE, 3)), DomainError,
+     "^unknown irreducibility method a Fraction " + PAST),
+    (lambda: coterm_construct("T5_1", 4, 0, Fraction(HUGE, 3)), DomainError,
+     "^T5_1 takes a Ring, got a Fraction " + PAST),
+    (lambda: Poly(Fraction(HUGE, 3), ()), DomainError, "^polynomial ring must be a Ring, got a Fraction " + PAST),
 ], ids=["scan", "binomial_row", "binomial_row_mod_p", "f_family", "reversed_dickson", "palindromic_ks",
         "FamilySpec", "FamilySpec-negative", "f_kind", "is_power_of", "GF", "lemma_l1",
-        "CyclicCode", "binomial_row-Fraction", "FamilySpec-Fraction", "is_irreducible-Fraction"])
+        "CyclicCode", "binomial_row-Fraction", "FamilySpec-Fraction", "is_irreducible-Fraction",
+        "normalize_theorem_id-Fraction", "scan-k_values-Fraction", "scan-p_list-negative", "build-rows-Fraction",
+        "FamilySpec-family-Fraction", "palindromic_ks-Fraction", "is_irreducible-method-Fraction",
+        "coterm_construct-Fraction", "Poly-ring-Fraction"])
 def test_a_refusal_names_a_huge_integer_by_its_size(call, error, text):
     t0 = time.perf_counter()
     with pytest.raises(error, match=text):
         call()
     assert time.perf_counter() - t0 < 0.5
+
+
+def test_no_refusal_formats_a_value_with_repr():
+    # repr raises ValueError on a value holding an int past the limit, so a refusal names an outside value
+    # through errors._text, never by an f-string's !r or a repr call
+    src = Path(reciprodick.__file__).resolve().parent
+    def formats_by_repr(node) -> bool:
+        if isinstance(node, ast.FormattedValue):
+            return node.conversion == ord("r")
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "repr"
+
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise):
+                found += [(path.name, inner.lineno) for inner in ast.walk(node) if formats_by_repr(inner)]
+    assert found == []
 
 
 def test_a_refusal_below_the_limit_names_the_integer_in_full():
