@@ -227,7 +227,11 @@ def binomial_row_mod_p(n: int, p: int) -> tuple[int, ...]:
     1..d/2 mod p, and mirrored, since C(d, b) = C(d, d - b).
     """
     require_prime(p)
-    n = _natural(n, "binomial_row_mod_p")
+    return _binomial_row_mod_p(_natural(n, "binomial_row_mod_p"), p)
+
+
+def _binomial_row_mod_p(n: int, p: int) -> tuple[int, ...]:
+    # binomial_row_mod_p's row of an int n >= 0 mod a p already proved prime, as a Ring proves it
     require_row(n, p)  # before the digits, which cost quadratic time in n's size
     digits = _digits(n, p)
     inv = [0, 1]

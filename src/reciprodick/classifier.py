@@ -180,6 +180,18 @@ class Verdict:
             d["note"] = self.note
         return d
 
+    @classmethod
+    def _of(cls, theorem: str, spec: FamilySpec, predicted: bool, observed: bool, note: str) -> "Verdict":
+        """scan's Verdict of a spec that ``FamilySpec._of`` made, its fields set unchecked."""
+        verdict = object.__new__(cls)
+        set_theorem, set_spec, set_predicted, set_observed, set_note = _VERDICT_SLOTS
+        set_theorem(verdict, theorem), set_spec(verdict, spec), set_predicted(verdict, predicted)
+        set_observed(verdict, observed), set_note(verdict, note)
+        return verdict
+
+
+_VERDICT_SLOTS = tuple(Verdict.__dict__[name].__set__ for name in Verdict.__slots__)  # Verdict._of's setters
+
 
 def oracle_self_reciprocal(spec: FamilySpec, rows=None) -> bool:
     """Definition-based oracle: build the polynomial and test the palindrome.
@@ -443,7 +455,9 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
     the requested candidates are built, by ``build``.  A corollary or L1
     group is observed one spec at a time by its kind's observer, which
     builds the member.  The members come from the row's own conditions, its
-    hypotheses, so none is checked again; over SCAN_CAP candidates (n range
+    hypotheses (``_rings``, ``_members``, its n condition and the k filter),
+    so none is checked again: each spec and Verdict is made unchecked, by
+    ``FamilySpec._of`` and ``Verdict._of``; over SCAN_CAP candidates (n range
     x k values x ring and member family pairs) raise CapacityError before
     any is listed, and so does, with the text it raises when built alone, a
     group's largest member whose binomial row is above its cap
@@ -485,22 +499,23 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
             if gks and top is not None:  # else the group observes nothing
                 require_rows(fam, top, r)  # the group's largest member reads its largest row
                 groups.append((r, fam, gks))
+    spec_of, verdict_of, predict = FamilySpec._of, Verdict._of, rule.predict
     out = []
     for n in ns:
         seen = []  # per group admitted at this n, its Verdicts by k
         for r, fam, gks in groups:
             if rule.sides and not all(side.holds(n, r.p) for side in rule.sides):
                 continue
-            specs = [FamilySpec(fam, n, k, r) for k in gks]
+            specs = [spec_of(fam, n, k, r) for k in gks]  # the row's conditions admit each
             if observe is None:  # the group's pair settles every k but its candidates, built when requested
                 candidates, cofinite = _candidates(specs[0], rows)
                 observed = [build(s, rows).is_self_reciprocal() if s.k in candidates else cofinite for s in specs]
             else:
                 observed = [observe(s, rows) for s in specs]
             verdicts = {}
-            for spec, obs in zip(specs, observed):
-                pred = True if rule.predict is None else rule.predict(n, spec.k, r.p)
-                verdicts[spec.k] = Verdict(t, spec, pred, obs, "" if pred == obs else note)
+            for k, spec, obs in zip(gks, specs, observed):
+                pred = True if predict is None else predict(n, k, r.p)
+                verdicts[k] = verdict_of(t, spec, pred, obs, "" if pred == obs else note)
             seen.append(verdicts)
         # in (n, k, ring, family) order, a repeated k repeating its Verdicts
         out.extend(v[k] for k in ks for v in seen if k in v)

@@ -44,7 +44,10 @@ together to (v_D, u_D) != (0, 0), as tuples.  ``build``, the only maker of a
 member's Poly, reads it as is: v at k = 0 or a fixed k, else v + k*u, reduced
 mod p over GF(p), made unchecked (``Poly._canonical``).  A member's n, k, a
 and ring are checked once, by ``FamilySpec`` (a != 1 belongs to dickson
-alone): the public builders build through it; the table's are unchecked cores.
+alone), the one check of a member from outside: the public builders build
+through it; the table's are unchecked cores.  ``scan`` and the CLI's sweeps
+make the members their closed-form checks admit by ``FamilySpec._of``,
+unchecked, which a tier-1 test keeps to families, classifier and cli.
 ``f_expanded_even/odd`` are the closed-form reference for f's ends: f's
 interior between the ends k(n-1)+2 and 2-k (even n) or 2n-k(n-1) (odd n).
 """
@@ -54,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .binomics import ROW_CAP, binomial, binomial_row, binomial_row_mod_p, next_binomial_row, require_row
+from .binomics import ROW_CAP, _binomial_row_mod_p, binomial, binomial_row, next_binomial_row, require_row
 from .errors import CapacityError, DomainError, _text, as_int, int_text, require_type
 from .ringpoly import GF, Poly, Ring, Z
 
@@ -86,7 +89,7 @@ class FamilySpec:
     a: int = 1
 
     def __post_init__(self):
-        # scan makes one spec per verdict, so plain ints and an exact Ring skip the conversions
+        # the one check of a spec from outside; plain ints and an exact Ring skip the conversions
         if self.family not in FAMILIES:
             raise DomainError(f"unknown family {_text(self.family)}")
         n, k, a, ring = self.n, self.k, self.a, self.ring
@@ -112,6 +115,14 @@ class FamilySpec:
         if row.fixed_k is None and ring.p is not None and not 0 <= k < ring.p:
             raise DomainError(f"over {ring} the kind parameter k must lie in [0, {ring.p - 1}], got {int_text(k)}")
 
+    @classmethod
+    def _of(cls, family: str, n: int, k: int, ring: Ring, a: int = 1) -> "FamilySpec":
+        """The spec of plain ints that scan's or the CLI's own closed-form checks admit, made unchecked."""
+        spec = object.__new__(cls)
+        set_family, set_n, set_k, set_ring, set_a = _SPEC_SLOTS
+        set_family(spec, family), set_n(spec, n), set_k(spec, k), set_ring(spec, ring), set_a(spec, a)
+        return spec
+
     def to_flat_dict(self) -> dict:
         """The spec as flat record fields: family, n, k, then p over GF(p) and a for dickson."""
         d = {"family": self.family, "n": self.n, "k": self.k}
@@ -122,15 +133,19 @@ class FamilySpec:
         return d
 
 
+_SPEC_SLOTS = tuple(FamilySpec.__dict__[name].__set__ for name in FamilySpec.__slots__)  # FamilySpec._of's setters
+
+
 # --------------------------------------------------------------- summation forms
 
 
 class RowCache:
     """One call's binomial rows, the last over Z and the last over any GF(p), and the last family pair.
 
-    ``row(n, p)`` makes a row it does not keep by ``binomial_row_mod_p`` over GF(p); over Z it builds the
-    row one or two above the kept one from it by Pascal's rule (``next_binomial_row``), any other by
-    ``binomial_row``.  A GF(p) row is never stepped, so only the last one is kept, whatever its p.
+    ``row(n, p)`` makes a row it does not keep over GF(p) by ``binomial_row_mod_p``'s core, with no prime test
+    (the spec's Ring made it); over Z it builds the row one or two above the kept one from it by Pascal's rule
+    (``next_binomial_row``), any other by ``binomial_row``.  A GF(p) row is never stepped, so only the last one
+    is kept, whatever its p.
     ``pair(spec)`` is the spec's pair (v, u) from its family's table builder, fed the rows of the spec's own
     ring, reduced mod p over GF(p) and trimmed together into tuples; it is kept, keyed by (family, n, ring, a).
     """
@@ -154,7 +169,7 @@ class RowCache:
         if p is not None:
             kept_p, kept_n, row = self._fp
             if n != kept_n or p != kept_p:
-                row = binomial_row_mod_p(n, p)
+                row = _binomial_row_mod_p(n, p)  # the spec's Ring has proved p prime
                 self._fp = p, n, row
             return row
         kept_n, row = self._z

@@ -24,7 +24,9 @@ import operator
 from dataclasses import dataclass
 
 from .binomics import is_prime
-from .errors import DomainError, _text, as_int, require_type
+from .errors import CapacityError, DomainError, _text, as_int, int_text, require_type
+
+_DEGREE_CAP = 10**4  # of Poly.monomial and Poly.__pow__: (1 + 2x) ** 10**4 took 1.2 s over GF(13) on a 2-core Xeon
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,6 +131,8 @@ class Poly:
         e = as_int(e, "monomial exponent")
         if e < 0:
             raise DomainError("monomial exponent must be >= 0")
+        if e > _DEGREE_CAP:
+            raise CapacityError(f"monomial exponent {int_text(e)} is above the cap {_DEGREE_CAP}")
         return cls(ring, (0,) * e + (c,))
 
     # ------------------------------------------------------------ structure
@@ -200,6 +204,8 @@ class Poly:
         e = as_int(e, "polynomial exponent")
         if e < 0:
             raise DomainError("negative polynomial power")
+        if self.degree and self.degree * e > _DEGREE_CAP:  # a zero or constant base stays of degree 0
+            raise CapacityError(f"a power of degree {int_text(self.degree * e)} is above the cap {_DEGREE_CAP}")
         result = Poly.one(self.ring)
         base = self
         while e:

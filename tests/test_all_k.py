@@ -289,8 +289,8 @@ def test_a_group_with_no_k_below_its_p_reads_no_row(monkeypatch):
     from reciprodick import families
 
     primes = Counter()
-    row_mod_p = families.binomial_row_mod_p
-    monkeypatch.setattr(families, "binomial_row_mod_p", lambda n, p: primes.update([p]) or row_mod_p(n, p))
+    row_mod_p = families._binomial_row_mod_p
+    monkeypatch.setattr(families, "_binomial_row_mod_p", lambda n, p: primes.update([p]) or row_mod_p(n, p))
     verdicts = scan("T3_1", n_max=400, k_values=[7], p_list=[3, 11])
     assert {v.spec.ring.p for v in verdicts} == {11}
     assert primes == {11: 200}

@@ -1,11 +1,12 @@
 import json
 import random
 import re
+import time
 from pathlib import Path
 
 import pytest
 
-from reciprodick import DomainError, FamilySpec, GF, Poly, Ring, Z, build, gcd, pow_mod, reduce_mod_p
+from reciprodick import CapacityError, DomainError, FamilySpec, GF, Poly, Ring, Z, build, gcd, pow_mod, reduce_mod_p
 
 
 def P(ring, *coeffs):
@@ -212,6 +213,27 @@ class TestArithmetic:
             with pytest.raises(DomainError):
                 Poly.monomial(GF(3), 1, e)
         assert Poly.monomial(GF(3), 2, 3) == x ** 3 * P(GF(3), 2)
+
+    def test_monomial_and_power_refuse_a_degree_above_the_cap(self):
+        # Poly.monomial(GF(3), 1, 10**12) raised a bare MemoryError, and (1 + 2x) ** 10**20 over GF(3)
+        # was still squaring after 10 s: each is now refused before anything is allocated or squared
+        ring = GF(3)
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=r"^monomial exponent 1000000000000 is above the cap 10000$"):
+            Poly.monomial(ring, 1, 10**12)
+        with pytest.raises(CapacityError, match=r"^a power of degree 10{20} is above the cap 10000$"):
+            P(ring, 1, 2) ** 10**20
+        with pytest.raises(CapacityError, match=r"^a power of degree 10002 is above the cap 10000$"):
+            P(Z, 0, 0, 1) ** 5001
+        with pytest.raises(CapacityError, match=r"^a power of degree a 16610-bit integer is above the cap 10000$"):
+            Poly.x(ring) ** 10**5000  # named by its size, past Python's limit on the digits of an int made text
+        assert time.perf_counter() - start < 1
+        # the cap itself is admitted, and a zero or constant base to any power still works
+        assert Poly.x(ring) ** 10**4 == Poly.monomial(ring, 1, 10**4)
+        assert Poly.monomial(ring, 0, 10**4) == Poly.zero(ring)
+        assert P(ring, 2) ** 10**20 == Poly.one(ring) and P(ring, 2) ** (10**20 + 1) == P(ring, 2)
+        assert Poly.zero(ring) ** 10**20 == Poly.zero(ring) and P(Z, -1) ** (10**20 + 1) == P(Z, -1)
+        assert P(GF(2), 1, 1) ** 237 == P(GF(2), 1, 1) ** 200 * P(GF(2), 1, 1) ** 37
 
     def test_mul_properties_random(self):
         rng = random.Random(20260809)

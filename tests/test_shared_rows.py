@@ -34,6 +34,7 @@ from reciprodick import (
     Z,
     binomial,
     binomial_row,
+    binomial_row_mod_p,
     build,
     check_corollary,
     coterm_construct,
@@ -310,14 +311,15 @@ def test_fp_rows_build_the_reduced_members(p, monkeypatch):
 
 
 def _count_rows(monkeypatch):
-    # records (n, p) of every mod-p row and (n, m) of every binomial, wherever the package binds them
-    from reciprodick.binomics import binomial_row_mod_p
+    # records (n, p) of every mod-p row and (n, m) of every binomial, wherever the package binds them; every
+    # mod-p row, binomial_row_mod_p's and RowCache's, is made by binomial_row_mod_p's core
+    from reciprodick.binomics import _binomial_row_mod_p
 
     rows, entries = [], []
 
     def counting_row(n, p):
         rows.append((n, p))
-        return binomial_row_mod_p(n, p)
+        return _binomial_row_mod_p(n, p)
 
     def counting_binomial(n, m):
         entries.append((n, m))
@@ -325,8 +327,8 @@ def _count_rows(monkeypatch):
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "reciprodick":
-            if vars(module).get("binomial_row_mod_p") is binomial_row_mod_p:
-                monkeypatch.setattr(module, "binomial_row_mod_p", counting_row)
+            if vars(module).get("_binomial_row_mod_p") is _binomial_row_mod_p:
+                monkeypatch.setattr(module, "_binomial_row_mod_p", counting_row)
             if vars(module).get("binomial") is binomial:
                 monkeypatch.setattr(module, "binomial", counting_binomial)
     return rows, entries
@@ -344,6 +346,31 @@ def test_fp_scan_computes_each_row_once_per_call(monkeypatch):
     rows.clear()
     scan("T3_1", n_min=100, n_max=104, p_list=primes)
     assert len(rows) == first  # no row survives from the first call
+
+
+def test_fp_scan_and_build_prove_no_prime_per_row(monkeypatch):
+    # a spec's Ring has proved its p prime, so a GF(p) row is read with no further prime test; each row
+    # used to run binomial_row_mod_p's require_prime
+    from reciprodick import ringpoly
+
+    tests = []
+    for module in (binomics, ringpoly):
+        monkeypatch.setattr(module, "is_prime", lambda n, test=module.is_prime: tests.append(n) or test(n))
+    rows, _ = _count_rows(monkeypatch)
+    verdicts = scan("T3_1", n_min=2, n_max=60, p_list=[3, 5, 7])
+    assert verdicts and len(rows) == 3 * 30
+    assert sorted(tests) == [3, 5, 7]  # each listed prime once, by GF
+    specs = [FamilySpec(family, n, k, ring) for ring in (GF(2), GF(3), GF(13))
+             for family, k in (("f", 1), ("kind1", 0)) for n in range(1, 25)]
+    specs += [FamilySpec("fchar2", n, 1, GF(2)) for n in range(1, 25)]
+    tests.clear()
+    rows.clear()
+    shared = RowCache()
+    for spec in specs:
+        assert build(spec) == build(spec, shared)
+    assert len(rows) > len(specs) and tests == []
+    # binomial_row_mod_p itself still proves its p first
+    assert binomial_row_mod_p(10, 3) == (1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 1) and tests == [3]
 
 
 def test_fp_scan_memory_does_not_grow_with_the_primes():
