@@ -157,7 +157,7 @@ def normalize_theorem_id(name: str) -> str:
 
 
 # Ring, Poly, FamilySpec and Verdict take slots=True: a scan makes them by the thousand
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Verdict:
     """One predicate-vs-oracle comparison for a single family member."""
 
@@ -166,6 +166,12 @@ class Verdict:
     predicted: bool
     observed: bool
     note: str = ""
+
+    def __init__(self, theorem: str, spec: FamilySpec, predicted: bool, observed: bool, note: str = ""):
+        # a Verdict checks nothing: each field is set by its slot's setter, not by object.__setattr__ by name
+        set_theorem, set_spec, set_predicted, set_observed, set_note = _VERDICT_SLOTS
+        set_theorem(self, theorem), set_spec(self, spec), set_predicted(self, predicted)
+        set_observed(self, observed), set_note(self, note)
 
     @property
     def match(self) -> bool:
@@ -180,17 +186,8 @@ class Verdict:
             d["note"] = self.note
         return d
 
-    @classmethod
-    def _of(cls, theorem: str, spec: FamilySpec, predicted: bool, observed: bool, note: str) -> "Verdict":
-        """scan's Verdict of a spec that ``FamilySpec._of`` made, its fields set unchecked."""
-        verdict = object.__new__(cls)
-        set_theorem, set_spec, set_predicted, set_observed, set_note = _VERDICT_SLOTS
-        set_theorem(verdict, theorem), set_spec(verdict, spec), set_predicted(verdict, predicted)
-        set_observed(verdict, observed), set_note(verdict, note)
-        return verdict
 
-
-_VERDICT_SLOTS = tuple(Verdict.__dict__[name].__set__ for name in Verdict.__slots__)  # Verdict._of's setters
+_VERDICT_SLOTS = tuple(Verdict.__dict__[name].__set__ for name in Verdict.__slots__)  # Verdict.__init__'s setters
 
 
 def oracle_self_reciprocal(spec: FamilySpec, rows=None) -> bool:
@@ -456,8 +453,8 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
     group is observed one spec at a time by its kind's observer, which
     builds the member.  The members come from the row's own conditions, its
     hypotheses (``_rings``, ``_members``, its n condition and the k filter),
-    so none is checked again: each spec and Verdict is made unchecked, by
-    ``FamilySpec._of`` and ``Verdict._of``; over SCAN_CAP candidates (n range
+    so none is checked again: each spec is made unchecked, by
+    ``FamilySpec._of``; over SCAN_CAP candidates (n range
     x k values x ring and member family pairs) raise CapacityError before
     any is listed, and so does, with the text it raises when built alone, a
     group's largest member whose binomial row is above its cap
@@ -499,7 +496,7 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
             if gks and top is not None:  # else the group observes nothing
                 require_rows(fam, top, r)  # the group's largest member reads its largest row
                 groups.append((r, fam, gks))
-    spec_of, verdict_of, predict = FamilySpec._of, Verdict._of, rule.predict
+    spec_of, predict = FamilySpec._of, rule.predict
     out = []
     for n in ns:
         seen = []  # per group admitted at this n, its Verdicts by k
@@ -515,7 +512,7 @@ def scan(theorem, n_min=None, n_max=None, k_values=None, p_list=None) -> list[Ve
             verdicts = {}
             for k, spec, obs in zip(gks, specs, observed):
                 pred = True if predict is None else predict(n, k, r.p)
-                verdicts[k] = verdict_of(t, spec, pred, obs, "" if pred == obs else note)
+                verdicts[k] = Verdict(t, spec, pred, obs, "" if pred == obs else note)
             seen.append(verdicts)
         # in (n, k, ring, family) order, a repeated k repeating its Verdicts
         out.extend(v[k] for k in ks for v in seen if k in v)

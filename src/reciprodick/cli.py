@@ -208,10 +208,9 @@ def _selected_members(args) -> tuple[int, Iterator[tuple[FamilySpec, Poly]]]:
 
     Over SCAN_CAP of them (n values x k values), or a largest member whose binomial row is above its cap
     (with the text it raises when built alone), raise CapacityError.  Every spec is then checked, exactly,
-    by two ``FamilySpec`` checks at the first n: ns rises in one parity, so n's checks pass at every n once
-    they pass at the first; k's checks do not depend on n, and the first bad k of a run ks is ks[0] or the
-    first past the top k.  So each spec is made once, unchecked, by ``FamilySpec._of``, listed nowhere, as
-    the iterator reaches it, its member built from one RowCache.
+    by two specs at the first n: ns rises in one parity, so n's checks pass at every n once they pass at the
+    first; k's checks do not depend on n, and the first bad k of a run ks is ks[0] or the first past the top k.
+    Each spec is made once, listed nowhere, as the iterator reaches it, its member built from one RowCache.
     """
     if args.n is not None and args.n_min is not None:
         raise DomainError("--n and --n-min are mutually exclusive")
@@ -242,7 +241,7 @@ def _selected_members(args) -> tuple[int, Iterator[tuple[FamilySpec, Poly]]]:
         last = row.fixed_k[0] if row.fixed_k else None if ring.p is None else ring.p - 1  # None: any k
         if last is not None:  # the first k past the domain, if ks reaches it
             FamilySpec(family, ns[0], min(ks[-1], last + 1), ring, args.a)
-    specs = (FamilySpec._of(family, n, k, ring, args.a) for n in ns for k in ks)  # admitted by the checks above
+    specs = (FamilySpec(family, n, k, ring, args.a) for n in ns for k in ks)
     rows = RowCache()
     return count, ((spec, build(spec, rows)) for spec in specs)
 

@@ -45,9 +45,9 @@ member's Poly, reads it as is: v at k = 0 or a fixed k, else v + k*u, reduced
 mod p over GF(p), made unchecked (``Poly._canonical``).  A member's n, k, a
 and ring are checked once, by ``FamilySpec`` (a != 1 belongs to dickson
 alone), the one check of a member from outside: the public builders build
-through it; the table's are unchecked cores.  ``scan`` and the CLI's sweeps
-make the members their closed-form checks admit by ``FamilySpec._of``,
-unchecked, which a tier-1 test keeps to families, classifier and cli.
+through it; the table's are unchecked cores.  ``scan`` makes the members its
+row's closed-form conditions admit by ``FamilySpec._of``, unchecked, which a
+tier-1 test keeps to families and classifier.
 ``f_expanded_even/odd`` are the closed-form reference for f's ends: f's
 interior between the ends k(n-1)+2 and 2-k (even n) or 2n-k(n-1) (odd n).
 """
@@ -57,7 +57,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .binomics import ROW_CAP, _binomial_row_mod_p, binomial, binomial_row, next_binomial_row, require_row
+from .binomics import ROW_CAP, _binomial_row_mod_p, _natural, binomial, binomial_row, next_binomial_row, require_prime
+from .binomics import require_row
 from .errors import CapacityError, DomainError, _text, as_int, int_text, require_type
 from .ringpoly import GF, Poly, Ring, Z
 
@@ -117,7 +118,7 @@ class FamilySpec:
 
     @classmethod
     def _of(cls, family: str, n: int, k: int, ring: Ring, a: int = 1) -> "FamilySpec":
-        """The spec of plain ints that scan's or the CLI's own closed-form checks admit, made unchecked."""
+        """The spec of plain ints that scan's rule row admits, made unchecked."""
         spec = object.__new__(cls)
         set_family, set_n, set_k, set_ring, set_a = _SPEC_SLOTS
         set_family(spec, family), set_n(spec, n), set_k(spec, k), set_ring(spec, ring), set_a(spec, a)
@@ -142,10 +143,10 @@ _SPEC_SLOTS = tuple(FamilySpec.__dict__[name].__set__ for name in FamilySpec.__s
 class RowCache:
     """One call's binomial rows, the last over Z and the last over any GF(p), and the last family pair.
 
-    ``row(n, p)`` makes a row it does not keep over GF(p) by ``binomial_row_mod_p``'s core, with no prime test
-    (the spec's Ring made it); over Z it builds the row one or two above the kept one from it by Pascal's rule
-    (``next_binomial_row``), any other by ``binomial_row``.  A GF(p) row is never stepped, so only the last one
-    is kept, whatever its p.
+    ``row(n, p)`` checks n and p as ``binomial_row_mod_p`` does; ``pair`` reads rows by ``_row``, unchecked, which
+    makes a row it does not keep over GF(p) by ``binomial_row_mod_p``'s core, with no prime test; over Z it builds
+    the row one or two above the kept one from it by Pascal's rule (``next_binomial_row``), any other by
+    ``binomial_row``.  A GF(p) row is never stepped, so only the last one is kept, whatever its p.
     ``pair(spec)`` is the spec's pair (v, u) from its family's table builder, fed the rows of the spec's own
     ring, reduced mod p over GF(p) and trimmed together into tuples; it is kept, keyed by (family, n, ring, a).
     """
@@ -167,9 +168,14 @@ class RowCache:
 
     def row(self, n: int, p: int | None) -> tuple[int, ...]:
         if p is not None:
+            require_prime(p)  # first, as binomial_row_mod_p refuses p before n
+        return self._row(_natural(n, "binomial_row" if p is None else "binomial_row_mod_p"), p)
+
+    def _row(self, n: int, p: int | None) -> tuple[int, ...]:
+        if p is not None:
             kept_p, kept_n, row = self._fp
             if n != kept_n or p != kept_p:
-                row = _binomial_row_mod_p(n, p)  # the spec's Ring has proved p prime
+                row = _binomial_row_mod_p(n, p)
                 self._fp = p, n, row
             return row
         kept_n, row = self._z
@@ -186,7 +192,7 @@ class RowCache:
         p = spec.ring.p  # a ring is its p
         key = spec.family, spec.n, p, spec.a
         if key != self._key:
-            v, u = FAMILY_TABLE[spec.family].build(spec, lambda n: self.row(n, p))
+            v, u = FAMILY_TABLE[spec.family].build(spec, lambda n: self._row(n, p))
             if p is not None:
                 v, u = [x % p for x in v], [y % p for y in u]
             d = len(v)  # u is () or as long as v

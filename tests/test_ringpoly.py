@@ -219,21 +219,36 @@ class TestArithmetic:
         # was still squaring after 10 s: each is now refused before anything is allocated or squared
         ring = GF(3)
         start = time.perf_counter()
-        with pytest.raises(CapacityError, match=r"^monomial exponent 1000000000000 is above the cap 10000$"):
+        with pytest.raises(CapacityError, match=r"^monomial exponent 1000000000000 is above the cap 1000000$"):
             Poly.monomial(ring, 1, 10**12)
         with pytest.raises(CapacityError, match=r"^a power of degree 10{20} is above the cap 10000$"):
             P(ring, 1, 2) ** 10**20
         with pytest.raises(CapacityError, match=r"^a power of degree 10002 is above the cap 10000$"):
-            P(Z, 0, 0, 1) ** 5001
-        with pytest.raises(CapacityError, match=r"^a power of degree a 16610-bit integer is above the cap 10000$"):
+            P(Z, 1, 0, 1) ** 5001  # two terms: a dense power
+        with pytest.raises(CapacityError, match=r"^a power of degree 1000002 is above the cap 1000000$"):
+            P(Z, 0, 0, -2) ** 500001  # one term: a monomial
+        with pytest.raises(CapacityError, match=r"^a power of degree a 16610-bit integer is above the cap 1000000$"):
             Poly.x(ring) ** 10**5000  # named by its size, past Python's limit on the digits of an int made text
         assert time.perf_counter() - start < 1
-        # the cap itself is admitted, and a zero or constant base to any power still works
-        assert Poly.x(ring) ** 10**4 == Poly.monomial(ring, 1, 10**4)
-        assert Poly.monomial(ring, 0, 10**4) == Poly.zero(ring)
+        # each cap itself is admitted, and a zero or constant base to any power still works
+        sparse = P(ring, 1, *[0] * 4999, 1)
+        assert sparse ** 2 == P(ring, 1, *[0] * 4999, 2, *[0] * 4999, 1)
+        assert Poly.monomial(ring, 2, 10**6).degree == 10**6
+        assert Poly.monomial(ring, 0, 10**6) == Poly.zero(ring)
         assert P(ring, 2) ** 10**20 == Poly.one(ring) and P(ring, 2) ** (10**20 + 1) == P(ring, 2)
         assert Poly.zero(ring) ** 10**20 == Poly.zero(ring) and P(Z, -1) ** (10**20 + 1) == P(Z, -1)
         assert P(GF(2), 1, 1) ** 237 == P(GF(2), 1, 1) ** 200 * P(GF(2), 1, 1) ** 37
+
+    def test_a_sparse_monomial_above_the_dense_cap_is_made(self):
+        # a monomial's power is O(degree) to make, so it takes the cap of a GF(p) member's row, not 10**4:
+        # x**n - 1 can be formed beside a member of degree n
+        ring = GF(3)
+        start = time.perf_counter()
+        assert Poly.x(ring) ** 50000 == Poly.monomial(ring, 1, 50000)
+        assert (P(ring, 0, 2) ** 50001).coeffs == (0,) * 50001 + (2,)
+        assert (Poly.monomial(ring, 1, 50000) - Poly.one(ring)).coeffs == (2,) + (0,) * 49999 + (1,)
+        assert (P(Z, 0, -2) ** 20001).coeffs == (0,) * 20001 + (-(2**20001),)
+        assert time.perf_counter() - start < 1
 
     def test_mul_properties_random(self):
         rng = random.Random(20260809)

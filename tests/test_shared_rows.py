@@ -14,6 +14,7 @@ and its memory does not grow with its primes.
 """
 
 import random
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -371,6 +372,26 @@ def test_fp_scan_and_build_prove_no_prime_per_row(monkeypatch):
     assert len(rows) > len(specs) and tests == []
     # binomial_row_mod_p itself still proves its p first
     assert binomial_row_mod_p(10, 3) == (1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 1) and tests == [3]
+
+
+@pytest.mark.parametrize("n, p, text", [
+    (-1, 3, "binomial_row_mod_p requires n >= 0"),
+    (5, 4, "4 is not prime"),
+    (-1, 4, "4 is not prime"),  # p first, as binomial_row_mod_p refuses it
+    (2.5, 3, "binomial_row_mod_p n must be an integer, got 2.5"),
+    (-1, None, "binomial_row requires n >= 0"),
+    (2.5, None, "binomial_row n must be an integer, got 2.5"),
+])
+def test_a_row_asked_of_the_cache_is_checked(n, p, text):
+    # the public row checks n and p as binomial_row and binomial_row_mod_p do, whatever row it keeps;
+    # only pair's rows skip the prime test
+    for kept in (None, 2):
+        rows = RowCache()
+        if kept is not None:
+            rows.row(kept, 3 if p is not None else None)
+        with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+            rows.row(n, p)
+    assert RowCache().row(5, 3) == binomial_row_mod_p(5, 3) and RowCache().row(5, None) == binomial_row(5)
 
 
 def test_fp_scan_memory_does_not_grow_with_the_primes():

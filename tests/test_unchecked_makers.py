@@ -1,22 +1,20 @@
-"""The unchecked makers of scan and the CLI against the public, checked constructors.
+"""scan's unchecked spec maker against the public, checked constructor.
 
-``scan`` makes each spec and Verdict that its row's conditions admit through
-``FamilySpec._of`` and ``Verdict._of``, and ``cli._selected_members`` each spec
-its two closed-form checks at the first n admit through ``FamilySpec._of``.
-Every value so made must equal, and hash equal to, the one ``FamilySpec(...)``
-and ``Verdict(...)`` make of the same fields, and its fields must be exact
-ints and bools, so the flat records and the JSON bytes cannot drift.
+``scan`` makes each spec that its row's conditions admit through ``FamilySpec._of``.
+Every spec so made must equal, and hash equal to, the one ``FamilySpec(...)``
+makes of the same fields, and every Verdict the one ``Verdict(...)`` makes
+around it; their fields must be exact ints and bools, so the flat records and
+the JSON bytes cannot drift.
 """
 
-import contextlib
-import io
+import dataclasses
 import json
 import re
 from pathlib import Path
 
 import pytest
 
-from reciprodick import FamilySpec, GF, Ring, build, cli, families
+from reciprodick import FamilySpec, GF, Ring, build
 from reciprodick.classifier import (
     RULE_TABLE,
     Verdict,
@@ -45,14 +43,13 @@ def _assert_exact_spec(spec: FamilySpec) -> FamilySpec:
     return checked
 
 
-def test_only_families_classifier_and_cli_make_unchecked_specs_and_verdicts():
-    # FamilySpec._of and Verdict._of skip every check, so they must not reach code that handles outside input
+def test_only_families_and_classifier_make_unchecked_specs():
+    # FamilySpec._of skips every check, so it must not reach code that handles outside input; a Verdict
+    # checks nothing, so it has one constructor
     texts = {f.name: f.read_text() for f in SRC.rglob("*.py")}
-    assert {name for name, text in texts.items() if re.search(r"\b_of\b", text)} == {
-        "families.py", "classifier.py", "cli.py"}
-    assert {name for name, text in texts.items() if "FamilySpec._of" in text} - {"families.py"} == {
-        "classifier.py", "cli.py"}
-    assert {name for name, text in texts.items() if "Verdict._of" in text} == {"classifier.py"}
+    assert {name for name, text in texts.items() if re.search(r"\b_of\b", text)} == {"families.py", "classifier.py"}
+    assert {name for name, text in texts.items() if "FamilySpec._of" in text} == {"families.py", "classifier.py"}
+    assert not hasattr(Verdict, "_of")
 
 
 def _scan_args(t: str):
@@ -88,57 +85,16 @@ def test_scan_verdicts_equal_the_checked_ones(t):
     assert total
 
 
-def _captured_specs(monkeypatch, argv):
-    # every spec that cli.build receives during one command, and its standard output
-    specs = []
-    real = cli.build
-    monkeypatch.setattr(cli, "build", lambda spec, rows=None: specs.append(spec) or real(spec, rows))
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        rc = cli.main(argv)
-    return rc, specs, out.getvalue()
-
-
-SWEEPS = [
-    ["--family", "f", "--n-min", "0", "--n-max", "9", "--k-min", "-3", "--k-max", "4"],
-    ["--family", "g", "--n-min", "1", "--n-max", "12", "--k-min", "-2", "--k-max", "2"],
-    ["--family", "hstar", "--n-max", "11", "--k", "-7"],
-    ["--family", "kind1", "--n-max", "6"],
-    ["--family", "kind3", "--n", "7", "--ring", "z"],
-    ["--family", "f", "--ring", "fp", "--p", "5", "--n-max", "10", "--k-min", "0", "--k-max", "4"],
-    ["--family", "gstar", "--ring", "fp", "--p", "13", "--n-min", "4", "--n-max", "15", "--k-min", "9",
-     "--k-max", "12"],
-    ["--family", "fchar2", "--n-max", "12"],
-    ["--family", "fchar2", "--n-min", "3", "--n-max", "9", "--k", "1", "--p", "2"],
-    ["--family", "dickson", "--n-max", "8", "--k-min", "-1", "--k-max", "2", "--a", "-2"],
-    ["--family", "dickson", "--ring", "fp", "--p", "7", "--n-max", "9", "--k-min", "1", "--k-max", "6", "--a", "3"],
-]
-
-
-@pytest.mark.parametrize("command", ["gen", "classify"])
-@pytest.mark.parametrize("sweep", SWEEPS, ids=lambda s: "-".join(s[1:2] + s[-2:]))
-def test_cli_sweep_specs_equal_the_checked_ones(monkeypatch, command, sweep):
-    rc, specs, out = _captured_specs(monkeypatch, [command, *sweep])
-    assert rc == 0 and specs
-    records = [json.loads(line) for line in out.splitlines()]
-    assert len(records) == len(specs)
-    for spec, record in zip(specs, records):
-        _assert_exact_spec(spec)
-        if len(specs) > 1 or command == "classify":
-            assert {key: record[key] for key in spec.to_flat_dict()} == spec.to_flat_dict()
-
-
-@pytest.mark.parametrize("sweep", [
-    ["--family", "f", "--ring", "fp", "--p", "5", "--n-max", "10", "--k-min", "0", "--k-max", "5"],
-    ["--family", "g", "--n-min", "-2", "--n-max", "10"],
-    ["--family", "fchar2", "--n-max", "10", "--k-min", "1", "--k-max", "2"],
-    ["--family", "f", "--n-max", "10", "--a", "2"],
-])
-def test_a_cli_sweep_its_checks_refuse_builds_nothing(monkeypatch, capsys, sweep):
-    # the checks at the first n refuse the sweep before the unchecked maker makes any spec
-    made = []
-    real = families.FamilySpec._of
-    monkeypatch.setattr(families.FamilySpec, "_of", classmethod(lambda cls, *a: made.append(a) or real(*a)))
-    rc, specs, out = _captured_specs(monkeypatch, ["gen", *sweep])
-    assert (rc, specs, made, out) == (1, [], [], "")
-    assert capsys.readouterr().err.startswith("error: ")
+def test_a_verdict_has_one_constructor_and_stays_a_frozen_dataclass():
+    # Verdict's own __init__ sets its slots: keywords, the default note, replace, repr and frozenness hold
+    spec = FamilySpec("f", 4, 1, GF(3))
+    v = Verdict("T3_1", spec, True, False)
+    assert v == Verdict(theorem="T3_1", spec=spec, predicted=True, observed=False, note="") and not v.match
+    noted = dataclasses.replace(v, note="x")
+    assert noted == Verdict("T3_1", spec, True, False, "x") != v and (v.note, noted.note) == ("", "x")
+    assert noted.to_json_dict() == {**v.to_json_dict(), "note": "x"} and "note" not in v.to_json_dict()
+    assert repr(v) == f"Verdict(theorem='T3_1', spec={spec!r}, predicted=True, observed=False, note='')"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.note = "x"
+    with pytest.raises(TypeError):
+        Verdict("T3_1", spec, True)
